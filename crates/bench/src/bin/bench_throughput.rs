@@ -10,15 +10,11 @@
 //! writes a machine-readable report (default: `BENCH_throughput.json` in
 //! the current directory). Each phase records wall-clock time plus the
 //! phase's own counters: states explored for the explorations, throughput
-//! checks and cache hit/miss counts for the flow phases, plus warm-start
-//! hit rate and invalidation counts where the incremental re-analysis is
-//! live. Three summary ratios close the report: `cache_speedup`
-//! (repeated admission, everything off vs fingerprint cache on),
-//! `warm_speedup` (repeated slice search, from scratch vs warm-started)
-//! and `admission_warm_speedup` (repeated admission, from scratch vs
-//! warm-started with the fingerprint cache bypassed). All three compare
-//! phases measured in the same run, so they stay meaningful across
-//! machines.
+//! checks and cache hit/miss counts for the flow phases. Two summary
+//! ratios close the report: `cache_speedup` (repeated admission,
+//! throughput cache off vs on) and `region_speedup` (the 64×64 drain,
+//! sequential vs 16 regions). Both compare phases measured in the same
+//! run, so they stay meaningful across machines.
 
 use std::env;
 use std::time::Instant;
@@ -30,8 +26,7 @@ use sdfrs_core::constrained::constrained_throughput;
 use sdfrs_core::list_sched::construct_schedules;
 use sdfrs_core::service::{ServiceConfig, ServiceRequest, ServiceResponse};
 use sdfrs_core::thru_cache::ThroughputCache;
-use sdfrs_core::warm::WarmStats;
-use sdfrs_core::{AllocationService, Allocator, Binding, FlowConfig, Metrics};
+use sdfrs_core::{AllocationService, Allocator, Binding, Metrics};
 use sdfrs_platform::mesh::{grid_mesh_platform, multimedia_platform, MeshConfig};
 use sdfrs_platform::{ArchitectureGraph, PlatformState, ProcessorType, TileId};
 use sdfrs_sdf::analysis::selftimed::SelfTimedExecutor;
@@ -46,10 +41,6 @@ struct Phase {
     throughput_checks: Option<usize>,
     cache_hits: Option<usize>,
     cache_misses: Option<usize>,
-    /// Fraction of the phase's warm transitions replayed from the memo.
-    warm_hit_rate: Option<f64>,
-    /// Guarded memo entries invalidated (recomputed) during the phase.
-    states_invalidated: Option<u64>,
 }
 
 impl Phase {
@@ -70,31 +61,7 @@ impl Phase {
         if let Some(m) = self.cache_misses {
             fields.push(format!("\"cache_misses\": {m}"));
         }
-        if let Some(r) = self.warm_hit_rate {
-            fields.push(format!("\"warm_hit_rate\": {r:.4}"));
-        }
-        if let Some(i) = self.states_invalidated {
-            fields.push(format!("\"states_invalidated\": {i}"));
-        }
         format!("    {{ {} }}", fields.join(", "))
-    }
-
-    /// Attaches the warm-start delta accumulated since `before`.
-    fn with_warm_delta(mut self, after: Option<WarmStats>, before: Option<WarmStats>) -> Phase {
-        if let (Some(a), Some(b)) = (after, before) {
-            let replayed = a.replayed_transitions - b.replayed_transitions;
-            let recomputed = a.recomputed_transitions - b.recomputed_transitions;
-            let total = replayed + recomputed;
-            if total > 0 {
-                self.warm_hit_rate = Some(replayed as f64 / total as f64);
-            } else {
-                // Every probe answered at the trajectory level: no
-                // transitions were walked at all.
-                self.warm_hit_rate = Some(1.0);
-            }
-            self.states_invalidated = Some(a.invalidated_transitions - b.invalidated_transitions);
-        }
-        self
     }
 }
 
@@ -130,7 +97,6 @@ fn admission_repeat(
     let mut allocator = Allocator::new()
         .with_cache(cache)
         .with_metrics(metrics.clone());
-    let warm_before = allocator.cache().warm_stats();
     let mut checks = 0usize;
     let start = Instant::now();
     for round in 0..rounds {
@@ -158,61 +124,17 @@ fn admission_repeat(
         cache_misses: Some(allocator.cache().misses()),
         ..Phase::default()
     }
-    .with_warm_delta(allocator.cache().warm_stats(), warm_before)
-}
-
-/// Runs the H.263 slice-search workload `rounds` times through one
-/// allocator whose fingerprint cache is bypassed, so every probe runs an
-/// exploration. `warm` decides whether those explorations share the
-/// warm-start memo or start from scratch each time — the two phases the
-/// CI regression gate compares. A warm-up allocation outside the timer
-/// seeds the memo: the phase measures steady-state re-analysis.
-fn slice_search(name: &'static str, rounds: usize, warm: bool, metrics: &Metrics) -> Phase {
-    let app = h263_decoder(0, Rational::new(1, 200_000));
-    let arch = multimedia_platform();
-    let state = PlatformState::new(&arch);
-    let config = FlowConfig::builder()
-        .warm_start(warm)
-        .build()
-        .expect("valid config");
-    let mut allocator = Allocator::from_config(config)
-        .with_cache_disabled()
-        .with_metrics(metrics.clone());
-    if warm {
-        allocator
-            .allocate(&app, &arch, &state)
-            .expect("the H.263 decoder fits an empty multimedia platform");
-    }
-    let warm_before = allocator.cache().warm_stats();
-    let mut checks = 0usize;
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let (_, stats) = allocator
-            .allocate(&app, &arch, &state)
-            .expect("the H.263 decoder fits an empty multimedia platform");
-        checks += stats.throughput_checks;
-    }
-    let wall_ms = ms(start);
-    Phase {
-        name,
-        wall_ms,
-        throughput_checks: Some(checks),
-        ..Phase::default()
-    }
-    .with_warm_delta(allocator.cache().warm_stats(), warm_before)
 }
 
 /// Service churn: one H.263 session repeatedly departs and re-admits
 /// under a swept throughput constraint, so every round re-runs the slice
-/// search against slightly different targets — the rebind pattern whose
-/// probes warm-start from the shared memo.
+/// search against slightly different targets — the rebind pattern.
 fn rebind_churn(rounds: usize, metrics: &Metrics) -> Phase {
     let arch = multimedia_platform();
     let mut service = AllocationService::new(&arch).with_metrics(metrics.clone());
     let mut session = service
         .admit(&h263_decoder(0, Rational::new(1, 200_000)))
         .expect("the H.263 decoder fits an empty multimedia platform");
-    let warm_before = service.warm_stats();
     let start = Instant::now();
     for round in 0..rounds {
         service
@@ -232,7 +154,6 @@ fn rebind_churn(rounds: usize, metrics: &Metrics) -> Phase {
         wall_ms,
         ..Phase::default()
     }
-    .with_warm_delta(service.warm_stats(), warm_before)
 }
 
 /// The 64×64 grid mesh (4096 tiles, 4-neighborhood links) whose
@@ -395,58 +316,16 @@ fn main() {
         ..Phase::default()
     });
 
-    // --- Phase 5: the same end-to-end flow again through a fresh
-    // allocator whose fingerprint cache is bypassed but whose warm pool
-    // was seeded by one prior allocation — every probe re-analyzes
-    // incrementally instead of from scratch.
-    {
-        let mut warm_alloc = Allocator::new()
-            .with_cache(ThroughputCache::disabled())
-            .with_metrics(metrics.clone());
-        warm_alloc
-            .allocate(&h263_app, &arch, &state)
-            .expect("the H.263 decoder fits an empty multimedia platform");
-        let warm_before = warm_alloc.cache().warm_stats();
-        let start = Instant::now();
-        let (_, stats) = warm_alloc
-            .allocate(&h263_app, &arch, &state)
-            .expect("the H.263 decoder fits an empty multimedia platform");
-        phases.push(
-            Phase {
-                name: "flow_h263_incremental",
-                wall_ms: ms(start),
-                throughput_checks: Some(stats.throughput_checks),
-                ..Phase::default()
-            }
-            .with_warm_delta(warm_alloc.cache().warm_stats(), warm_before),
-        );
-    }
-
-    // --- Phases 6/7: the slice-search workload repeated, from scratch
-    // vs warm-started — the ratio the CI regression gate checks.
-    const SEARCH_ROUNDS: usize = 4;
-    let scratch = slice_search("slice_search_scratch", SEARCH_ROUNDS, false, &metrics);
-    let warm = slice_search("slice_search_warm", SEARCH_ROUNDS, true, &metrics);
-    let warm_speedup = scratch.wall_ms / warm.wall_ms.max(1e-9);
-    phases.push(scratch);
-    phases.push(warm);
-
-    // --- Phase 8: service depart/re-admit churn under a swept
+    // --- Phase 5: service depart/re-admit churn under a swept
     // constraint (the rebind pattern).
     phases.push(rebind_churn(8, &metrics));
 
-    // --- Phases 9/10/11: repeated admission checks — fully from scratch
-    // (no reuse of any kind, the pre-warm-start behaviour), with the
-    // fingerprint cache bypassed but warm start on, and with both on.
+    // --- Phases 6/7: repeated admission checks with the throughput
+    // cache off and on; a cache miss runs the same cold exploration
+    // either way.
     const ROUNDS: usize = 6;
-    let scratch_adm = admission_repeat(
-        "admission_repeat_scratch",
-        ROUNDS,
-        ThroughputCache::disabled().without_warm_start(),
-        &metrics,
-    );
     let off = admission_repeat(
-        "admission_repeat_nocache",
+        "admission_repeat_scratch",
         ROUNDS,
         ThroughputCache::disabled(),
         &metrics,
@@ -457,13 +336,11 @@ fn main() {
         ThroughputCache::new(),
         &metrics,
     );
-    let admission_warm_speedup = scratch_adm.wall_ms / off.wall_ms.max(1e-9);
-    let speedup = scratch_adm.wall_ms / on.wall_ms.max(1e-9);
-    phases.push(scratch_adm);
+    let speedup = off.wall_ms / on.wall_ms.max(1e-9);
     phases.push(off);
     phases.push(on);
 
-    // --- Phases 12/13/14: one batch of admissions onto the 64×64 grid
+    // --- Phases 8/9/10: one batch of admissions onto the 64×64 grid
     // mesh, sequential-commit vs region-parallel at 4 and 16 regions.
     // Region-local flows only rank the home region's tiles, so the
     // speedup is algorithmic and holds on a single core; the ratio the
@@ -491,8 +368,6 @@ fn main() {
             p.throughput_checks.map(|c| format!("checks {c}")),
             p.cache_hits.map(|h| format!("hits {h}")),
             p.cache_misses.map(|m| format!("misses {m}")),
-            p.warm_hit_rate.map(|r| format!("warm {:.1}%", r * 100.0)),
-            p.states_invalidated.map(|i| format!("invalidated {i}")),
         ]
         .into_iter()
         .flatten()
@@ -501,12 +376,6 @@ fn main() {
         eprintln!("{:<28} {:>10.3} ms   {}", p.name, p.wall_ms, extras);
     }
     eprintln!("cache speedup on repeated admission ({ROUNDS} rounds): {speedup:.2}x");
-    eprintln!(
-        "warm-start speedup on repeated slice search ({SEARCH_ROUNDS} rounds): {warm_speedup:.2}x"
-    );
-    eprintln!(
-        "warm-start speedup on repeated admission ({ROUNDS} rounds): {admission_warm_speedup:.2}x"
-    );
     eprintln!(
         "region-parallel speedup on the 64x64 drain ({GRID_ADMITS} admits, 16 regions): \
          {region_speedup:.2}x"
@@ -518,8 +387,6 @@ fn main() {
     let json = format!(
         "{{\n  \"harness\": \"bench_throughput\",\n  \"rounds\": {ROUNDS},\n  \
          \"phases\": [\n{}\n  ],\n  \"cache_speedup\": {speedup:.2},\n  \
-         \"warm_speedup\": {warm_speedup:.2},\n  \
-         \"admission_warm_speedup\": {admission_warm_speedup:.2},\n  \
          \"region_speedup\": {region_speedup:.2},\n  \
          \"metrics\": {}\n}}\n",
         phases

@@ -65,10 +65,8 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
         reconcile_events(&events, stats, snapshot.as_ref(), &mut failures);
     }
 
-    // Oracle 2 — cache consistency: a cache-disabled run (warm-started
-    // incremental re-analysis still on) must land on the same allocation
-    // (or the same rejection), and so must a fully from-scratch run with
-    // the incremental layer off — pinning both reuse layers at once.
+    // Oracle 2 — cache consistency: a cache-disabled run must land on the
+    // same allocation (or the same rejection).
     let uncached: FlowOutcome = Allocator::from_config(config.flow)
         .with_cache_disabled()
         .allocate(app, arch, &state);
@@ -80,20 +78,6 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
         &uncached,
         &mut failures,
     );
-    let mut scratch_cfg = config.flow;
-    scratch_cfg.warm_start = false;
-    let from_scratch: FlowOutcome = Allocator::from_config(scratch_cfg)
-        .with_cache_disabled()
-        .allocate(app, arch, &state);
-    compare_outcomes(
-        OracleId::CacheConsistency,
-        "warm-incremental",
-        &uncached,
-        "from-scratch",
-        &from_scratch,
-        &mut failures,
-    );
-
     // Oracle 3 — parallel consistency: the slice searches and the DSE
     // sweep advertise identical results regardless of thread count.
     let sequential: FlowOutcome = Allocator::from_config(config.flow)

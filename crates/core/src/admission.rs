@@ -288,10 +288,7 @@ pub fn allocate_best_fit(
     // Best-fit runs the flow speculatively: every round re-allocates each
     // remaining application, and between the speculative run that wins a
     // round and its commit nothing changes — one shared cache across the
-    // protocol answers those repeats from memory. Probes that *do* differ
-    // round-to-round (an application re-tried against a fuller platform)
-    // usually move single tile slices, so they warm-start from the
-    // allocator's shared exploration memo instead of exploring cold.
+    // protocol answers those repeats from memory.
     let mut allocator = Allocator::from_config(*config);
     allocate_best_fit_with(&mut allocator, apps, arch)
 }

@@ -89,17 +89,11 @@ impl Allocator {
         Allocator::from_config(FlowConfig::default())
     }
 
-    /// An allocator with the given configuration. A `warm_start: false`
-    /// configuration builds the cache without a warm-start pool, so every
-    /// exploration runs fully from scratch.
+    /// An allocator with the given configuration and an empty cache.
     pub fn from_config(config: FlowConfig) -> Self {
-        let mut cache = ThroughputCache::new();
-        if !config.warm_start {
-            cache = cache.without_warm_start();
-        }
         Allocator {
             config,
-            cache,
+            cache: ThroughputCache::new(),
             sink: Box::new(NullSink),
             tap: None,
             metrics: Metrics::null(),
@@ -107,18 +101,10 @@ impl Allocator {
         }
     }
 
-    /// Replaces the flow configuration. Switching `warm_start` off drops
-    /// the current cache's warm pool; switching it back on only takes
-    /// effect with a freshly constructed cache
-    /// ([`from_config`](Self::from_config) or
-    /// [`with_cache`](Self::with_cache)).
+    /// Replaces the flow configuration, keeping the cache.
     #[must_use]
     pub fn with_config(mut self, config: FlowConfig) -> Self {
         self.config = config;
-        if !config.warm_start && self.cache.warm_start_enabled() {
-            let cache = std::mem::take(&mut self.cache);
-            self.cache = cache.without_warm_start();
-        }
         self
     }
 
@@ -142,16 +128,10 @@ impl Allocator {
 
     /// Disables throughput-evaluation memoization: every check runs an
     /// exploration and counts as a cache miss. Used by the conformance
-    /// harness to compare cached against cache-free runs. Warm-starting
-    /// still follows `config.warm_start` — combine with a
-    /// `warm_start: false` configuration for a fully cold baseline.
+    /// harness to compare cached against cache-free runs.
     #[must_use]
     pub fn with_cache_disabled(mut self) -> Self {
-        let mut cache = ThroughputCache::disabled();
-        if !self.config.warm_start {
-            cache = cache.without_warm_start();
-        }
-        self.cache = cache;
+        self.cache = ThroughputCache::disabled();
         self.cache.set_metrics(self.metrics.clone());
         self
     }

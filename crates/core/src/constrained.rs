@@ -118,27 +118,14 @@ pub struct ConstrainedExecutor<'a> {
     time: u64,
     completions: Vec<u64>,
     state_budget: usize,
-    /// Per binding-aware actor: the tile index whose slice determines a
-    /// sync actor's execution time (`u32::MAX` for every other actor).
-    sync_dest: Vec<u32>,
-    /// When set, each transition records the tiles whose slice values it
-    /// read into `touched` (see [`transition`](Self::transition)).
-    record_touched: bool,
-    /// Deduplicated tile indices read since the last `clear_touched`.
-    touched: Vec<u32>,
-    /// Per-tile epoch stamp backing the O(1) dedup in `touch`.
-    touch_mark: Vec<u64>,
-    /// Epoch bumped by `clear_touched`; a stamp equal to it means "in
-    /// `touched` already".
-    touch_epoch: u64,
 }
 
 /// Outcome of one state-to-state transition of the constrained execution
 /// (see [`ConstrainedExecutor::transition`]). `rounds` is the number of
 /// complete/start/advance passes the transition consumed — each pass
-/// counts against the state budget exactly as in the monolithic loop.
+/// counts against the state budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Transition {
+enum Transition {
     /// The clock advanced: the executor sits in the successor state.
     Advanced { rounds: u32 },
     /// No firing is active and nothing can start: the execution stalls.
@@ -146,7 +133,7 @@ pub(crate) enum Transition {
 }
 
 impl Transition {
-    pub(crate) fn rounds(self) -> u32 {
+    fn rounds(self) -> u32 {
         match self {
             Transition::Advanced { rounds } | Transition::Deadlock { rounds } => rounds,
         }
@@ -184,10 +171,6 @@ impl<'a> ConstrainedExecutor<'a> {
                 "tile {tile} hosts actors but has no static-order schedule"
             );
         }
-        let mut sync_dest = vec![u32::MAX; g.actor_count()];
-        for &(s, tile) in ba.sync_actors() {
-            sync_dest[s.index()] = tile.index() as u32;
-        }
         ConstrainedExecutor {
             ba,
             schedules,
@@ -202,11 +185,6 @@ impl<'a> ConstrainedExecutor<'a> {
             time: 0,
             completions: vec![0; g.actor_count()],
             state_budget: DEFAULT_STATE_BUDGET,
-            sync_dest,
-            record_touched: false,
-            touched: Vec::new(),
-            touch_mark: vec![0; tile_count],
-            touch_epoch: 1,
         }
     }
 
@@ -239,25 +217,10 @@ impl<'a> ConstrainedExecutor<'a> {
         for &ch in g.incoming(actor) {
             self.tokens[ch.index()] -= g.channel(ch).consumption_rate();
         }
-        // A sync actor's execution time is `w − ω` of its destination
-        // tile: starting one reads that tile's slice.
-        if self.record_touched {
-            let dest = self.sync_dest[actor.index()];
-            if dest != u32::MAX {
-                self.touch(dest);
-            }
-        }
         let work = g.actor(actor).execution_time();
         let lane = &mut self.active[actor.index()];
         let pos = lane.partition_point(|&t| t <= work);
         lane.insert(pos, work);
-    }
-
-    fn touch(&mut self, tile: u32) {
-        if self.touch_mark[tile as usize] != self.touch_epoch {
-            self.touch_mark[tile as usize] = self.touch_epoch;
-            self.touched.push(tile);
-        }
     }
 
     fn complete_finished(&mut self) -> Vec<ActorId> {
@@ -338,16 +301,9 @@ impl<'a> ConstrainedExecutor<'a> {
             }
             let progress = match self.ba.tile_of(ActorId::from_index(idx)) {
                 None => delta,
-                Some(tile) => {
-                    // Both the wall-time minimum above and the progress
-                    // here read this tile's slice.
-                    if self.record_touched {
-                        self.touch(tile.index() as u32);
-                    }
-                    self.tdma[tile.index()]
-                        .expect("bound actors live on scheduled tiles")
-                        .slice_time_in(self.time, delta)
-                }
+                Some(tile) => self.tdma[tile.index()]
+                    .expect("bound actors live on scheduled tiles")
+                    .slice_time_in(self.time, delta),
             };
             for w in self.active[idx].iter_mut() {
                 *w = w.saturating_sub(progress);
@@ -361,7 +317,7 @@ impl<'a> ConstrainedExecutor<'a> {
     /// first): tokens, each lane as length + sorted entries, schedule
     /// positions, wheel phase. Injective for a fixed graph and schedule
     /// set, so interner equality is state equality.
-    pub(crate) fn encode_state_into(&self, out: &mut Vec<u64>) {
+    fn encode_state_into(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.tokens);
         for lane in &self.active {
@@ -372,95 +328,10 @@ impl<'a> ConstrainedExecutor<'a> {
         out.push(self.time % self.hyperperiod);
     }
 
-    /// Restores the executor to a previously encoded state (the inverse
-    /// of [`encode_state_into`](Self::encode_state_into)). The absolute
-    /// clock is set to the encoded wheel phase — every clock use is
-    /// modular in a divisor of the hyper-period, so resuming at the phase
-    /// is behavior-identical to resuming at the original absolute time.
-    /// Completion counts restart at zero; callers track deltas.
-    pub(crate) fn load_state(&mut self, words: &[u64]) {
-        let mut i = 0usize;
-        for t in self.tokens.iter_mut() {
-            *t = words[i];
-            i += 1;
-        }
-        for lane in self.active.iter_mut() {
-            lane.clear();
-            let len = words[i] as usize;
-            i += 1;
-            lane.extend_from_slice(&words[i..i + len]);
-            i += len;
-        }
-        for p in self.positions.iter_mut() {
-            *p = words[i] as u32;
-            i += 1;
-        }
-        self.time = words[i];
-        debug_assert_eq!(i + 1, words.len(), "encoded state length mismatch");
-        self.completions.iter_mut().for_each(|c| *c = 0);
-    }
-
-    /// Enables touched-tile recording (see [`transition`](Self::transition)).
-    pub(crate) fn with_touch_recording(mut self) -> Self {
-        self.record_touched = true;
-        self
-    }
-
-    /// Tiles whose slice values were read since the last
-    /// [`clear_touched`](Self::clear_touched), deduplicated.
-    pub(crate) fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    pub(crate) fn clear_touched(&mut self) {
-        self.touched.clear();
-        self.touch_epoch += 1;
-    }
-
-    pub(crate) fn time(&self) -> u64 {
-        self.time
-    }
-
-    pub(crate) fn completions_of(&self, actor: ActorId) -> u64 {
-        self.completions[actor.index()]
-    }
-
-    /// Current slice per tile index (0 for tiles without a schedule) —
-    /// the values the touched-tile guards of the warm-start memo compare
-    /// against.
-    pub(crate) fn slice_vector(&self) -> Vec<u64> {
-        self.tdma.iter().map(|t| t.map_or(0, |s| s.slice)).collect()
-    }
-
-    /// [`slice_vector`](Self::slice_vector) without building an executor —
-    /// lets trajectory-memo hits skip construction entirely.
-    pub(crate) fn slice_vector_of(ba: &BindingAwareGraph, schedules: &TileSchedules) -> Vec<u64> {
-        let tile_count = ba
-            .used_tiles()
-            .iter()
-            .map(|t| t.index() + 1)
-            .max()
-            .unwrap_or(0);
-        (0..tile_count)
-            .map(|i| {
-                let tile = TileId::from_index(i);
-                if schedules.get(tile).is_some() {
-                    ba.tdma(tile).slice
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
-
     /// Runs complete/start/advance passes until the clock advances to the
-    /// successor state or the execution deadlocks — exactly the per-state
-    /// work of the monolithic exploration loop, factored out so the cold
-    /// [`throughput`](Self::throughput) path and the warm-started
-    /// re-analysis (`warm` module) execute the very same code. When
-    /// touched-tile recording is on, every tile whose slice the
-    /// transition read ends up in [`touched`](Self::touched).
-    pub(crate) fn transition(&mut self) -> Transition {
+    /// successor state or the execution deadlocks — the per-state work of
+    /// the [`throughput`](Self::throughput) exploration loop.
+    fn transition(&mut self) -> Transition {
         let mut rounds = 0u32;
         loop {
             rounds += 1;

@@ -343,11 +343,9 @@ fn evaluate_leaf(
     let cache = allocator.cache_mut();
     let mut sink = NullSink;
     let mut obs = FlowObserver::new(&mut sink);
-    let schedules = cache.schedules_for(&ba, schedule_budget, || {
-        ListScheduler::new(&ba)
-            .with_state_budget(schedule_budget)
-            .construct_observed(&mut obs)
-    })?;
+    let schedules = ListScheduler::new(&ba)
+        .with_state_budget(schedule_budget)
+        .construct_observed(&mut obs)?;
     let achieved = cache.throughput(&ba, &schedules, reference, eval_budget)?;
     Ok(Some((schedules, achieved)))
 }

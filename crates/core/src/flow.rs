@@ -47,12 +47,6 @@ pub struct FlowConfig {
     /// How cross-tile channels are modeled (Sec 8.1's simple connection
     /// actor, or the pipelined NoC refinement).
     pub connection_model: ConnectionModel,
-    /// Warm-start throughput probes from the shared exploration memo
-    /// (default `true`). Results are bit-for-bit identical either way;
-    /// `false` forces every fingerprint miss to explore from scratch —
-    /// the from-scratch leg of the conformance panel and the cold
-    /// benchmark baselines.
-    pub warm_start: bool,
 }
 
 impl Default for FlowConfig {
@@ -62,7 +56,6 @@ impl Default for FlowConfig {
             slice: SliceConfig::default(),
             schedule_state_budget: crate::list_sched::DEFAULT_STATE_BUDGET,
             connection_model: ConnectionModel::Simple,
-            warm_start: true,
         }
     }
 }
@@ -228,13 +221,6 @@ impl FlowConfigBuilder {
         self
     }
 
-    /// Enables or disables warm-started throughput probes.
-    #[must_use]
-    pub fn warm_start(mut self, warm: bool) -> Self {
-        self.config.warm_start = warm;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -396,15 +382,9 @@ fn allocate_steps(
         .collect();
     let mut ba =
         BindingAwareGraph::build_with_model(app, arch, &binding, &half, config.connection_model)?;
-    // Repeated admission re-checks and rebinds construct schedules for
-    // the very same binding-aware graph over and over; the cache
-    // memoizes the (deterministic) construction alongside its
-    // throughput evaluations whenever warm-started re-analysis is on.
-    let schedules = cache.schedules_for(&ba, config.schedule_state_budget, || {
-        ListScheduler::new(&ba)
-            .with_state_budget(config.schedule_state_budget)
-            .construct_observed(obs)
-    })?;
+    let schedules = ListScheduler::new(&ba)
+        .with_state_budget(config.schedule_state_budget)
+        .construct_observed(obs)?;
     stats.scheduling_time = span.finish();
     obs.emit(|| FlowEvent::PhaseFinished {
         phase: FlowPhase::Scheduling,

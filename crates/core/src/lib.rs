@@ -80,7 +80,6 @@ pub mod thru_cache;
 pub mod trace;
 pub mod tutorial;
 pub mod verify;
-pub mod warm;
 
 pub use admission::{AdmissionOrder, AdmissionPolicy, AdmissionResult};
 pub use allocator::Allocator;
@@ -107,4 +106,3 @@ pub use service::{
 pub use solver::{Exact, Greedy, Portfolio, SolveOutcome, SolveReport, SolverBackend, SolverKind};
 pub use thru_cache::ThroughputCache;
 pub use trace::{CompletedTrace, FlightEntry, FlightRecorder, RequestTrace, TraceId, TraceOutcome};
-pub use warm::{WarmPool, WarmStats};

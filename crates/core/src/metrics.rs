@@ -318,9 +318,6 @@ const REFINE_ITER_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 /// Histogram bounds for requests executed per drained service batch.
 const QUEUE_DEPTH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
 
-/// Histogram bounds for memoized transitions invalidated per warm probe.
-const INVALIDATED_BOUNDS: &[u64] = &[1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576];
-
 /// Histogram bounds for the escalation depth at which a regional
 /// admission committed (0 = home region; the overflow bucket catches the
 /// global fallback on deep neighbor chains).
@@ -385,7 +382,7 @@ const COUNTERS: &[(&str, &str)] = &[
     ),
     (
         "cache_evictions",
-        "Memoized evaluations dropped by cache clears.",
+        "Memoized evaluations dropped by cache clears and the entry cap.",
     ),
     (
         "states_explored",
@@ -415,22 +412,6 @@ const COUNTERS: &[(&str, &str)] = &[
     (
         "sessions_rebound",
         "Service sessions re-allocated after departures freed capacity.",
-    ),
-    (
-        "warm_hits",
-        "Probe transitions replayed from the warm-start exploration memo.",
-    ),
-    (
-        "warm_misses",
-        "Probe transitions recomputed by the constrained executor.",
-    ),
-    (
-        "warm_trajectory_hits",
-        "Warm probes answered entirely from a memoized trajectory.",
-    ),
-    (
-        "cache_ancestor_hits",
-        "Cache misses with a memoized ancestor differing in one tile slice.",
     ),
     (
         "region_admits_local",
@@ -553,7 +534,7 @@ pub struct MetricsRegistry {
     pub cache_hits: Counter,
     /// Evaluations that ran the state-space exploration.
     pub cache_misses: Counter,
-    /// Memoized evaluations dropped by cache clears.
+    /// Memoized evaluations dropped by cache clears and the entry cap.
     pub cache_evictions: Counter,
     /// Constrained state-space states explored across all probes.
     pub states_explored: Counter,
@@ -571,14 +552,6 @@ pub struct MetricsRegistry {
     pub sessions_departed: Counter,
     /// Service sessions re-allocated after departures freed capacity.
     pub sessions_rebound: Counter,
-    /// Probe transitions replayed from the warm-start exploration memo.
-    pub warm_hits: Counter,
-    /// Probe transitions recomputed by the constrained executor.
-    pub warm_misses: Counter,
-    /// Warm probes answered entirely from a memoized trajectory.
-    pub warm_trajectory_hits: Counter,
-    /// Cache misses with a memoized ancestor differing in one tile slice.
-    pub cache_ancestor_hits: Counter,
     /// Regional admissions committed entirely inside their home region.
     pub region_admits_local: Counter,
     /// Regional admissions that escalated beyond their home region.
@@ -640,8 +613,6 @@ pub struct MetricsRegistry {
     pub refine_search_iters: Histogram,
     /// Requests executed per drained service batch.
     pub service_queue_depth: Histogram,
-    /// Memoized transitions invalidated per warm-started probe.
-    pub states_invalidated: Histogram,
     /// Escalation depth at which each regional admission committed
     /// (0 = home region; overflow = global fallback).
     pub region_escalation_depth: Histogram,
@@ -690,10 +661,6 @@ impl MetricsRegistry {
             sessions_admitted: Counter::default(),
             sessions_departed: Counter::default(),
             sessions_rebound: Counter::default(),
-            warm_hits: Counter::default(),
-            warm_misses: Counter::default(),
-            warm_trajectory_hits: Counter::default(),
-            cache_ancestor_hits: Counter::default(),
             region_admits_local: Counter::default(),
             region_escalations: Counter::default(),
             region_commits_speculative: Counter::default(),
@@ -722,7 +689,6 @@ impl MetricsRegistry {
             probe_states: Histogram::new(PROBE_STATE_BOUNDS),
             refine_search_iters: Histogram::new(REFINE_ITER_BOUNDS),
             service_queue_depth: Histogram::new(QUEUE_DEPTH_BOUNDS),
-            states_invalidated: Histogram::new(INVALIDATED_BOUNDS),
             region_escalation_depth: Histogram::new(ESCALATION_DEPTH_BOUNDS),
             net_request_latency_us: Histogram::new(NET_LATENCY_BOUNDS),
             bind_attempts_per_tile: IndexedCounter::default(),
@@ -755,10 +721,6 @@ impl MetricsRegistry {
             "sessions_admitted" => self.sessions_admitted.get(),
             "sessions_departed" => self.sessions_departed.get(),
             "sessions_rebound" => self.sessions_rebound.get(),
-            "warm_hits" => self.warm_hits.get(),
-            "warm_misses" => self.warm_misses.get(),
-            "warm_trajectory_hits" => self.warm_trajectory_hits.get(),
-            "cache_ancestor_hits" => self.cache_ancestor_hits.get(),
             "region_admits_local" => self.region_admits_local.get(),
             "region_escalations" => self.region_escalations.get(),
             "region_commits_speculative" => self.region_commits_speculative.get(),
@@ -900,10 +862,6 @@ impl MetricsRegistry {
                 self.service_queue_depth.snapshot(
                     "service_queue_depth",
                     "Requests executed per drained service batch.",
-                ),
-                self.states_invalidated.snapshot(
-                    "states_invalidated",
-                    "Memoized transitions invalidated per warm-started probe.",
                 ),
                 self.region_escalation_depth.snapshot(
                     "region_escalation_depth",

@@ -566,13 +566,6 @@ impl AllocationService {
         self.sessions.len()
     }
 
-    /// Cumulative warm-start statistics of the allocator's shared
-    /// exploration memo, or `None` when the service runs with
-    /// `warm_start: false`.
-    pub fn warm_stats(&self) -> Option<crate::warm::WarmStats> {
-        self.allocator.cache().warm_stats()
-    }
-
     /// Requests queued but not yet drained.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
@@ -778,12 +771,6 @@ impl AllocationService {
     /// capacity, the session may find a better (smaller-slice) fit. If
     /// re-allocation fails the old allocation is restored untouched; a
     /// rebind never loses a valid session.
-    ///
-    /// A rebind's throughput probes differ from the session's previous
-    /// allocation mostly in single tile slices, so they warm-start from
-    /// the allocator's shared exploration memo (see
-    /// [`warm_stats`](Self::warm_stats)) instead of re-exploring the
-    /// state space from scratch.
     ///
     /// # Errors
     ///
@@ -1005,9 +992,9 @@ impl AllocationService {
         let snapshot = self.residual.clone();
         let config = *self.allocator.config();
         let results = {
+            let seed = self.allocator.cache_mut().fork();
             let arch = &self.arch;
             let map = &self.region_map;
-            let cache = self.allocator.cache();
             let run = &*run;
             let by_region = &by_region;
             let regions: Vec<usize> = (0..region_count)
@@ -1016,7 +1003,7 @@ impl AllocationService {
             maybe_par_map(true, &regions, move |&r| {
                 let allowed = [RegionId::from_index(r)];
                 let mut masked = map.masked_state(arch, &snapshot, &allowed);
-                let mut speculative = Allocator::from_config(config).with_cache(cache.fork());
+                let mut speculative = Allocator::from_config(config).with_cache(seed.clone());
                 let mut outs = Vec::with_capacity(by_region[r].len());
                 for &k in &by_region[r] {
                     let result = speculative.allocate(&run[k].1, arch, &masked);
@@ -1130,10 +1117,10 @@ impl AllocationService {
         let config = *self.allocator.config();
         let snapshot = self.residual.clone();
         let forks = {
+            let seed = self.allocator.cache_mut().fork();
             let arch = &self.arch;
-            let cache = self.allocator.cache();
             maybe_par_map(true, &admits, |app| {
-                let mut speculative = Allocator::from_config(config).with_cache(cache.fork());
+                let mut speculative = Allocator::from_config(config).with_cache(seed.clone());
                 let _ = speculative.allocate(app, arch, &snapshot);
                 speculative.into_cache()
             })

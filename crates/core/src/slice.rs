@@ -12,13 +12,9 @@
 //!    lower bound — imperfectly balanced load means lightly loaded tiles
 //!    need less wheel time.
 //!
-//! Successive probes of either search differ in one tile's slice (the
-//! global search moves all slices in lock-step, the refinement moves
-//! exactly one), so every probe routed through the [`ThroughputCache`]
-//! warm-starts from the shared exploration memo of the
-//! [`warm`](crate::warm) module: only transitions that read the changed
-//! slice are re-executed. The parallel refinement's forked caches share
-//! one warm pool, so concurrent tasks warm each other too.
+//! Every probe goes through the [`ThroughputCache`]. Refinement tasks
+//! read the pass-start cache by shared reference and memoize into a
+//! task-local delta, absorbed in tile order once the pass joins.
 
 use sdfrs_appmodel::ApplicationGraph;
 #[cfg(test)]
@@ -77,11 +73,14 @@ pub struct SliceAllocation {
     pub throughput_checks: usize,
 }
 
-/// Evaluates the guaranteed throughput under `slices`, at the output actor.
+/// Evaluates the guaranteed throughput under `slices`, at the output
+/// actor, through `cache` — consulting `shared` first when a refinement
+/// task probes through its pass-start cache.
 ///
 /// Counted as a throughput check even when the cache answers: the paper's
 /// metric is how often the search *consults* the analysis. The second
 /// return value reports whether the cache answered.
+#[allow(clippy::too_many_arguments)]
 fn evaluate(
     ba: &mut BindingAwareGraph,
     schedules: &TileSchedules,
@@ -90,13 +89,14 @@ fn evaluate(
     budget: usize,
     checks: &mut usize,
     cache: &mut ThroughputCache,
+    shared: Option<&ThroughputCache>,
 ) -> Result<(ThroughputResult, bool), MapError> {
     *checks += 1;
     ba.set_slices(slices);
     let reference = ba.ba_actor(app.output_actor());
     let hits_before = cache.hits();
     let thr = cache
-        .throughput(ba, schedules, reference, budget)
+        .throughput_via(shared, ba, schedules, reference, budget)
         .map_err(MapError::from)?;
     Ok((thr, cache.hits() > hits_before))
 }
@@ -220,6 +220,7 @@ pub fn allocate_slices_observed(
         config.state_budget,
         &mut checks,
         cache,
+        None,
     )?;
     obs.counters.global_slice_iterations += 1;
     obs.metrics().record(|m| m.global_slice_iterations.inc());
@@ -256,6 +257,7 @@ pub fn allocate_slices_observed(
             config.state_budget,
             &mut checks,
             cache,
+            None,
         )?;
         obs.counters.global_slice_iterations += 1;
         obs.metrics().record(|m| m.global_slice_iterations.inc());
@@ -304,7 +306,7 @@ pub fn allocate_slices_observed(
             let pass_start = slices.clone();
             let tile_indices: Vec<usize> = (0..used.len()).collect();
             let snapshot: &BindingAwareGraph = ba;
-            let seed = cache.fork();
+            let shared: &ThroughputCache = cache;
             let record = obs.enabled();
             let proposals = sdfrs_fastutil::par::maybe_par_map(
                 config.parallel,
@@ -313,7 +315,7 @@ pub fn allocate_slices_observed(
                     let t = used[i];
                     let upper = pass_start[t.index()];
                     let lower = (((loads[i] / max_load) * upper as f64).floor() as u64).max(1);
-                    let mut local_cache = seed.clone();
+                    let mut local_cache = shared.task_cache();
                     let mut probes = Vec::new();
                     if lower >= upper {
                         return Ok((upper, 0, local_cache, probes));
@@ -334,6 +336,7 @@ pub fn allocate_slices_observed(
                             config.state_budget,
                             &mut local_checks,
                             &mut local_cache,
+                            Some(shared),
                         )?;
                         let feasible = thr.iteration_throughput >= lambda;
                         if record {
@@ -387,6 +390,7 @@ pub fn allocate_slices_observed(
                     config.state_budget,
                     &mut checks,
                     cache,
+                    None,
                 )?;
                 obs.counters.refine_slice_iterations += 1;
                 obs.metrics().record(|m| m.refine_slice_iterations.inc());
@@ -420,6 +424,7 @@ pub fn allocate_slices_observed(
             config.state_budget,
             &mut checks,
             cache,
+            None,
         )?;
         obs.counters.refine_slice_iterations += 1;
         obs.metrics().record(|m| m.refine_slice_iterations.inc());

@@ -16,17 +16,13 @@
 //! the full key, so a hash collision can never return a wrong result.
 //! Hit/miss counters expose how much work the cache saved.
 //!
-//! Below the fingerprint map sits the *warm-start* layer (the
-//! [`warm`](crate::warm) module): fingerprint misses do not explore from
-//! scratch but re-enter a shared, slice-guarded exploration memo keyed by
-//! the *base* fingerprint (everything except the slice values and the
-//! budget). A miss whose configuration differs from a memoized entry in a
-//! single tile slice — the shape every binary-search probe and every
-//! [`rebind`](crate::service) re-allocation has — replays the unchanged
-//! part of the state space and recomputes only the transitions that read
-//! the changed slice. [`ThroughputCache::without_warm_start`] restores
-//! the fully cold behavior.
+//! The entries live in a frozen *parent* map shared by `Arc` plus a
+//! local *delta*, so a [`fork`](ThroughputCache::fork) for a speculative
+//! allocation copies nothing, and a refinement task probes through its
+//! pass-start cache by shared reference. The cache holds at most
+//! [`MAX_ENTRIES`] evaluations.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use sdfrs_fastutil::FxHashMap;
@@ -36,30 +32,30 @@ use sdfrs_sdf::{ActorId, SdfError};
 use crate::binding_aware::BindingAwareGraph;
 use crate::constrained::{ConstrainedExecutor, TileSchedules};
 use crate::metrics::{Metrics, SpanKind};
-use crate::warm::{explore_warm, lock_pool, SharedWarmPool, WarmPool, WarmStats};
+
+/// The most evaluations one cache holds. An insert that would exceed it
+/// clears the cache first, so a long-lived service stays bounded.
+pub const MAX_ENTRIES: usize = 16_384;
+
+type Evaluation = Result<ThroughputResult, SdfError>;
+type Memo = FxHashMap<Vec<u64>, Evaluation>;
 
 /// Encodes everything that determines a constrained-throughput result
 /// into `out`. Injective for a fixed encoding version: every field is
 /// length-prefixed or fixed-width, so distinct configurations never
 /// collide.
-/// `slice_words` receives the key positions holding tile slice values —
-/// the words the nearest-ancestor scan is allowed to see differ.
 ///
 /// A sync actor's execution time is `wheel − slice` of its destination
 /// tile — fully determined by words already in the key — so it is
-/// encoded as a sentinel plus the destination tile. This keeps the
-/// fingerprint injective while making two configurations that differ in
-/// one tile slice differ in exactly one key word.
+/// encoded as a sentinel plus the destination tile.
 fn encode_fingerprint(
     ba: &BindingAwareGraph,
     schedules: &TileSchedules,
     reference: ActorId,
     state_budget: usize,
     out: &mut Vec<u64>,
-    slice_words: &mut Vec<usize>,
 ) {
     out.clear();
-    slice_words.clear();
     let g = ba.graph();
     // dest tile + 1 per sync actor, 0 otherwise.
     let mut sync_dest = vec![0u64; g.actor_count()];
@@ -95,7 +91,6 @@ fn encode_fingerprint(
         let tdma = ba.tdma(t);
         out.push(t.index() as u64);
         out.push(tdma.wheel);
-        slice_words.push(out.len());
         out.push(tdma.slice);
         let s = schedules.get(t).expect("tiles() yields scheduled tiles");
         out.push(s.prefix().len() as u64);
@@ -105,97 +100,6 @@ fn encode_fingerprint(
     }
     out.push(state_budget as u64);
     out.push(reference.index() as u64);
-}
-
-/// Encodes the *base* of a configuration — everything
-/// [`encode_fingerprint`] covers except the tile slice values and the
-/// state budget. Two configurations with equal bases describe the same
-/// state space up to slice-dependent timing, so they may share one
-/// warm-start [`ExplorationContext`](crate::warm::ExplorationContext).
-///
-/// A sync actor's execution time is `wheel − slice` of its destination
-/// tile, i.e. slice-dependent: it is encoded as a sentinel plus the
-/// destination tile instead of its current execution time.
-fn encode_base_fingerprint(
-    ba: &BindingAwareGraph,
-    schedules: &TileSchedules,
-    reference: ActorId,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    let g = ba.graph();
-    // dest tile + 1 per sync actor, 0 otherwise.
-    let mut sync_dest = vec![0u64; g.actor_count()];
-    for &(actor, tile) in ba.sync_actors() {
-        sync_dest[actor.index()] = tile.index() as u64 + 1;
-    }
-    out.push(g.actor_count() as u64);
-    for a in g.actor_ids() {
-        let dest = sync_dest[a.index()];
-        if dest != 0 {
-            out.push(u64::MAX);
-            out.push(dest);
-        } else {
-            out.push(g.actor(a).execution_time());
-            out.push(ba.tile_of(a).map_or(0, |t| t.index() as u64 + 1));
-        }
-    }
-    out.push(g.channel_count() as u64);
-    for c in g.channel_ids() {
-        let ch = g.channel(c);
-        out.push(ch.src().index() as u64);
-        out.push(ch.dst().index() as u64);
-        out.push(ch.production_rate());
-        out.push(ch.consumption_rate());
-        out.push(ch.initial_tokens());
-    }
-    let tiles: Vec<_> = schedules.tiles().collect();
-    out.push(tiles.len() as u64);
-    for &t in &tiles {
-        out.push(t.index() as u64);
-        out.push(ba.tdma(t).wheel);
-        let s = schedules.get(t).expect("tiles() yields scheduled tiles");
-        out.push(s.prefix().len() as u64);
-        out.extend(s.prefix().iter().map(|a| a.index() as u64));
-        out.push(s.period().len() as u64);
-        out.extend(s.period().iter().map(|a| a.index() as u64));
-    }
-    out.push(reference.index() as u64);
-}
-
-/// Encodes everything the list scheduler reads: the binding-aware graph
-/// (execution times, channels, actor→tile placement) with each used
-/// tile's TDMA wheel and slice assumption, plus the construction state
-/// budget. Schedule construction is deterministic, so two equal keys
-/// yield bit-identical [`TileSchedules`] — the memo behind
-/// [`ThroughputCache::schedules_for`] is exact.
-fn encode_schedule_key(ba: &BindingAwareGraph, state_budget: usize, out: &mut Vec<u64>) {
-    out.clear();
-    let g = ba.graph();
-    out.push(g.actor_count() as u64);
-    for a in g.actor_ids() {
-        out.push(g.actor(a).execution_time());
-        // 0 = not tile-bound (connection actor), i + 1 = tile i.
-        out.push(ba.tile_of(a).map_or(0, |t| t.index() as u64 + 1));
-    }
-    out.push(g.channel_count() as u64);
-    for c in g.channel_ids() {
-        let ch = g.channel(c);
-        out.push(ch.src().index() as u64);
-        out.push(ch.dst().index() as u64);
-        out.push(ch.production_rate());
-        out.push(ch.consumption_rate());
-        out.push(ch.initial_tokens());
-    }
-    let tiles = ba.used_tiles();
-    out.push(tiles.len() as u64);
-    for &t in &tiles {
-        let tdma = ba.tdma(t);
-        out.push(t.index() as u64);
-        out.push(tdma.wheel);
-        out.push(tdma.slice);
-    }
-    out.push(state_budget as u64);
 }
 
 /// A memo table for [`ConstrainedExecutor::throughput`] evaluations.
@@ -211,52 +115,22 @@ fn encode_schedule_key(ba: &BindingAwareGraph, state_budget: usize, out: &mut Ve
 /// let cache = ThroughputCache::new();
 /// assert_eq!((cache.hits(), cache.misses()), (0, 0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputCache {
-    map: FxHashMap<Vec<u64>, Result<ThroughputResult, SdfError>>,
+    /// Entries frozen by the last [`fork`](Self::fork), shared with the
+    /// forks handed out since.
+    parent: Arc<Memo>,
+    /// Entries evaluated or adopted since; never overlaps `parent`.
+    delta: Memo,
     hits: usize,
     misses: usize,
     scratch: Vec<u64>,
-    /// Key positions holding tile slices, refreshed per fingerprint.
-    slice_words: Vec<usize>,
     bypass: bool,
-    /// The shared warm-start pool; `None` runs every exploration fully
-    /// cold. Clones (and [`fork`](Self::fork)s) share the pool, so
-    /// parallel search tasks warm each other.
-    warm: Option<SharedWarmPool>,
     metrics: Metrics,
     /// Forks record hits/misses/probes into the shared registry
     /// directly, but leave the `cache_entries` gauge to the main cache:
     /// fork residency is speculative until [`absorb`](Self::absorb).
     is_fork: bool,
-    /// Keys this fork inserted itself (empty on non-forks): the only
-    /// entries [`absorb`](Self::absorb) needs to consider, instead of
-    /// re-walking the inherited copy of the parent's whole map.
-    fresh: Vec<Vec<u64>>,
-    /// Memoized static-order schedule constructions, part of the
-    /// warm-start layer (see [`schedules_for`](Self::schedules_for)).
-    /// Forks start empty — schedule construction happens before the
-    /// slice phase that forks.
-    sched: FxHashMap<Vec<u64>, TileSchedules>,
-}
-
-impl Default for ThroughputCache {
-    /// An empty cache with warm-started exploration enabled.
-    fn default() -> Self {
-        ThroughputCache {
-            map: FxHashMap::default(),
-            hits: 0,
-            misses: 0,
-            scratch: Vec::new(),
-            slice_words: Vec::new(),
-            bypass: false,
-            warm: Some(WarmPool::shared()),
-            metrics: Metrics::default(),
-            is_fork: false,
-            fresh: Vec::new(),
-            sched: FxHashMap::default(),
-        }
-    }
 }
 
 impl ThroughputCache {
@@ -265,78 +139,14 @@ impl ThroughputCache {
         Self::default()
     }
 
-    /// Creates a cache that never memoizes at the fingerprint level:
-    /// every evaluation counts as a miss. The ablation baseline for the
-    /// benches — the flow code stays identical, only memoization is off.
-    /// Warm-started exploration stays on; stack
-    /// [`without_warm_start`](Self::without_warm_start) for a fully cold
-    /// baseline.
+    /// Creates a cache that never memoizes: every evaluation counts as a
+    /// miss. The ablation baseline for the benches — the flow code stays
+    /// identical, only memoization is off.
     pub fn disabled() -> Self {
         ThroughputCache {
             bypass: true,
             ..ThroughputCache::default()
         }
-    }
-
-    /// Drops the warm-start pool: every fingerprint miss explores the
-    /// state space from scratch and every flow rebuilds its static-order
-    /// schedules, exactly as if the incremental re-analysis layer did
-    /// not exist. Results are identical either way — this only trades
-    /// time.
-    pub fn without_warm_start(mut self) -> Self {
-        self.warm = None;
-        self.sched.clear();
-        self
-    }
-
-    /// Returns the memoized static-order schedules for `ba` (with its
-    /// 50%-of-wheel slice assumption baked in) or runs `build` and
-    /// memoizes a successful result. Construction is deterministic, so
-    /// a hit is bit-identical to rebuilding — only wall time changes.
-    /// Part of the warm-start layer: with
-    /// [`without_warm_start`](Self::without_warm_start), `build` runs
-    /// every time. Errors are never memoized.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` returns.
-    pub fn schedules_for<F>(
-        &mut self,
-        ba: &BindingAwareGraph,
-        state_budget: usize,
-        build: F,
-    ) -> Result<TileSchedules, SdfError>
-    where
-        F: FnOnce() -> Result<TileSchedules, SdfError>,
-    {
-        if self.warm.is_none() {
-            return build();
-        }
-        let mut key = std::mem::take(&mut self.scratch);
-        encode_schedule_key(ba, state_budget, &mut key);
-        if let Some(s) = self.sched.get(&key) {
-            let schedules = s.clone();
-            self.scratch = key;
-            return Ok(schedules);
-        }
-        let schedules = build();
-        if let Ok(s) = &schedules {
-            self.sched.insert(key, s.clone());
-        } else {
-            self.scratch = key;
-        }
-        schedules
-    }
-
-    /// `true` when a warm-start pool backs fingerprint misses.
-    pub fn warm_start_enabled(&self) -> bool {
-        self.warm.is_some()
-    }
-
-    /// Cumulative warm-start statistics of the shared pool, or `None`
-    /// when warm-starting is off.
-    pub fn warm_stats(&self) -> Option<WarmStats> {
-        self.warm.as_ref().map(|pool| lock_pool(pool).stats())
     }
 
     /// Evaluations answered from the cache.
@@ -351,21 +161,19 @@ impl ThroughputCache {
 
     /// Distinct configurations memoized.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.parent.len() + self.delta.len()
     }
 
     /// `true` if nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
-    /// Drops all memoized evaluations (including memoized schedule
-    /// constructions); counters keep accumulating.
+    /// Drops all memoized evaluations; counters keep accumulating.
     pub fn clear(&mut self) {
-        let evicted = self.map.len() as u64;
-        self.map.clear();
-        self.fresh.clear();
-        self.sched.clear();
+        let evicted = self.len() as u64;
+        self.parent = Arc::default();
+        self.delta.clear();
         let is_fork = self.is_fork;
         self.metrics.record(|m| {
             m.cache_evictions.add(evicted);
@@ -383,37 +191,47 @@ impl ThroughputCache {
         self.metrics = metrics.into();
     }
 
-    /// A copy carrying the same memo table but zeroed counters: the seed
-    /// for a (parallel) search task's local cache. [`absorb`](Self::absorb)
-    /// of a fork then adds exactly the task's own hits and misses. The
+    /// A cache answering everything this one does, with zeroed counters:
+    /// the seed for a speculative allocation. [`absorb`](Self::absorb) of
+    /// the fork then adds exactly its own hits, misses and entries. The
     /// fork shares the metrics registry (its recordings are live) but
     /// never touches the residency gauge.
-    pub fn fork(&self) -> ThroughputCache {
+    ///
+    /// Nothing is copied: a main cache first folds its delta into its
+    /// parent — in place once earlier forks have been absorbed or
+    /// dropped — and the fork shares that parent. A fork never folds into
+    /// the parent it shares; forking a fork copies only the fork's delta.
+    pub fn fork(&mut self) -> ThroughputCache {
+        if !self.is_fork && !self.delta.is_empty() {
+            let delta = std::mem::take(&mut self.delta);
+            Arc::make_mut(&mut self.parent).extend(delta);
+        }
         ThroughputCache {
-            map: self.map.clone(),
-            hits: 0,
-            misses: 0,
-            scratch: Vec::new(),
-            slice_words: Vec::new(),
+            parent: Arc::clone(&self.parent),
+            delta: self.delta.clone(),
+            ..self.task_cache()
+        }
+    }
+
+    /// An empty fork for a search task that probes through `self` by
+    /// shared reference (see [`throughput_via`](Self::throughput_via)).
+    pub(crate) fn task_cache(&self) -> ThroughputCache {
+        ThroughputCache {
             bypass: self.bypass,
-            warm: self.warm.clone(),
             metrics: self.metrics.clone(),
             is_fork: true,
-            fresh: Vec::new(),
-            sched: FxHashMap::default(),
+            ..ThroughputCache::default()
         }
     }
 
     /// Merges another cache into this one: memoized evaluations are
     /// adopted (first writer wins on duplicates — both sides computed the
-    /// same result) and hit/miss counters accumulate. Folds the local
-    /// caches of parallel search tasks back into the shared cache.
-    /// Returns how many entries were newly adopted.
+    /// same result) and hit/miss counters accumulate. Folds the caches of
+    /// search tasks and speculative allocations back into the shared
+    /// cache. Returns how many entries were newly adopted.
     ///
-    /// A fork's map is a copy of its parent's plus whatever the fork
-    /// evaluated itself; only the latter ([`fresh`](Self::fork) keys) are
-    /// considered, so absorbing a fork never re-inserts (or re-hashes)
-    /// the thousands of entries both sides already share.
+    /// Of a fork only the delta is considered — everything the fork
+    /// evaluated or absorbed itself — never the parent it shares.
     ///
     /// Registry counters are *not* re-recorded here — a fork records its
     /// hits and misses live; absorbing only folds the per-run `usize`
@@ -421,32 +239,17 @@ impl ThroughputCache {
     pub fn absorb(&mut self, other: ThroughputCache) -> usize {
         self.hits += other.hits;
         self.misses += other.misses;
-        for (key, value) in other.sched {
-            self.sched.entry(key).or_insert(value);
-        }
         let mut adopted = 0;
-        if other.is_fork {
-            let mut map = other.map;
-            for key in other.fresh {
-                if let Some(value) = map.remove(&key) {
-                    self.map.entry(key).or_insert_with(|| {
-                        adopted += 1;
-                        value
-                    });
-                }
-            }
-        } else {
-            for (key, value) in other.map {
-                self.map.entry(key).or_insert_with(|| {
-                    adopted += 1;
-                    value
-                });
+        if !other.is_fork && !Arc::ptr_eq(&self.parent, &other.parent) {
+            let parent = Arc::try_unwrap(other.parent).unwrap_or_else(|shared| (*shared).clone());
+            for (key, value) in parent {
+                adopted += usize::from(self.adopt(key, value));
             }
         }
-        if !self.is_fork {
-            let entries = self.map.len() as u64;
-            self.metrics.record(|m| m.cache_entries.set(entries));
+        for (key, value) in other.delta {
+            adopted += usize::from(self.adopt(key, value));
         }
+        self.publish_entries();
         adopted
     }
 
@@ -461,123 +264,100 @@ impl ThroughputCache {
         reference: ActorId,
         state_budget: usize,
     ) -> Result<ThroughputResult, SdfError> {
+        self.throughput_via(None, ba, schedules, reference, state_budget)
+    }
+
+    /// [`throughput`](Self::throughput) for a search task holding a
+    /// [`task_cache`](Self::task_cache): answers from `shared` or from
+    /// this cache, and memoizes only here.
+    pub(crate) fn throughput_via(
+        &mut self,
+        shared: Option<&ThroughputCache>,
+        ba: &BindingAwareGraph,
+        schedules: &TileSchedules,
+        reference: ActorId,
+        state_budget: usize,
+    ) -> Result<ThroughputResult, SdfError> {
         if self.bypass {
             self.misses += 1;
             self.metrics.record(|m| {
                 m.throughput_checks.inc();
                 m.cache_misses.inc();
             });
-            return self.explore(ba, schedules, reference, state_budget, None);
+            return self.explore(ba, schedules, reference, state_budget);
         }
         let mut key = std::mem::take(&mut self.scratch);
-        let mut slice_words = std::mem::take(&mut self.slice_words);
-        encode_fingerprint(
-            ba,
-            schedules,
-            reference,
-            state_budget,
-            &mut key,
-            &mut slice_words,
-        );
-        self.slice_words = slice_words;
-        if let Some(cached) = self.map.get(&key) {
+        encode_fingerprint(ba, schedules, reference, state_budget, &mut key);
+        let cached = shared
+            .and_then(|s| s.lookup(&key))
+            .or_else(|| self.lookup(&key))
+            .cloned();
+        if let Some(result) = cached {
             self.hits += 1;
             self.metrics.record(|m| {
                 m.throughput_checks.inc();
                 m.cache_hits.inc();
             });
-            let result = cached.clone();
             self.scratch = key;
             return result;
         }
         self.misses += 1;
-        let ancestor = self.nearest_ancestor(&key);
         self.metrics.record(|m| {
             m.throughput_checks.inc();
             m.cache_misses.inc();
-            if ancestor.is_some() {
-                m.cache_ancestor_hits.inc();
-            }
         });
-        let result = self.explore(ba, schedules, reference, state_budget, ancestor.flatten());
-        self.map.insert(key.clone(), result.clone());
-        if self.is_fork {
-            self.fresh.push(key);
-        } else {
-            let entries = self.map.len() as u64;
-            self.metrics.record(|m| m.cache_entries.set(entries));
-            self.scratch = key;
-        }
+        let result = self.explore(ba, schedules, reference, state_budget);
+        self.insert(key.clone(), result.clone());
+        self.scratch = key;
+        self.publish_entries();
         result
     }
 
-    /// Scans for a memoized configuration differing from `key` in exactly
-    /// one tile-slice word — the nearest ancestor of an incremental
-    /// probe. Returns `Some(size_hint)` when one exists, where the hint
-    /// is the ancestor's explored-state count (if it succeeded), used
-    /// only to pre-size the warm context. Purely advisory: it never
-    /// changes any result.
-    fn nearest_ancestor(&self, key: &[u64]) -> Option<Option<usize>> {
-        self.warm.as_ref()?;
-        'candidates: for (k, v) in &self.map {
-            if k.len() != key.len() {
-                continue;
-            }
-            let mut differs = false;
-            for (i, (a, b)) in k.iter().zip(key).enumerate() {
-                if a != b {
-                    if differs || !self.slice_words.contains(&i) {
-                        continue 'candidates;
-                    }
-                    differs = true;
-                }
-            }
-            if differs {
-                return Some(v.as_ref().ok().map(|r| r.states_explored));
-            }
-        }
-        None
+    fn lookup(&self, key: &[u64]) -> Option<&Evaluation> {
+        self.delta.get(key).or_else(|| self.parent.get(key))
     }
 
-    /// Runs the constrained exploration — through the shared warm-start
-    /// pool when one is attached, fully cold otherwise — timed as a
-    /// `probe` span, and records how many states it visited.
-    /// `ancestor_hint` pre-sizes the warm context's interner.
+    /// Inserts `key` unless it is memoized already; `true` if inserted.
+    fn adopt(&mut self, key: Vec<u64>, value: Evaluation) -> bool {
+        if self.lookup(&key).is_some() {
+            return false;
+        }
+        self.insert(key, value);
+        true
+    }
+
+    /// Inserts a key not memoized yet, clearing the cache first when it
+    /// holds [`MAX_ENTRIES`] already.
+    fn insert(&mut self, key: Vec<u64>, value: Evaluation) {
+        if self.len() >= MAX_ENTRIES {
+            self.clear();
+        }
+        self.delta.insert(key, value);
+    }
+
+    /// Sets the residency gauge to this cache's size (main caches only).
+    fn publish_entries(&self) {
+        if !self.is_fork {
+            let entries = self.len() as u64;
+            self.metrics.record(|m| m.cache_entries.set(entries));
+        }
+    }
+
+    /// Runs the constrained exploration, timed as a `probe` span, and
+    /// records how many states it visited.
     fn explore(
         &self,
         ba: &BindingAwareGraph,
         schedules: &TileSchedules,
         reference: ActorId,
         state_budget: usize,
-        ancestor_hint: Option<usize>,
     ) -> Result<ThroughputResult, SdfError> {
         // `Instant::now` only when a registry listens: the disabled path
         // must cost a single branch.
         let probe_start = self.metrics.enabled().then(Instant::now);
-        let result = if let Some(pool) = &self.warm {
-            let mut base = Vec::new();
-            encode_base_fingerprint(ba, schedules, reference, &mut base);
-            let mut pool = lock_pool(pool);
-            let ctx = pool.context_for(&base);
-            if let Some(states) = ancestor_hint {
-                ctx.reserve(states);
-            }
-            let (result, probe) = explore_warm(ba, schedules, reference, state_budget, ctx);
-            pool.apply(&probe);
-            self.metrics.record(|m| {
-                m.warm_hits.add(probe.replayed);
-                m.warm_misses.add(probe.recomputed);
-                if probe.trajectory_hit {
-                    m.warm_trajectory_hits.inc();
-                }
-                m.states_invalidated.observe(probe.invalidated);
-            });
-            result
-        } else {
-            ConstrainedExecutor::new(ba, schedules)
-                .with_state_budget(state_budget)
-                .throughput(reference)
-        };
+        let result = ConstrainedExecutor::new(ba, schedules)
+            .with_state_budget(state_budget)
+            .throughput(reference);
         if let Some(t0) = probe_start {
             let elapsed = t0.elapsed();
             self.metrics.record(|m| {
@@ -597,6 +377,7 @@ mod tests {
     use super::*;
     use crate::binding::Binding;
     use crate::list_sched::construct_schedules;
+    use crate::metrics::MetricsRegistry;
     use sdfrs_appmodel::apps::{example_platform, paper_example};
     use sdfrs_platform::TileId;
 
@@ -751,8 +532,6 @@ mod tests {
 
     #[test]
     fn absorb_adopts_only_fork_fresh_entries() {
-        use crate::metrics::MetricsRegistry;
-        use std::sync::Arc;
         let registry = Arc::new(MetricsRegistry::new());
         let (ba, schedules, reference) = setup([5, 5]);
         let mut cache = ThroughputCache::new();
@@ -785,80 +564,94 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_cache() {
-        let (mut ba, schedules, reference) = setup([5, 5]);
-        let mut warm = ThroughputCache::disabled();
-        let mut cold = ThroughputCache::disabled().without_warm_start();
-        assert!(warm.warm_start_enabled());
-        assert!(!cold.warm_start_enabled());
-        for slices in [[5u64, 5], [4, 5], [5, 5], [2, 3], [4, 5], [1, 1]] {
-            ba.set_slices(&slices);
-            for budget in [2usize, 100_000] {
-                let w = warm.throughput(&ba, &schedules, reference, budget);
-                let c = cold.throughput(&ba, &schedules, reference, budget);
-                assert_eq!(w, c, "slices {slices:?} budget {budget}");
-            }
-        }
-        let stats = warm.warm_stats().expect("warm pool attached");
-        assert!(stats.probes > 0);
-        assert!(
-            stats.replayed_transitions + stats.trajectory_hits > 0,
-            "repeated probes must reuse the memo: {stats:?}"
-        );
-        assert_eq!(cold.warm_stats(), None);
-    }
-
-    #[test]
-    fn forks_share_one_warm_pool() {
+    fn forks_share_the_parent_without_copying() {
         let (ba, schedules, reference) = setup([5, 5]);
         let mut cache = ThroughputCache::new();
         cache
             .throughput(&ba, &schedules, reference, 100_000)
             .unwrap();
-        // A fork's map hit does not touch the pool, but a fork probing a
-        // *new* budget warm-starts from the parent's exploration.
-        let mut fork = cache.fork();
-        fork.throughput(&ba, &schedules, reference, 99_999).unwrap();
-        let stats = fork.warm_stats().expect("shared pool");
-        assert_eq!(stats.probes, 2);
-        assert_eq!(
-            stats.trajectory_hits, 1,
-            "the fork's probe differs only in budget: same trajectory"
-        );
-        assert_eq!(cache.warm_stats(), fork.warm_stats());
+        let fork = cache.fork();
+        assert!(Arc::ptr_eq(&cache.parent, &fork.parent));
+        assert!(cache.delta.is_empty() && fork.delta.is_empty());
+        cache.absorb(fork);
+        // With the earlier fork absorbed, the next fold is in place.
+        let before = Arc::as_ptr(&cache.parent);
+        cache.throughput(&ba, &schedules, reference, 1).unwrap_err();
+        let next = cache.fork();
+        assert_eq!(Arc::as_ptr(&cache.parent), before);
+        assert_eq!(next.len(), 2);
     }
 
     #[test]
-    fn nearest_ancestor_counts_single_slice_neighbours() {
-        use crate::metrics::MetricsRegistry;
-        use std::sync::Arc;
-        let registry = Arc::new(MetricsRegistry::new());
+    fn entries_of_nested_forks_reach_the_root() {
         let (mut ba, schedules, reference) = setup([5, 5]);
+        let mut root = ThroughputCache::new();
+        root.throughput(&ba, &schedules, reference, 100_000)
+            .unwrap();
+        let mut fork = root.fork();
+        ba.set_slices(&[4, 5]);
+        fork.throughput(&ba, &schedules, reference, 100_000)
+            .unwrap();
+        // A child of the fork (a refinement task inside a speculative
+        // allocation) sees the fork's entries and adds one of its own.
+        let mut child = fork.fork();
+        child
+            .throughput(&ba, &schedules, reference, 100_000)
+            .unwrap();
+        ba.set_slices(&[3, 5]);
+        child
+            .throughput(&ba, &schedules, reference, 100_000)
+            .unwrap();
+        assert_eq!((child.hits(), child.misses()), (1, 1));
+        fork.absorb(child);
+        root.absorb(fork);
+        assert_eq!(root.len(), 3);
+        let misses = root.misses();
+        root.throughput(&ba, &schedules, reference, 100_000)
+            .unwrap();
+        assert_eq!(root.misses(), misses, "the child's entry answers as a hit");
+        // The same through a refinement task probing the fork by
+        // reference.
+        let mut fork = root.fork();
+        let mut task = fork.task_cache();
+        ba.set_slices(&[2, 5]);
+        task.throughput_via(Some(&fork), &ba, &schedules, reference, 100_000)
+            .unwrap();
+        fork.absorb(task);
+        root.absorb(fork);
+        let misses = root.misses();
+        root.throughput(&ba, &schedules, reference, 100_000)
+            .unwrap();
+        assert_eq!(root.misses(), misses);
+    }
+
+    #[test]
+    fn crossing_the_cap_evicts_and_answers_stay_exact() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let (ba, schedules, reference) = setup([5, 5]);
         let mut cache = ThroughputCache::new();
         cache.set_metrics(registry.clone());
-        cache
-            .throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        assert_eq!(registry.cache_ancestor_hits.get(), 0, "first probe");
-        // One tile's slice changed: the memoized entry is an ancestor.
-        ba.set_slices(&[5, 4]);
-        cache
-            .throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        assert_eq!(registry.cache_ancestor_hits.get(), 1);
-        // Both slices changed relative to every cached entry: no single
-        // slice-word neighbour exists.
-        ba.set_slices(&[2, 2]);
-        cache
-            .throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        assert_eq!(registry.cache_ancestor_hits.get(), 1);
-        // A budget change differs in a non-slice word: not an ancestor.
-        ba.set_slices(&[5, 5]);
-        cache
-            .throughput(&ba, &schedules, reference, 50_000)
-            .unwrap();
-        assert_eq!(registry.cache_ancestor_hits.get(), 1);
+        // Each budget is a distinct configuration.
+        let budgets = 1_000..1_000 + MAX_ENTRIES + 10;
+        for budget in budgets.clone() {
+            cache
+                .throughput(&ba, &schedules, reference, budget)
+                .unwrap();
+            assert!(registry.cache_entries.get() <= MAX_ENTRIES as u64);
+            if budget % 4096 == 0 {
+                // Folds keep the bound too.
+                cache.fork();
+            }
+        }
+        assert_eq!(registry.cache_evictions.get(), MAX_ENTRIES as u64);
+        assert_eq!(cache.len(), 10);
+        assert_eq!(registry.cache_entries.get(), 10);
+        for budget in [1_000, budgets.end - 1] {
+            let direct = ConstrainedExecutor::new(&ba, &schedules)
+                .with_state_budget(budget)
+                .throughput(reference);
+            assert_eq!(cache.throughput(&ba, &schedules, reference, budget), direct);
+        }
     }
 
     #[test]

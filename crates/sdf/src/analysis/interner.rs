@@ -89,15 +89,6 @@ impl StateInterner {
         self.slots.fill((0, EMPTY));
     }
 
-    /// Grows the slot table (if needed) so that roughly `states` entries
-    /// fit before the next resize. Existing entries are preserved.
-    pub fn reserve(&mut self, states: usize) {
-        let needed = ((self.len() + states) * 2).next_power_of_two().max(16);
-        while self.slots.len() < needed {
-            self.grow();
-        }
-    }
-
     /// The encoded words of state `id`.
     ///
     /// # Panics
@@ -216,18 +207,6 @@ mod tests {
         let (id, fresh) = it.intern(&[42]);
         assert_eq!((id, fresh), (0, true));
         assert_eq!(it.get(0), &[42]);
-    }
-
-    #[test]
-    fn reserve_avoids_incremental_growth() {
-        let mut it = StateInterner::with_capacity(4);
-        it.reserve(1000);
-        let slots = it.slots.len();
-        for i in 0..900u64 {
-            it.intern(&[i]);
-        }
-        assert_eq!(it.slots.len(), slots, "no regrowth after reserve");
-        assert_eq!(it.len(), 900);
     }
 
     #[test]
