@@ -35,14 +35,13 @@
 //! `{"op":"admit","example":"paper"}` (or `"app_file":"x.sdfa"`),
 //! `{"op":"depart","session":1}`, `{"op":"rebind","session":2}`,
 //! `{"op":"status"}`. Responses carry the request's 0-based line number
-//! as `"id"` and are deterministic (no timestamps). `--batch <n>` drains
-//! the queue every `n` requests (default 1: each request is answered
-//! before the next is read), enabling the service's parallel speculative
-//! admission without changing any outcome. `--regions <n>` partitions the
-//! platform into `n` contiguous tile regions: admits run region-locally
-//! (escalating to neighbors, then globally, when the home region is full)
-//! and batched admits commit region-parallel — responses are still
-//! byte-identical to the sequential order (conform oracle 7).
+//! as `"id"` and are deterministic (no timestamps). `--batch <n>` queues
+//! `n` requests before each drain (default 1: each request is answered
+//! before the next is read); the drain executes them one by one in
+//! arrival order, so the batch size changes no outcome. `--regions <n>`
+//! partitions the platform into `n` contiguous tile regions: admits run
+//! region-locally (escalating to neighbors, then globally, when the home
+//! region is full), so each flow ranks only its region's tiles.
 //!
 //! `serve --listen <host:port>` runs the same service as a concurrent
 //! TCP server (JSONL in, JSONL out, one connection per client; see
@@ -841,7 +840,6 @@ fn serve(
     let opts = parse_serve_options(options)?;
     let mut config = ServiceConfig::default();
     config.policy = opts.policy;
-    config.batch_capacity = opts.batch;
     config.regions = opts.regions;
 
     let mut log = match &opts.commit_log_path {
@@ -878,8 +876,8 @@ fn serve(
     let mut service = AllocationService::from_config(&arch, config)
         .with_boxed_sink(sink)
         .with_metrics(metrics.clone());
-    // Responses always come out in request order: `drain` commits
-    // sequentially regardless of the speculative parallelism inside.
+    // Responses always come out in request order: `drain` executes the
+    // queue in arrival order.
     for chunk in requests.chunks(opts.batch) {
         for r in chunk {
             service.enqueue(r.clone());
@@ -896,6 +894,13 @@ fn serve(
     if let Some(p) = &opts.final_state_path {
         fs::write(p, format!("{}\n", service.residual_digest()))
             .map_err(|e| format!("cannot write final state {p}: {e}"))?;
+    }
+    if log.write_failures() > 0 {
+        return Err(format!(
+            "commit log: {} of {} records failed to write",
+            log.write_failures(),
+            log.len()
+        ));
     }
     Ok(())
 }

@@ -327,8 +327,8 @@ fn multiapp_allocates_two_copies() {
 /// The `serve` subcommand replayed against the committed golden
 /// transcript: admissions claim, departures reclaim, a rebind moves the
 /// surviving session, a dead ticket fails — and the whole exchange is
-/// byte-identical whether requests are answered one at a time or as one
-/// speculative batch.
+/// byte-identical whether requests are answered one at a time or
+/// drained in batches of six.
 #[test]
 fn serve_matches_golden_transcript_online_and_batched() {
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
@@ -381,6 +381,29 @@ fn serve_rejects_malformed_requests_with_line_numbers() {
     assert!(err.contains("evict"), "{err}");
     let _ = std::fs::remove_file(platform);
     let _ = std::fs::remove_file(bad);
+}
+
+/// A commit log that cannot be written fails the run (after every
+/// response was answered) instead of exiting 0 with an empty log.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_reports_commit_log_write_failures() {
+    let (platform_text, _, _) = sdfrs(&["example", "platform"]);
+    let platform = write_temp("sf_platform.sdfp", &platform_text);
+    let requests = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/serve_requests.jsonl");
+    let (out, err, ok) = sdfrs(&[
+        "serve",
+        platform.to_str().unwrap(),
+        "--input",
+        requests.to_str().unwrap(),
+        "--commit-log",
+        "/dev/full",
+    ]);
+    assert!(!ok, "a full disk must fail the run");
+    assert_eq!(out.lines().count(), 6, "every request is still answered");
+    assert!(err.contains("4 of 4 records failed to write"), "{err}");
+    let _ = std::fs::remove_file(platform);
 }
 
 #[test]

@@ -6,9 +6,9 @@
 //! the workspace's own redundancy (cached vs. uncached evaluation,
 //! parallel vs. sequential search, the independent verifier, the event
 //! stream vs. the aggregated stats, the online admission service vs. the
-//! batch protocols, region-parallel vs. sequential admission commits,
-//! the networked front-end vs. its own commit log, the request span
-//! tree vs. the metrics registry) gives us eight more.
+//! batch protocols, regional admissions vs. the verifier and the
+//! residual they leave, the networked front-end vs. its own commit log,
+//! the request span tree vs. the metrics registry) gives us eight more.
 //! This crate runs seeded random [`Scenario`]s through the whole panel:
 //!
 //! 1. **HSDF equivalence** — self-timed throughput of the binding-aware
@@ -24,17 +24,16 @@
 //!    zero violations;
 //! 5. **event reconciliation** — the recorded `FlowEvent` stream agrees
 //!    with the returned `FlowStats`;
-//! 6. **online/batch equivalence** — an admit → depart → admit trace
-//!    through the [`AllocationService`](sdfrs_core::AllocationService)
-//!    answers identically whether drained one request at a time or as a
-//!    single batch, and the surviving sessions match a fresh
-//!    `allocate_sequence` of the same applications (departures reclaim
-//!    *exactly* what was claimed);
-//! 7. **region-parallel equivalence** — with the platform partitioned
+//! 6. **session reclamation** — after an admit → depart → admit trace
+//!    through the [`AllocationService`](sdfrs_core::AllocationService),
+//!    the surviving sessions match a fresh `allocate_sequence` of the
+//!    same applications (departures reclaim *exactly* what was claimed);
+//! 7. **regional admission validity** — with the platform partitioned
 //!    into regions (including single-tile regions that force the
-//!    escalation path), a region-parallel batched drain must answer
-//!    byte-for-byte identically to a sequential-commit drain of the same
-//!    trace and leave the identical residual;
+//!    escalation path), every regional admission passes
+//!    [`verify_allocation`](sdfrs_core::verify::verify_allocation)
+//!    against the residual it was admitted on, and the final residual
+//!    equals a fresh platform with every live session's claim applied;
 //! 8. **network/replay equivalence** — the same trace driven through a
 //!    real loopback [`NetServer`](sdfrs_net::NetServer) over TCP (two
 //!    interleaved connections) must leave a commit log whose offline
@@ -134,12 +133,13 @@ pub enum OracleId {
     Invariants,
     /// Event stream vs. `FlowStats`.
     EventReconciliation,
-    /// Online (request-at-a-time) vs. batched service drains, and the
-    /// surviving sessions vs. a fresh batch allocation.
-    OnlineBatchEquivalence,
-    /// Region-parallel vs. sequential-commit drains of a partitioned
-    /// service (responses byte-for-byte, residual, live sessions).
-    RegionEquivalence,
+    /// The service's surviving sessions vs. a fresh batch allocation of
+    /// their applications (exact reclamation under LIFO departures).
+    SessionReclamation,
+    /// Regional admissions vs. `verify_allocation` on the residual they
+    /// were admitted on, and the final residual vs. the live sessions'
+    /// claims.
+    RegionalAdmissionValidity,
     /// Networked service run vs. offline replay of its commit log
     /// (residual digest, live sessions, commit accounting).
     NetReplay,
@@ -162,8 +162,8 @@ impl OracleId {
             OracleId::ParallelConsistency => "parallel_consistency",
             OracleId::Invariants => "invariants",
             OracleId::EventReconciliation => "event_reconciliation",
-            OracleId::OnlineBatchEquivalence => "online_batch_equivalence",
-            OracleId::RegionEquivalence => "region_parallel_equivalence",
+            OracleId::SessionReclamation => "session_reclamation",
+            OracleId::RegionalAdmissionValidity => "regional_admission_validity",
             OracleId::NetReplay => "net_replay_equivalence",
             OracleId::TraceReconciliation => "trace_reconciliation",
             OracleId::ExactOptimality => "exact_optimality",

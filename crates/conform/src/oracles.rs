@@ -100,16 +100,16 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
         &mut failures,
     );
 
-    // Oracle 6 — online/batch equivalence: the admission service must
-    // answer an admit/depart/admit trace identically request-at-a-time
-    // and as one speculative batch, and its survivors must match a fresh
+    // Oracle 6 — session reclamation: after an admit/depart/admit trace
+    // through the admission service, its survivors must match a fresh
     // sequence allocation.
-    online_service_oracle(scenario, config, &mut failures);
+    reclamation_oracle(scenario, config, &mut failures);
 
-    // Oracle 7 — region-parallel equivalence: with the platform
-    // partitioned into regions, the region-parallel batched commit path
-    // must answer byte-for-byte like the sequential-commit path.
-    region_equivalence_oracle(scenario, config, &mut failures, &mut skipped);
+    // Oracle 7 — regional admission validity: with the platform
+    // partitioned into regions, every regional admission must be valid
+    // on the residual it was admitted on, and the final residual must
+    // hold exactly the live sessions' claims.
+    regional_admission_oracle(scenario, config, &mut failures, &mut skipped);
 
     // Oracle 8 — network/replay equivalence: the same trace pushed
     // through a real loopback TCP server must leave a commit log whose
@@ -343,114 +343,52 @@ fn reconcile_events(
     }
 }
 
-/// Oracle 6: online/batch equivalence of the admission service.
+/// Oracle 6: exact reclamation of the admission service.
 ///
 /// Drives an admit → admit → depart-latest → depart-bogus → admit →
-/// status trace through one [`AllocationService`] a request at a time,
-/// then replays the *same* request sequence through a second service as
-/// one batch (engaging the parallel speculative path). Both must produce
-/// identical responses and identical residual platform state. Departing
-/// the *most recently admitted* live session keeps the trace LIFO, which
-/// makes a third check sound: the surviving sessions, re-allocated from
-/// scratch with `allocate_sequence`, must reproduce the exact
-/// allocations and residual the service holds — proving departures
-/// reclaim precisely what admissions claimed.
-fn online_service_oracle(
+/// status trace through one [`AllocationService`]. Departing the *most
+/// recently admitted* live session keeps the trace LIFO, so the surviving
+/// sessions, re-allocated from scratch with `allocate_sequence`, must
+/// reproduce the exact allocations and residual the service holds —
+/// proving departures reclaim precisely what admissions claimed.
+fn reclamation_oracle(
     scenario: &Scenario,
     config: &HarnessConfig,
     failures: &mut Vec<OracleFailure>,
 ) {
-    use sdfrs_core::service::{AllocationService, ServiceConfig, ServiceRequest, ServiceResponse};
+    use sdfrs_core::service::{AllocationService, ServiceConfig, ServiceRequest};
     use sdfrs_core::SessionId;
 
-    let oracle = OracleId::OnlineBatchEquivalence;
+    let oracle = OracleId::SessionReclamation;
     let app = &scenario.app;
     let arch = &scenario.arch;
     let bogus = SessionId::from_raw(u64::MAX);
 
     let mut svc_config = ServiceConfig::default();
     svc_config.flow = config.flow;
-
-    // Online run: drain after every request, recording the trace. The
-    // depart target is chosen *during* the run (latest live session), so
-    // the recorded trace is fully concrete for the batched replay.
-    let mut online = AllocationService::from_config(arch, svc_config);
-    let mut trace: Vec<ServiceRequest> = Vec::new();
-    let mut online_responses: Vec<ServiceResponse> = Vec::new();
+    let mut service = AllocationService::from_config(arch, svc_config);
     let admit = || ServiceRequest::Admit {
         app: Box::new(app.clone()),
     };
-    let step = |svc: &mut AllocationService,
-                trace: &mut Vec<ServiceRequest>,
-                out: &mut Vec<ServiceResponse>,
-                req: ServiceRequest| {
-        trace.push(req.clone());
-        svc.enqueue(req);
-        let drained = svc.drain();
-        debug_assert_eq!(drained.len(), 1);
-        out.extend(drained.into_iter().map(|(_, r)| r));
-    };
-    step(&mut online, &mut trace, &mut online_responses, admit());
-    step(&mut online, &mut trace, &mut online_responses, admit());
-    let latest = online.session_ids().last().copied().unwrap_or(bogus);
-    step(
-        &mut online,
-        &mut trace,
-        &mut online_responses,
+    service.execute_request(admit());
+    service.execute_request(admit());
+    let latest = service.session_ids().last().copied().unwrap_or(bogus);
+    for request in [
         ServiceRequest::Depart { session: latest },
-    );
-    step(
-        &mut online,
-        &mut trace,
-        &mut online_responses,
         ServiceRequest::Depart { session: bogus },
-    );
-    step(&mut online, &mut trace, &mut online_responses, admit());
-    step(
-        &mut online,
-        &mut trace,
-        &mut online_responses,
+        admit(),
         ServiceRequest::Status,
-    );
-
-    // Batched replay: same requests, one drain, speculation engaged.
-    let mut batch_config = svc_config;
-    batch_config.batch_capacity = trace.len();
-    let mut batched = AllocationService::from_config(arch, batch_config);
-    for req in &trace {
-        batched.enqueue(req.clone());
-    }
-    let batched_responses: Vec<ServiceResponse> =
-        batched.drain().into_iter().map(|(_, r)| r).collect();
-    if online_responses != batched_responses {
-        let first = online_responses
-            .iter()
-            .zip(&batched_responses)
-            .position(|(a, b)| a != b);
-        failures.push(OracleFailure {
-            oracle,
-            detail: format!(
-                "online and batched drains disagree (first divergent response: {:?})",
-                first
-            ),
-        });
-        return;
-    }
-    if online.residual() != batched.residual() {
-        failures.push(OracleFailure {
-            oracle,
-            detail: "online and batched drains leave different residual platform state".into(),
-        });
-        return;
+    ] {
+        service.execute_request(request);
     }
 
-    // Survivor replay: because departures were LIFO, the live sessions
-    // were each admitted on exactly the state a fresh sequence of their
-    // applications reproduces.
-    let survivors = online.session_ids();
+    // Because departures were LIFO, the live sessions were each admitted
+    // on exactly the state a fresh sequence of their applications
+    // reproduces.
+    let survivors = service.session_ids();
     let final_apps: Vec<_> = survivors
         .iter()
-        .filter_map(|&id| online.application(id).cloned())
+        .filter_map(|&id| service.application(id).cloned())
         .collect();
     let replay = Allocator::from_config(config.flow).allocate_sequence(&final_apps, arch);
     if let Some(e) = &replay.failure {
@@ -461,7 +399,7 @@ fn online_service_oracle(
         return;
     }
     for (i, &id) in survivors.iter().enumerate() {
-        let held = online.allocation(id).expect("survivor is live");
+        let held = service.allocation(id).expect("survivor is live");
         if let Some(diff) = diff_allocations(held, &replay.allocations[i]) {
             failures.push(OracleFailure {
                 oracle,
@@ -469,7 +407,7 @@ fn online_service_oracle(
             });
         }
     }
-    if replay.final_state != *online.residual() {
+    if replay.final_state != *service.residual() {
         failures.push(OracleFailure {
             oracle,
             detail: "service residual differs from fresh-replay platform state \
@@ -479,18 +417,16 @@ fn online_service_oracle(
     }
 }
 
-/// Oracle 7: region-parallel vs. sequential-commit admission.
+/// Oracle 7: validity of region-local admission.
 ///
 /// Partitions the scenario platform into regions — a coarse split (2
 /// regions) and the finest split (one tile per region, which starves
-/// most home regions and forces the escalation chain) — and runs the
-/// same admit/depart trace through two services with identical region
-/// maps: one draining with `region_parallel_commit` off (sequential,
-/// the pinned reference) and one with it on (phase-A speculative
-/// allocation plus direct commits). The JSONL response lines must match
-/// byte-for-byte, and residual state and live sessions must be
-/// identical — the determinism claim of DESIGN.md §15.
-fn region_equivalence_oracle(
+/// most home regions and forces the escalation chain) — and drives an
+/// admit/depart/status trace through one regional service. Every
+/// admission must pass [`verify_allocation`] with zero violations
+/// against the residual it was admitted on, and the final residual must
+/// equal a fresh platform state with every live session's claim applied.
+fn regional_admission_oracle(
     scenario: &Scenario,
     config: &HarnessConfig,
     failures: &mut Vec<OracleFailure>,
@@ -499,7 +435,7 @@ fn region_equivalence_oracle(
     use sdfrs_core::service::{AllocationService, ServiceConfig, ServiceRequest, ServiceResponse};
     use sdfrs_core::SessionId;
 
-    let oracle = OracleId::RegionEquivalence;
+    let oracle = OracleId::RegionalAdmissionValidity;
     let app = &scenario.app;
     let arch = &scenario.arch;
     if arch.tile_count() < 2 {
@@ -511,83 +447,70 @@ fn region_equivalence_oracle(
     region_counts.dedup();
 
     for regions in region_counts {
-        // The trace: enough admits to spread over several homes, one
-        // departure in the middle (a barrier that dirties a region), a
-        // bogus departure and a status probe.
-        let trace_len = 7;
-        let build = |parallel: bool| {
-            let mut svc_config = ServiceConfig::default();
-            svc_config.flow = config.flow;
-            svc_config.regions = regions;
-            svc_config.region_parallel_commit = parallel;
-            svc_config.batch_capacity = trace_len;
-            AllocationService::from_config(arch, svc_config)
+        let mut svc_config = ServiceConfig::default();
+        svc_config.flow = config.flow;
+        svc_config.regions = regions;
+        let mut service = AllocationService::from_config(arch, svc_config);
+        let admit = || ServiceRequest::Admit {
+            app: Box::new(app.clone()),
         };
-        let drive = |svc: &mut AllocationService| -> Vec<(u64, ServiceResponse)> {
-            let admit = || ServiceRequest::Admit {
-                app: Box::new(app.clone()),
-            };
-            let mut out = Vec::new();
-            for req in [admit(), admit(), admit(), admit()] {
-                svc.enqueue(req);
+        let mut run = |service: &mut AllocationService, requests: Vec<ServiceRequest>| {
+            for request in requests {
+                let before = service.residual().clone();
+                let ServiceResponse::Admitted { session, .. } = service.execute_request(request)
+                else {
+                    continue;
+                };
+                let alloc = service
+                    .allocation(session)
+                    .expect("admitted session is live");
+                match verify_allocation(app, arch, &before, alloc) {
+                    Ok(violations) if violations.is_empty() => {}
+                    Ok(violations) => failures.push(OracleFailure {
+                        oracle,
+                        detail: format!(
+                            "regions={regions}: session {session} violates the residual it \
+                             was admitted on: {violations:?}"
+                        ),
+                    }),
+                    Err(e) => failures.push(OracleFailure {
+                        oracle,
+                        detail: format!("regions={regions}: verifier itself failed: {e}"),
+                    }),
+                }
             }
-            out.extend(svc.drain());
-            // Depart the first live session (if any), then admit twice
-            // more in a fresh batch against the dirtied platform.
-            let target = svc
-                .session_ids()
-                .first()
-                .copied()
-                .unwrap_or(SessionId::from_raw(u64::MAX));
-            for req in [
+        };
+        // Enough admits to spread over several homes, then a departure
+        // of the first live session, two more admits against the freed
+        // platform, and a status probe.
+        run(&mut service, vec![admit(), admit(), admit(), admit()]);
+        let target = service
+            .session_ids()
+            .first()
+            .copied()
+            .unwrap_or(SessionId::from_raw(u64::MAX));
+        run(
+            &mut service,
+            vec![
                 ServiceRequest::Depart { session: target },
                 admit(),
                 admit(),
                 ServiceRequest::Status,
-            ] {
-                svc.enqueue(req);
-            }
-            out.extend(svc.drain());
-            out
-        };
-
-        let mut sequential = build(false);
-        let mut parallel = build(true);
-        let seq_out = drive(&mut sequential);
-        let par_out = drive(&mut parallel);
-
-        let seq_lines: Vec<String> = seq_out.iter().map(|(s, r)| r.to_json_line(*s)).collect();
-        let par_lines: Vec<String> = par_out.iter().map(|(s, r)| r.to_json_line(*s)).collect();
-        if seq_lines != par_lines {
-            let first = seq_lines.iter().zip(&par_lines).position(|(a, b)| a != b);
-            failures.push(OracleFailure {
-                oracle,
-                detail: format!(
-                    "regions={regions}: sequential and region-parallel commits disagree \
-                     (first divergent response line: {first:?})"
-                ),
-            });
-            return;
+            ],
+        );
+        let mut expected = PlatformState::new(arch);
+        for id in service.session_ids() {
+            let alloc = service.allocation(id).expect("listed session is live");
+            alloc.claim_set().apply(&mut expected);
         }
-        if sequential.residual() != parallel.residual() {
+        if expected != *service.residual() {
             failures.push(OracleFailure {
                 oracle,
                 detail: format!(
-                    "regions={regions}: sequential and region-parallel commits leave \
-                     different residual platform state"
+                    "regions={regions}: the residual differs from a fresh platform with \
+                     every live session's claim applied"
                 ),
             });
-            return;
-        }
-        if sequential.session_ids() != parallel.session_ids() {
-            failures.push(OracleFailure {
-                oracle,
-                detail: format!(
-                    "regions={regions}: sequential and region-parallel commits hold \
-                     different live sessions"
-                ),
-            });
-            return;
         }
     }
 }

@@ -137,8 +137,9 @@ impl AdmissionPolicy {
     }
 
     /// `true` for the heuristic policies (greedy first fit, best fit) —
-    /// the ones eligible for speculative region-parallel admission, whose
-    /// transcripts and metrics are bit-compatible with pre-solver
+    /// the ones the service admits region-locally under
+    /// [`ServiceConfig::regions`](crate::service::ServiceConfig::regions),
+    /// whose transcripts and metrics are bit-compatible with pre-solver
     /// releases.
     pub fn is_heuristic(&self) -> bool {
         matches!(

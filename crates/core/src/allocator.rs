@@ -56,7 +56,9 @@ use crate::thru_cache::ThroughputCache;
 /// The default sink is the zero-overhead [`NullSink`].
 pub struct Allocator {
     config: FlowConfig,
-    cache: ThroughputCache,
+    /// Crate-visible so the exact solver can evaluate its leaves through
+    /// the shared memo.
+    pub(crate) cache: ThroughputCache,
     sink: Box<dyn EventSink>,
     /// Per-request event tap: when installed, every event is *also*
     /// captured here (even with a `NullSink` primary) so the service
@@ -202,12 +204,6 @@ impl Allocator {
     /// The evaluation cache.
     pub fn cache(&self) -> &ThroughputCache {
         &self.cache
-    }
-
-    /// Mutable cache access, for absorbing the forks of speculative
-    /// parallel runs back into the shared cache.
-    pub(crate) fn cache_mut(&mut self) -> &mut ThroughputCache {
-        &mut self.cache
     }
 
     /// The attached metrics handle (null unless

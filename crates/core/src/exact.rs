@@ -340,7 +340,7 @@ fn evaluate_leaf(
     let schedule_budget = ctx.flow.schedule_state_budget;
     let eval_budget = ctx.flow.slice.state_budget;
     let reference = ba.ba_actor(ctx.app.output_actor());
-    let cache = allocator.cache_mut();
+    let cache = &mut allocator.cache;
     let mut sink = NullSink;
     let mut obs = FlowObserver::new(&mut sink);
     let schedules = ListScheduler::new(&ba)

@@ -300,9 +300,8 @@ impl Allocation {
     /// the sparse, sorted set of non-zero claims to
     /// [`apply`](ClaimSet::apply) to or [`revert`](ClaimSet::revert) from
     /// a [`PlatformState`] as one unit. This is the claim/release surface
-    /// the admission layers use; it also carries the region bookkeeping
-    /// ([`ClaimSet::region_footprint`], [`ClaimSet::within`]) that powers
-    /// region-parallel commits.
+    /// the admission layers use for admissions, departures and rebind
+    /// rollbacks.
     pub fn claim_set(&self) -> ClaimSet {
         ClaimSet::from_usage(&self.usage)
     }

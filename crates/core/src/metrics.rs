@@ -422,14 +422,6 @@ const COUNTERS: &[(&str, &str)] = &[
         "Regional admissions that escalated beyond their home region.",
     ),
     (
-        "region_commits_speculative",
-        "Region-parallel drain commits that reused the speculative regional allocation.",
-    ),
-    (
-        "region_commits_inline",
-        "Region-parallel drain commits recomputed inline against the global residual.",
-    ),
-    (
         "net_connections_opened",
         "TCP connections accepted by the network front-end.",
     ),
@@ -456,6 +448,10 @@ const COUNTERS: &[(&str, &str)] = &[
     (
         "net_commits_logged",
         "Committed mutations appended to the deterministic commit log.",
+    ),
+    (
+        "net_log_write_failures",
+        "Commit-log records whose write to the log stream failed (kept in memory).",
     ),
     (
         "net_introspects",
@@ -556,12 +552,6 @@ pub struct MetricsRegistry {
     pub region_admits_local: Counter,
     /// Regional admissions that escalated beyond their home region.
     pub region_escalations: Counter,
-    /// Region-parallel drain commits that reused the speculative
-    /// regional allocation.
-    pub region_commits_speculative: Counter,
-    /// Region-parallel drain commits recomputed inline against the
-    /// global residual.
-    pub region_commits_inline: Counter,
     /// TCP connections accepted by the network front-end.
     pub net_connections_opened: Counter,
     /// Network connections closed (disconnect, fault, or drain).
@@ -578,6 +568,9 @@ pub struct MetricsRegistry {
     pub net_parse_errors: Counter,
     /// Committed mutations appended to the deterministic commit log.
     pub net_commits_logged: Counter,
+    /// Commit-log records whose write to the log stream failed (the
+    /// in-memory record is kept).
+    pub net_log_write_failures: Counter,
     /// Introspection requests answered over the wire.
     pub net_introspects: Counter,
     /// Completed request traces recorded by the flight recorder.
@@ -663,8 +656,6 @@ impl MetricsRegistry {
             sessions_rebound: Counter::default(),
             region_admits_local: Counter::default(),
             region_escalations: Counter::default(),
-            region_commits_speculative: Counter::default(),
-            region_commits_inline: Counter::default(),
             net_connections_opened: Counter::default(),
             net_connections_closed: Counter::default(),
             net_requests_received: Counter::default(),
@@ -672,6 +663,7 @@ impl MetricsRegistry {
             net_deadlines_expired: Counter::default(),
             net_parse_errors: Counter::default(),
             net_commits_logged: Counter::default(),
+            net_log_write_failures: Counter::default(),
             net_introspects: Counter::default(),
             traces_recorded: Counter::default(),
             traces_pinned: Counter::default(),
@@ -723,8 +715,6 @@ impl MetricsRegistry {
             "sessions_rebound" => self.sessions_rebound.get(),
             "region_admits_local" => self.region_admits_local.get(),
             "region_escalations" => self.region_escalations.get(),
-            "region_commits_speculative" => self.region_commits_speculative.get(),
-            "region_commits_inline" => self.region_commits_inline.get(),
             "net_connections_opened" => self.net_connections_opened.get(),
             "net_connections_closed" => self.net_connections_closed.get(),
             "net_requests_received" => self.net_requests_received.get(),
@@ -732,6 +722,7 @@ impl MetricsRegistry {
             "net_deadlines_expired" => self.net_deadlines_expired.get(),
             "net_parse_errors" => self.net_parse_errors.get(),
             "net_commits_logged" => self.net_commits_logged.get(),
+            "net_log_write_failures" => self.net_log_write_failures.get(),
             "net_introspects" => self.net_introspects.get(),
             "traces_recorded" => self.traces_recorded.get(),
             "traces_pinned" => self.traces_pinned.get(),

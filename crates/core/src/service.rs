@@ -22,16 +22,8 @@
 //! [`rebind`](AllocationService::rebind),
 //! [`status`](AllocationService::status)) or queued with
 //! [`enqueue`](AllocationService::enqueue) and executed by
-//! [`drain`](AllocationService::drain) in deterministic batches: each
-//! batch first allocates its admissions *speculatively in parallel*
-//! against a snapshot of the residual state (cache-warming forks of the
-//! shared [`ThroughputCache`](crate::ThroughputCache), absorbed before
-//! commit), then commits every request sequentially in arrival order.
-//! The commit re-runs each admission against the true residual state —
-//! answered from the warmed cache when no earlier commit changed the
-//! state — so a drained batch is *bit-identical* to processing the same
-//! requests one by one. The conformance harness pins exactly that
-//! equivalence (oracle 6).
+//! [`drain`](AllocationService::drain), which runs the queue through the
+//! same per-request path the network front-end calls, in arrival order.
 //!
 //! # Regional admission
 //!
@@ -45,18 +37,9 @@
 //! application, admission *escalates*: the mask widens to the home
 //! region plus its nearest neighbor regions (up to
 //! [`MAX_ESCALATION_NEIGHBORS`]), and finally falls back to the
-//! unmasked global flow.
-//!
-//! Because a masked allocation is a pure function of its regions'
-//! residual share, admits homed in *different* regions commute; with
-//! [`ServiceConfig::region_parallel_commit`] a drained run of
-//! consecutive admits is grouped by home region, allocated per region in
-//! parallel, and the results are **committed directly** in arrival
-//! order — no re-run — whenever no earlier inline commit dirtied the
-//! home region. Escalations and admits into dirtied regions are
-//! recomputed inline, exactly as the sequential path would. Conform
-//! oracle 7 pins region-parallel commit ≡ sequential commit,
-//! byte-for-byte, including forced-escalation scenarios.
+//! unmasked global flow. Conform oracle 7 verifies regional admissions
+//! against the residual they were admitted on, including
+//! forced-escalation scenarios.
 //!
 //! # Example
 //!
@@ -78,7 +61,6 @@
 use std::collections::BTreeMap;
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_fastutil::par::maybe_par_map;
 use sdfrs_platform::{ArchitectureGraph, PlatformState, RegionId, RegionMap, TileUsage};
 use sdfrs_sdf::Rational;
 
@@ -106,33 +88,17 @@ pub const MAX_ESCALATION_NEIGHBORS: usize = 2;
 pub struct ServiceConfig {
     /// The flow configuration every admission runs under.
     pub flow: FlowConfig,
-    /// Queued requests executed per batch by [`drain`]
-    /// ([`AllocationService::drain`]); clamped to at least 1.
-    ///
-    /// [`drain`]: AllocationService::drain
-    pub batch_capacity: usize,
-    /// Whether a batch's admissions are speculatively allocated in
-    /// parallel before the sequential commit. Never changes results —
-    /// only how warm the shared cache is when the commit runs.
-    pub parallel_speculation: bool,
     /// Regions the platform is partitioned into for regional admission
     /// (clamped to `1..=tile_count`). `1` — the default — disables
     /// regional admission entirely: every admit runs the global flow,
     /// byte-identical to earlier releases.
     pub regions: usize,
-    /// Whether [`drain`](AllocationService::drain) commits runs of
-    /// consecutive admits region-parallel (see the
-    /// [module docs](self#regional-admission)). Only takes effect with
-    /// `regions > 1`; results are pinned byte-identical to the
-    /// sequential commit by conform oracle 7.
-    pub region_parallel_commit: bool,
     /// The admission policy every admit and rebind dispatches through.
     /// The default ([`AdmissionPolicy::greedy`]) preserves the
     /// pre-solver behavior byte-for-byte; the solver-backed policies
     /// (exact / portfolio) attach a certified [`SolveReport`] to every
-    /// admission and disable the speculative regional/parallel fast
-    /// paths (which are only proven result-identical for the heuristic
-    /// flow).
+    /// admission and always search the whole residual platform, so
+    /// they ignore [`regions`](Self::regions).
     pub policy: AdmissionPolicy,
 }
 
@@ -140,10 +106,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             flow: FlowConfig::default(),
-            batch_capacity: 16,
-            parallel_speculation: true,
             regions: 1,
-            region_parallel_commit: true,
             policy: AdmissionPolicy::greedy(),
         }
     }
@@ -456,13 +419,10 @@ pub struct AllocationService {
     queue: Vec<(u64, ServiceRequest)>,
     next_seq: u64,
     batches_drained: usize,
-    batch_capacity: usize,
-    parallel_speculation: bool,
     region_map: RegionMap,
-    region_parallel_commit: bool,
     /// Round-robin home-region counter. Pure arrival-order state — never
-    /// load-dependent — so the sequential and region-parallel commit
-    /// paths assign identical homes to identical request streams.
+    /// load-dependent — so the home sequence depends only on the order
+    /// of the admit requests.
     region_rr: u64,
     /// Escalation depth of the most recent regional commit — the
     /// tracing layer reads it after each traced request. Observational
@@ -499,10 +459,7 @@ impl AllocationService {
             queue: Vec::new(),
             next_seq: 0,
             batches_drained: 0,
-            batch_capacity: config.batch_capacity.max(1),
-            parallel_speculation: config.parallel_speculation,
             region_map: RegionMap::contiguous(arch, config.regions.max(1)),
-            region_parallel_commit: config.region_parallel_commit,
             region_rr: 0,
             last_escalation_depth: None,
             policy: config.policy,
@@ -606,9 +563,9 @@ impl AllocationService {
     /// failure.
     pub fn admit(&mut self, app: &ApplicationGraph) -> Result<SessionId, MapError> {
         if !self.policy.is_heuristic() {
-            // Solver-backed admission always runs the global flow: the
-            // speculative regional fast path is only proven
-            // result-identical for the heuristic allocator.
+            // Solver-backed admission always runs the global flow: its
+            // certified bounds cover the whole residual platform, which
+            // a region mask would narrow.
             let backend = self.policy.solver_backend();
             let outcome = backend.solve(&mut self.allocator, app, &self.arch, &self.residual)?;
             return Ok(self.commit_admission(
@@ -623,8 +580,7 @@ impl AllocationService {
             return Ok(self.commit_admission(app, allocation, stats, None));
         }
         let home = self.next_home();
-        self.admit_regional_at(app, home, 0)
-            .map(|(session, _)| session)
+        self.admit_regional(app, home)
     }
 
     /// Advances the round-robin home-region counter by one admit.
@@ -653,21 +609,16 @@ impl AllocationService {
         masks
     }
 
-    /// Runs the escalation chain of `home` starting at `start_depth`
-    /// and commits the first allocation that succeeds. Returns the new
-    /// session and the depth it committed at. `start_depth` exists for
-    /// the region-parallel drain: when the speculative depth-0 attempt
-    /// already failed against an identical masked state, re-running it
-    /// would be pure waste.
-    fn admit_regional_at(
+    /// Runs the escalation chain of `home` and commits the first
+    /// allocation that succeeds.
+    fn admit_regional(
         &mut self,
         app: &ApplicationGraph,
         home: RegionId,
-        start_depth: usize,
-    ) -> Result<(SessionId, usize), MapError> {
+    ) -> Result<SessionId, MapError> {
         let masks = self.escalation_masks(home);
         let mut last_err = None;
-        for (depth, mask) in masks.iter().enumerate().skip(start_depth) {
+        for (depth, mask) in masks.iter().enumerate() {
             let attempt = match mask {
                 Some(allowed) => {
                     let masked = self
@@ -680,8 +631,7 @@ impl AllocationService {
             match attempt {
                 Ok((allocation, stats)) => {
                     self.record_regional_commit(home, depth);
-                    let session = self.commit_admission(app, allocation, stats, None);
-                    return Ok((session, depth));
+                    return Ok(self.commit_admission(app, allocation, stats, None));
                 }
                 Err(error) => last_err = Some(error),
             }
@@ -706,7 +656,7 @@ impl AllocationService {
 
     /// Claims a successful allocation on the residual state and
     /// registers the new session — the shared tail of every admission
-    /// path (global, regional escalation, region-parallel commit).
+    /// path (global, solver-backed, regional escalation).
     fn commit_admission(
         &mut self,
         app: &ApplicationGraph,
@@ -862,272 +812,35 @@ impl AllocationService {
         seq
     }
 
-    /// Executes every queued request in batches of at most
-    /// `batch_capacity`, in arrival order, and returns `(seq, response)`
-    /// pairs in the same order.
+    /// Executes every queued request in arrival order through the same
+    /// per-request path as [`execute_request`](Self::execute_request),
+    /// and returns `(seq, response)` pairs in the same order.
     ///
-    /// Each batch's admissions are first allocated speculatively in
-    /// parallel against a snapshot of the residual state (warming the
-    /// shared cache); the commit then re-runs every request
-    /// sequentially, so the result is identical to executing the
-    /// requests one by one — batching changes wall-clock time, never
-    /// outcomes.
-    ///
-    /// Under regional admission with
-    /// [`ServiceConfig::region_parallel_commit`], runs of consecutive
-    /// admits are instead allocated *per home region* in parallel and
-    /// committed directly without a re-run (see
-    /// [`commit_admit_run`](self#regional-admission) in the module
-    /// docs); the responses and residual state stay byte-identical to
-    /// the sequential commit (conform oracle 7).
+    /// Each request runs against the state every earlier one left, so
+    /// draining a queue is identical to executing its requests one by
+    /// one: how requests are grouped into drains changes no response,
+    /// session id or residual byte. One drain is one batch for the
+    /// [`ServiceBatchDrained`](FlowEvent::ServiceBatchDrained) event and
+    /// the `service_queue_depth` histogram.
     pub fn drain(&mut self) -> Vec<(u64, ServiceResponse)> {
-        // The region-parallel commit replays heuristic allocations
-        // speculatively; under a solver-backed policy every admit runs
-        // the global search inline instead.
-        let regional = self.policy.is_heuristic()
-            && self.region_map.region_count() > 1
-            && self.region_parallel_commit;
-        let mut pending = std::mem::take(&mut self.queue);
-        let mut responses = Vec::with_capacity(pending.len());
-        let mut pending = pending.drain(..);
-        loop {
-            let batch: Vec<(u64, ServiceRequest)> =
-                pending.by_ref().take(self.batch_capacity).collect();
-            if batch.is_empty() {
-                break;
-            }
-            let requests = batch.len();
-            if regional {
-                self.execute_batch_regional(batch, &mut responses);
-            } else {
-                self.speculate(&batch);
-                for (seq, request) in batch {
-                    let response = self.execute(request);
-                    responses.push((seq, response));
-                }
-            }
-            let batch_no = self.batches_drained;
-            self.batches_drained += 1;
-            self.allocator
-                .metric(|m| m.service_queue_depth.observe(requests as u64));
-            self.allocator.emit(|| FlowEvent::ServiceBatchDrained {
-                batch: batch_no,
-                requests,
-            });
+        let pending = std::mem::take(&mut self.queue);
+        let requests = pending.len();
+        if requests == 0 {
+            return Vec::new();
         }
+        let responses = pending
+            .into_iter()
+            .map(|(seq, request)| (seq, self.execute(request)))
+            .collect();
+        let batch_no = self.batches_drained;
+        self.batches_drained += 1;
+        self.allocator
+            .metric(|m| m.service_queue_depth.observe(requests as u64));
+        self.allocator.emit(|| FlowEvent::ServiceBatchDrained {
+            batch: batch_no,
+            requests,
+        });
         responses
-    }
-
-    /// Executes one batch under region-parallel commit: maximal runs of
-    /// consecutive admits go through [`commit_admit_run`](Self::commit_admit_run);
-    /// every other request (a state barrier — departures and rebinds
-    /// mutate arbitrary regions) flushes the current run and executes
-    /// inline.
-    fn execute_batch_regional(
-        &mut self,
-        batch: Vec<(u64, ServiceRequest)>,
-        responses: &mut Vec<(u64, ServiceResponse)>,
-    ) {
-        let mut run: Vec<(u64, Box<ApplicationGraph>)> = Vec::new();
-        for (seq, request) in batch {
-            match request {
-                ServiceRequest::Admit { app } => run.push((seq, app)),
-                other => {
-                    self.commit_admit_run(&mut run, responses);
-                    let response = self.execute(other);
-                    responses.push((seq, response));
-                }
-            }
-        }
-        self.commit_admit_run(&mut run, responses);
-    }
-
-    /// Commits a run of consecutive admits region-parallel, in two
-    /// phases:
-    ///
-    /// **Phase A (parallel):** admits are assigned home regions
-    /// round-robin and grouped by home; each group allocates in arrival
-    /// order against an evolving *masked clone* of the run-start
-    /// snapshot (forked caches, absorbed afterwards). A masked
-    /// allocation depends only on its home region's residual share, so
-    /// the groups are independent.
-    ///
-    /// **Phase B (sequential, arrival order):** a phase-A success whose
-    /// home region no earlier inline commit dirtied is committed
-    /// *directly* — its claim footprint provably lies inside the home
-    /// region, and the home region's evolution was replayed exactly by
-    /// phase A. A phase-A failure escalates inline from depth 1 (the
-    /// depth-0 attempt would fail against the identical masked state).
-    /// Admits whose home region was dirtied recompute inline from depth
-    /// 0. Every inline commit marks its claim-footprint regions dirty.
-    ///
-    /// The result — responses, session ids, residual state — is
-    /// byte-identical to executing the run's admits one by one through
-    /// [`admit`](Self::admit).
-    fn commit_admit_run(
-        &mut self,
-        run: &mut Vec<(u64, Box<ApplicationGraph>)>,
-        responses: &mut Vec<(u64, ServiceResponse)>,
-    ) {
-        if run.is_empty() {
-            return;
-        }
-        if run.len() == 1 {
-            let (seq, app) = run.pop().expect("run has one admit");
-            let response = self.execute(ServiceRequest::Admit { app });
-            responses.push((seq, response));
-            return;
-        }
-        let run_len = run.len();
-        let region_count = self.region_map.region_count();
-        let homes: Vec<RegionId> = (0..run_len as u64)
-            .map(|k| RegionId::from_index(((self.region_rr + k) % region_count as u64) as usize))
-            .collect();
-        let mut by_region: Vec<Vec<usize>> = vec![Vec::new(); region_count];
-        for (k, home) in homes.iter().enumerate() {
-            by_region[home.index()].push(k);
-        }
-        // Phase A: per-region speculative allocation against masked
-        // clones of the snapshot, in parallel across regions.
-        let snapshot = self.residual.clone();
-        let config = *self.allocator.config();
-        let results = {
-            let seed = self.allocator.cache_mut().fork();
-            let arch = &self.arch;
-            let map = &self.region_map;
-            let run = &*run;
-            let by_region = &by_region;
-            let regions: Vec<usize> = (0..region_count)
-                .filter(|&r| !by_region[r].is_empty())
-                .collect();
-            maybe_par_map(true, &regions, move |&r| {
-                let allowed = [RegionId::from_index(r)];
-                let mut masked = map.masked_state(arch, &snapshot, &allowed);
-                let mut speculative = Allocator::from_config(config).with_cache(seed.clone());
-                let mut outs = Vec::with_capacity(by_region[r].len());
-                for &k in &by_region[r] {
-                    let result = speculative.allocate(&run[k].1, arch, &masked);
-                    if let Ok((alloc, _)) = &result {
-                        alloc.claim_set().apply(&mut masked);
-                    }
-                    outs.push((k, result));
-                }
-                (outs, speculative.into_cache())
-            })
-        };
-        let mut phase_a: Vec<Option<Result<(Allocation, FlowStats), MapError>>> =
-            (0..run_len).map(|_| None).collect();
-        for (outs, fork) in results {
-            self.allocator.cache_mut().absorb(fork);
-            for (k, result) in outs {
-                phase_a[k] = Some(result);
-            }
-        }
-        // Phase B: sequential commit in arrival order.
-        let mut dirty = vec![false; region_count];
-        for (k, (seq, app)) in run.drain(..).enumerate() {
-            let home = homes[k];
-            let name = app.graph().name().to_string();
-            let speculative = phase_a[k].take().expect("phase A covered every admit");
-            let response = if !dirty[home.index()] {
-                match speculative {
-                    Ok((allocation, stats)) => {
-                        debug_assert!(
-                            allocation.claim_set().within(&self.region_map, &[home]),
-                            "masked allocation escaped its home region"
-                        );
-                        let throughput = allocation.guaranteed_throughput();
-                        let wheel = allocation.usage.iter().map(|u| u.wheel).sum();
-                        self.record_regional_commit(home, 0);
-                        self.allocator
-                            .metric(|m| m.region_commits_speculative.inc());
-                        let session = self.commit_admission(&app, allocation, stats, None);
-                        ServiceResponse::Admitted {
-                            session,
-                            app: name,
-                            throughput,
-                            wheel,
-                            report: None,
-                        }
-                    }
-                    Err(_) => self.admit_inline(&app, name, home, 1, &mut dirty),
-                }
-            } else {
-                self.admit_inline(&app, name, home, 0, &mut dirty)
-            };
-            responses.push((seq, response));
-        }
-        self.region_rr += run_len as u64;
-    }
-
-    /// One inline (non-speculative) admit of the region-parallel commit:
-    /// runs the escalation chain from `start_depth` against the true
-    /// residual state and dirties the committed claim's footprint
-    /// regions.
-    fn admit_inline(
-        &mut self,
-        app: &ApplicationGraph,
-        name: String,
-        home: RegionId,
-        start_depth: usize,
-        dirty: &mut [bool],
-    ) -> ServiceResponse {
-        self.allocator.metric(|m| m.region_commits_inline.inc());
-        match self.admit_regional_at(app, home, start_depth) {
-            Ok((session, _)) => {
-                let allocation = &self.sessions[&session].allocation;
-                for region in allocation.claim_set().region_footprint(&self.region_map) {
-                    dirty[region.index()] = true;
-                }
-                ServiceResponse::Admitted {
-                    session,
-                    app: name,
-                    throughput: allocation.guaranteed_throughput(),
-                    wheel: allocation.usage.iter().map(|u| u.wheel).sum(),
-                    report: None,
-                }
-            }
-            Err(error) => ServiceResponse::Rejected { app: name, error },
-        }
-    }
-
-    /// Speculatively allocates the batch's admissions in parallel
-    /// against the current residual state, through forks of the shared
-    /// cache that are absorbed back before the sequential commit. The
-    /// first admission of the batch then replays entirely from the
-    /// cache; later ones do whenever no earlier commit changed the
-    /// state. Pure cache-warming: results are discarded.
-    fn speculate(&mut self, batch: &[(u64, ServiceRequest)]) {
-        // Speculation warms the cache with *heuristic* runs; under a
-        // solver-backed policy the exact search explores far past the
-        // greedy trajectory, so the warm-up is not worth the work.
-        if !self.parallel_speculation || !self.policy.is_heuristic() {
-            return;
-        }
-        let admits: Vec<&ApplicationGraph> = batch
-            .iter()
-            .filter_map(|(_, r)| match r {
-                ServiceRequest::Admit { app } => Some(app.as_ref()),
-                _ => None,
-            })
-            .collect();
-        if admits.len() < 2 {
-            return;
-        }
-        let config = *self.allocator.config();
-        let snapshot = self.residual.clone();
-        let forks = {
-            let seed = self.allocator.cache_mut().fork();
-            let arch = &self.arch;
-            maybe_par_map(true, &admits, |app| {
-                let mut speculative = Allocator::from_config(config).with_cache(seed.clone());
-                let _ = speculative.allocate(app, arch, &snapshot);
-                speculative.into_cache()
-            })
-        };
-        for fork in forks {
-            self.allocator.cache_mut().absorb(fork);
-        }
     }
 
     /// Applies one request to the service state immediately, bypassing
@@ -1150,8 +863,15 @@ impl AllocationService {
         let logged = request.clone();
         let response = self.execute(request);
         if response.commits() {
+            let failures = log.write_failures;
             log.append(&logged);
-            self.allocator.metric(|m| m.net_commits_logged.inc());
+            let failed = log.write_failures > failures;
+            self.allocator.metric(|m| {
+                m.net_commits_logged.inc();
+                if failed {
+                    m.net_log_write_failures.inc();
+                }
+            });
         }
         response
     }
@@ -1598,6 +1318,7 @@ pub fn peek_request_meta(line: &str) -> RequestMeta {
 pub struct CommitLog {
     lines: Vec<String>,
     writer: Option<Box<dyn std::io::Write + Send>>,
+    write_failures: u64,
 }
 
 impl std::fmt::Debug for CommitLog {
@@ -1605,6 +1326,7 @@ impl std::fmt::Debug for CommitLog {
         f.debug_struct("CommitLog")
             .field("records", &self.lines.len())
             .field("streaming", &self.writer.is_some())
+            .field("write_failures", &self.write_failures)
             .finish()
     }
 }
@@ -1619,8 +1341,8 @@ impl CommitLog {
     /// (line-buffered: one `write_all` + newline per record).
     pub fn with_writer(writer: impl std::io::Write + Send + 'static) -> Self {
         CommitLog {
-            lines: Vec::new(),
             writer: Some(Box::new(writer)),
+            ..CommitLog::default()
         }
     }
 
@@ -1630,12 +1352,21 @@ impl CommitLog {
         let line = request.to_json_line(seq);
         if let Some(w) = &mut self.writer {
             // A failed log write must not corrupt the in-memory record;
-            // the server surfaces stream health in its final stats line.
-            let _ = writeln!(w, "{line}");
-            let _ = w.flush();
+            // it is counted, and the server reports the count in its
+            // final stats line and its `health` answer.
+            if writeln!(w, "{line}").and_then(|()| w.flush()).is_err() {
+                self.write_failures += 1;
+            }
         }
         self.lines.push(line);
         seq
+    }
+
+    /// Records whose write or flush to the stream failed (always 0 for
+    /// an in-memory log). The records themselves are still in
+    /// [`lines`](Self::lines).
+    pub fn write_failures(&self) -> u64 {
+        self.write_failures
     }
 
     /// Records appended so far, commit order.
@@ -1657,8 +1388,7 @@ impl CommitLog {
 /// Replays commit-log `lines` through a fresh sequential
 /// [`AllocationService`] over `arch` and returns the resulting service
 /// (compare [`AllocationService::residual_digest`] against the live
-/// run's). Empty lines are skipped; region and batching configuration
-/// are irrelevant to the replay result and run at their defaults.
+/// run's). Empty lines are skipped.
 ///
 /// # Errors
 ///
@@ -1721,13 +1451,7 @@ mod tests {
     fn drain_matches_direct_calls() {
         let app = paper_example();
         let mut online = service();
-        let mut batched = AllocationService::from_config(
-            &example_platform(),
-            ServiceConfig {
-                batch_capacity: 8,
-                ..ServiceConfig::default()
-            },
-        );
+        let mut batched = service();
         let requests = [
             ServiceRequest::Admit {
                 app: Box::new(app.clone()),

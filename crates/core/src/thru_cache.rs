@@ -16,13 +16,10 @@
 //! the full key, so a hash collision can never return a wrong result.
 //! Hit/miss counters expose how much work the cache saved.
 //!
-//! The entries live in a frozen *parent* map shared by `Arc` plus a
-//! local *delta*, so a [`fork`](ThroughputCache::fork) for a speculative
-//! allocation copies nothing, and a refinement task probes through its
-//! pass-start cache by shared reference. The cache holds at most
-//! [`MAX_ENTRIES`] evaluations.
+//! A refinement task probes through its pass-start cache by shared
+//! reference and memoizes into a task-local cache that is absorbed after
+//! the pass. The cache holds at most [`MAX_ENTRIES`] evaluations.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use sdfrs_fastutil::FxHashMap;
@@ -117,20 +114,16 @@ fn encode_fingerprint(
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputCache {
-    /// Entries frozen by the last [`fork`](Self::fork), shared with the
-    /// forks handed out since.
-    parent: Arc<Memo>,
-    /// Entries evaluated or adopted since; never overlaps `parent`.
-    delta: Memo,
+    memo: Memo,
     hits: usize,
     misses: usize,
     scratch: Vec<u64>,
     bypass: bool,
     metrics: Metrics,
-    /// Forks record hits/misses/probes into the shared registry
+    /// Task caches record hits/misses/probes into the shared registry
     /// directly, but leave the `cache_entries` gauge to the main cache:
-    /// fork residency is speculative until [`absorb`](Self::absorb).
-    is_fork: bool,
+    /// their entries are not resident until [`absorb`](Self::absorb).
+    is_task: bool,
 }
 
 impl ThroughputCache {
@@ -161,7 +154,7 @@ impl ThroughputCache {
 
     /// Distinct configurations memoized.
     pub fn len(&self) -> usize {
-        self.parent.len() + self.delta.len()
+        self.memo.len()
     }
 
     /// `true` if nothing is memoized yet.
@@ -172,12 +165,11 @@ impl ThroughputCache {
     /// Drops all memoized evaluations; counters keep accumulating.
     pub fn clear(&mut self) {
         let evicted = self.len() as u64;
-        self.parent = Arc::default();
-        self.delta.clear();
-        let is_fork = self.is_fork;
+        self.memo.clear();
+        let is_task = self.is_task;
         self.metrics.record(|m| {
             m.cache_evictions.add(evicted);
-            if !is_fork {
+            if !is_task {
                 m.cache_entries.set(0);
             }
         });
@@ -191,35 +183,15 @@ impl ThroughputCache {
         self.metrics = metrics.into();
     }
 
-    /// A cache answering everything this one does, with zeroed counters:
-    /// the seed for a speculative allocation. [`absorb`](Self::absorb) of
-    /// the fork then adds exactly its own hits, misses and entries. The
-    /// fork shares the metrics registry (its recordings are live) but
-    /// never touches the residency gauge.
-    ///
-    /// Nothing is copied: a main cache first folds its delta into its
-    /// parent — in place once earlier forks have been absorbed or
-    /// dropped — and the fork shares that parent. A fork never folds into
-    /// the parent it shares; forking a fork copies only the fork's delta.
-    pub fn fork(&mut self) -> ThroughputCache {
-        if !self.is_fork && !self.delta.is_empty() {
-            let delta = std::mem::take(&mut self.delta);
-            Arc::make_mut(&mut self.parent).extend(delta);
-        }
-        ThroughputCache {
-            parent: Arc::clone(&self.parent),
-            delta: self.delta.clone(),
-            ..self.task_cache()
-        }
-    }
-
-    /// An empty fork for a search task that probes through `self` by
+    /// An empty cache for a search task that probes through `self` by
     /// shared reference (see [`throughput_via`](Self::throughput_via)).
+    /// It shares the metrics registry (its recordings are live) but never
+    /// touches the residency gauge.
     pub(crate) fn task_cache(&self) -> ThroughputCache {
         ThroughputCache {
             bypass: self.bypass,
             metrics: self.metrics.clone(),
-            is_fork: true,
+            is_task: true,
             ..ThroughputCache::default()
         }
     }
@@ -227,26 +199,18 @@ impl ThroughputCache {
     /// Merges another cache into this one: memoized evaluations are
     /// adopted (first writer wins on duplicates — both sides computed the
     /// same result) and hit/miss counters accumulate. Folds the caches of
-    /// search tasks and speculative allocations back into the shared
-    /// cache. Returns how many entries were newly adopted.
+    /// search tasks back into the shared cache. Returns how many entries
+    /// were newly adopted.
     ///
-    /// Of a fork only the delta is considered — everything the fork
-    /// evaluated or absorbed itself — never the parent it shares.
-    ///
-    /// Registry counters are *not* re-recorded here — a fork records its
-    /// hits and misses live; absorbing only folds the per-run `usize`
-    /// counters [`FlowStats`](crate::FlowStats) deltas derive from.
+    /// Registry counters are *not* re-recorded here — a task cache
+    /// records its hits and misses live; absorbing only folds the per-run
+    /// `usize` counters [`FlowStats`](crate::FlowStats) deltas derive
+    /// from.
     pub fn absorb(&mut self, other: ThroughputCache) -> usize {
         self.hits += other.hits;
         self.misses += other.misses;
         let mut adopted = 0;
-        if !other.is_fork && !Arc::ptr_eq(&self.parent, &other.parent) {
-            let parent = Arc::try_unwrap(other.parent).unwrap_or_else(|shared| (*shared).clone());
-            for (key, value) in parent {
-                adopted += usize::from(self.adopt(key, value));
-            }
-        }
-        for (key, value) in other.delta {
+        for (key, value) in other.memo {
             adopted += usize::from(self.adopt(key, value));
         }
         self.publish_entries();
@@ -314,7 +278,7 @@ impl ThroughputCache {
     }
 
     fn lookup(&self, key: &[u64]) -> Option<&Evaluation> {
-        self.delta.get(key).or_else(|| self.parent.get(key))
+        self.memo.get(key)
     }
 
     /// Inserts `key` unless it is memoized already; `true` if inserted.
@@ -332,12 +296,12 @@ impl ThroughputCache {
         if self.len() >= MAX_ENTRIES {
             self.clear();
         }
-        self.delta.insert(key, value);
+        self.memo.insert(key, value);
     }
 
     /// Sets the residency gauge to this cache's size (main caches only).
     fn publish_entries(&self) {
-        if !self.is_fork {
+        if !self.is_task {
             let entries = self.len() as u64;
             self.metrics.record(|m| m.cache_entries.set(entries));
         }
@@ -380,6 +344,7 @@ mod tests {
     use crate::metrics::MetricsRegistry;
     use sdfrs_appmodel::apps::{example_platform, paper_example};
     use sdfrs_platform::TileId;
+    use std::sync::Arc;
 
     fn setup(slices: [u64; 2]) -> (BindingAwareGraph, TileSchedules, ActorId) {
         let app = paper_example();
@@ -540,46 +505,30 @@ mod tests {
             .throughput(&ba, &schedules, reference, 100_000)
             .unwrap();
         assert_eq!(registry.cache_entries.get(), 1);
-        let mut fork = cache.fork();
-        // The fork re-evaluates an inherited entry (a hit — not fresh)
-        // and probes one configuration of its own (fresh).
-        fork.throughput(&ba, &schedules, reference, 100_000)
+        let mut task = cache.task_cache();
+        // The task re-evaluates an entry of the shared cache (a hit — not
+        // fresh) and probes one configuration of its own (fresh).
+        task.throughput_via(Some(&cache), &ba, &schedules, reference, 100_000)
             .unwrap();
-        fork.throughput(&ba, &schedules, reference, 99_999).unwrap();
-        assert_eq!((fork.hits(), fork.misses()), (1, 1));
-        let adopted = cache.absorb(fork);
-        assert_eq!(adopted, 1, "only the fork's own insertion is adopted");
+        task.throughput_via(Some(&cache), &ba, &schedules, reference, 99_999)
+            .unwrap();
+        assert_eq!((task.hits(), task.misses()), (1, 1));
+        // Task residency is not published until it is absorbed.
+        assert_eq!(registry.cache_entries.get(), 1);
+        let adopted = cache.absorb(task);
+        assert_eq!(adopted, 1, "only the task's own insertion is adopted");
         assert_eq!(cache.len(), 2);
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
         // The residency gauge tracks the merged map exactly.
         assert_eq!(registry.cache_entries.get(), 2);
-        // Absorbing a second fork that added nothing adopts nothing and
+        // Absorbing a second task that added nothing adopts nothing and
         // leaves the gauge pinned to the map size.
-        let mut idle = cache.fork();
-        idle.throughput(&ba, &schedules, reference, 100_000)
+        let mut idle = cache.task_cache();
+        idle.throughput_via(Some(&cache), &ba, &schedules, reference, 100_000)
             .unwrap();
         assert_eq!(cache.absorb(idle), 0);
         assert_eq!(cache.len(), 2);
         assert_eq!(registry.cache_entries.get(), 2);
-    }
-
-    #[test]
-    fn forks_share_the_parent_without_copying() {
-        let (ba, schedules, reference) = setup([5, 5]);
-        let mut cache = ThroughputCache::new();
-        cache
-            .throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        let fork = cache.fork();
-        assert!(Arc::ptr_eq(&cache.parent, &fork.parent));
-        assert!(cache.delta.is_empty() && fork.delta.is_empty());
-        cache.absorb(fork);
-        // With the earlier fork absorbed, the next fold is in place.
-        let before = Arc::as_ptr(&cache.parent);
-        cache.throughput(&ba, &schedules, reference, 1).unwrap_err();
-        let next = cache.fork();
-        assert_eq!(Arc::as_ptr(&cache.parent), before);
-        assert_eq!(next.len(), 2);
     }
 
     #[test]
@@ -588,41 +537,18 @@ mod tests {
         let mut root = ThroughputCache::new();
         root.throughput(&ba, &schedules, reference, 100_000)
             .unwrap();
-        let mut fork = root.fork();
-        ba.set_slices(&[4, 5]);
-        fork.throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        // A child of the fork (a refinement task inside a speculative
-        // allocation) sees the fork's entries and adds one of its own.
-        let mut child = fork.fork();
-        child
-            .throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        ba.set_slices(&[3, 5]);
-        child
-            .throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        assert_eq!((child.hits(), child.misses()), (1, 1));
-        fork.absorb(child);
-        root.absorb(fork);
-        assert_eq!(root.len(), 3);
-        let misses = root.misses();
-        root.throughput(&ba, &schedules, reference, 100_000)
-            .unwrap();
-        assert_eq!(root.misses(), misses, "the child's entry answers as a hit");
-        // The same through a refinement task probing the fork by
-        // reference.
-        let mut fork = root.fork();
-        let mut task = fork.task_cache();
+        // A refinement task probing the root by reference memoizes a
+        // configuration of its own; absorbing the task hands it to the
+        // root.
+        let mut task = root.task_cache();
         ba.set_slices(&[2, 5]);
-        task.throughput_via(Some(&fork), &ba, &schedules, reference, 100_000)
+        task.throughput_via(Some(&root), &ba, &schedules, reference, 100_000)
             .unwrap();
-        fork.absorb(task);
-        root.absorb(fork);
+        assert_eq!(root.absorb(task), 1);
         let misses = root.misses();
         root.throughput(&ba, &schedules, reference, 100_000)
             .unwrap();
-        assert_eq!(root.misses(), misses);
+        assert_eq!(root.misses(), misses, "the task's entry answers as a hit");
     }
 
     #[test]
@@ -638,10 +564,6 @@ mod tests {
                 .throughput(&ba, &schedules, reference, budget)
                 .unwrap();
             assert!(registry.cache_entries.get() <= MAX_ENTRIES as u64);
-            if budget % 4096 == 0 {
-                // Folds keep the bound too.
-                cache.fork();
-            }
         }
         assert_eq!(registry.cache_evictions.get(), MAX_ENTRIES as u64);
         assert_eq!(cache.len(), 10);

@@ -42,7 +42,7 @@
 //! | `what` | answer |
 //! |---|---|
 //! | `"metrics"` | full [`MetricsSnapshot`](sdfrs_core::MetricsSnapshot) JSON under `"metrics"` |
-//! | `"health"` | queue depth, watermark, live connections, drain state, recorder counters |
+//! | `"health"` | queue depth, watermark, live connections, drain state, recorder counters, commit-log write failures |
 //! | `"sessions"` | live-session summary (routed through the service thread for a consistent view) |
 //! | `"traces"` | recent + pinned flight-recorder entries |
 //!
@@ -275,6 +275,9 @@ pub struct NetStats {
     pub parse_errors: u64,
     /// Committed mutations appended to the commit log.
     pub commits_logged: u64,
+    /// Commit-log records whose write to the log stream failed (they
+    /// are still in the in-memory log).
+    pub log_write_failures: u64,
     /// Introspection requests answered.
     pub introspects: u64,
     /// Request traces recorded by the flight recorder.
@@ -300,13 +303,14 @@ impl NetStats {
     /// a `serve --listen` run drains.
     pub fn to_json_line(&self) -> String {
         format!(
-            "{{\"stats\":\"net\",\"connections\":{},\"requests\":{},\"shed\":{},\"deadlines\":{},\"parse_errors\":{},\"commits\":{},\"introspects\":{},\"traces_recorded\":{},\"traces_pinned\":{},\"p50_us\":{},\"p99_us\":{}}}",
+            "{{\"stats\":\"net\",\"connections\":{},\"requests\":{},\"shed\":{},\"deadlines\":{},\"parse_errors\":{},\"commits\":{},\"log_write_failures\":{},\"introspects\":{},\"traces_recorded\":{},\"traces_pinned\":{},\"p50_us\":{},\"p99_us\":{}}}",
             self.connections_opened,
             self.requests_received,
             self.requests_shed,
             self.deadlines_expired,
             self.parse_errors,
             self.commits_logged,
+            self.log_write_failures,
             self.introspects,
             self.traces_recorded,
             self.traces_pinned,
@@ -503,6 +507,7 @@ fn harvest_stats(shared: &Shared) -> NetStats {
         deadlines_expired: counter("net_deadlines_expired"),
         parse_errors: counter("net_parse_errors"),
         commits_logged: counter("net_commits_logged"),
+        log_write_failures: counter("net_log_write_failures"),
         introspects: counter("net_introspects"),
         traces_recorded: counter("traces_recorded"),
         traces_pinned: counter("traces_pinned"),
@@ -713,8 +718,12 @@ fn answer_introspect(
         }
         Some("health") => {
             let queue_depth = lock_recover(&shared.queue).len();
+            let mut log_write_failures = 0;
+            shared
+                .metrics
+                .record(|m| log_write_failures = m.net_log_write_failures.get());
             let line = format!(
-                "{{\"id\":{id},\"ok\":true,\"kind\":\"introspect\",\"what\":\"health\",\"queue_depth\":{},\"queue_watermark\":{},\"live_connections\":{},\"draining\":{},\"deadline_ms\":{},\"flight_recorded\":{},\"flight_pinned\":{}}}",
+                "{{\"id\":{id},\"ok\":true,\"kind\":\"introspect\",\"what\":\"health\",\"queue_depth\":{},\"queue_watermark\":{},\"live_connections\":{},\"draining\":{},\"deadline_ms\":{},\"flight_recorded\":{},\"flight_pinned\":{},\"log_write_failures\":{}}}",
                 queue_depth,
                 shared.options.queue_watermark,
                 shared.live_connections.load(Ordering::Relaxed),
@@ -722,6 +731,7 @@ fn answer_introspect(
                 shared.options.deadline.as_millis(),
                 shared.recorder.recorded(),
                 shared.recorder.pinned_total(),
+                log_write_failures,
             );
             writer.write_line(&with_trace(line, trace_id));
         }

@@ -7,9 +7,7 @@
 //! regions so admissions can run against a *masked* view of the platform
 //! ([`RegionMap::masked_state`]) in which every tile outside the allowed
 //! regions appears fully occupied — any allocation computed on the mask
-//! is then a pure function of the allowed regions' residual state, which
-//! is what lets region-local commits run in parallel and still be
-//! byte-identical to a sequential drain.
+//! then stays inside the allowed regions and ranks only their tiles.
 //!
 //! [`ClaimSet`] is the transactional claim/release surface that replaced
 //! the ad-hoc per-tile loops: the sparse, sorted set of per-tile
@@ -293,25 +291,6 @@ impl ClaimSet {
         }
         total
     }
-
-    /// The regions this claim touches, sorted and deduplicated.
-    pub fn region_footprint(&self, map: &RegionMap) -> Vec<RegionId> {
-        let mut regions: Vec<RegionId> = self
-            .entries
-            .iter()
-            .map(|(t, _)| map.region_of(*t))
-            .collect();
-        regions.sort();
-        regions.dedup();
-        regions
-    }
-
-    /// `true` when every claimed tile lies inside the `allowed` regions.
-    pub fn within(&self, map: &RegionMap, allowed: &[RegionId]) -> bool {
-        self.entries
-            .iter()
-            .all(|(t, _)| allowed.contains(&map.region_of(*t)))
-    }
 }
 
 #[cfg(test)]
@@ -419,22 +398,6 @@ mod tests {
         assert_eq!(state.wheel_used(TileId::from_index(2)), 4);
         claim.revert(&mut state);
         assert_eq!(state, before);
-    }
-
-    #[test]
-    fn claim_set_footprint_and_containment() {
-        let arch = line_arch(4);
-        let map = RegionMap::contiguous(&arch, 2);
-        let mut usage = vec![TileUsage::default(); 4];
-        usage[1].wheel = 1;
-        usage[3].memory = 2;
-        let claim = ClaimSet::from_usage(&usage);
-        assert_eq!(
-            claim.region_footprint(&map),
-            vec![RegionId::from_index(0), RegionId::from_index(1)]
-        );
-        assert!(!claim.within(&map, &[RegionId::from_index(0)]));
-        assert!(claim.within(&map, &[RegionId::from_index(0), RegionId::from_index(1)]));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! [`PlatformState`] tracks the used share of all five tile resources.
 
 use crate::graph::{ArchitectureGraph, TileId};
-use crate::region::{RegionId, RegionMap};
 
 /// The resources of one tile still available to the application under
 /// allocation (tile specification minus occupancy by earlier
@@ -157,20 +156,6 @@ impl PlatformState {
     pub fn residual_capacities(&self, arch: &ArchitectureGraph) -> Vec<TileCapacity> {
         arch.tile_ids()
             .map(|t| self.tile_capacity(arch, t))
-            .collect()
-    }
-
-    /// The remaining capacity of one region's tiles, ascending tile
-    /// index, paired with the tile ids they belong to.
-    pub fn region_residual_capacities(
-        &self,
-        arch: &ArchitectureGraph,
-        map: &RegionMap,
-        region: RegionId,
-    ) -> Vec<(TileId, TileCapacity)> {
-        map.tiles(region)
-            .iter()
-            .map(|&t| (t, self.tile_capacity(arch, t)))
             .collect()
     }
 
@@ -351,17 +336,6 @@ mod tests {
         assert_eq!(claimed[1], fresh[1]);
         s.release(t1, use1);
         assert_eq!(s.residual_capacities(&a), fresh);
-    }
-
-    #[test]
-    fn region_residual_pairs_tiles_with_capacity() {
-        let (a, t1, t2) = arch();
-        let map = RegionMap::contiguous(&a, 2);
-        let s = PlatformState::new(&a);
-        let r0 = s.region_residual_capacities(&a, &map, RegionId::from_index(0));
-        assert_eq!(r0, vec![(t1, s.tile_capacity(&a, t1))]);
-        let r1 = s.region_residual_capacities(&a, &map, RegionId::from_index(1));
-        assert_eq!(r1, vec![(t2, s.tile_capacity(&a, t2))]);
     }
 
     #[test]

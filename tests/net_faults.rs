@@ -1,14 +1,15 @@
 //! Fault injection against the network front-end: disconnects,
-//! slow-loris trickle, malformed frames. Every fault must resolve to a
-//! typed error or a clean drop, leave the residual state untouched by
-//! the faulty traffic, and never poison other connections.
+//! slow-loris trickle, malformed frames, a failing commit-log stream.
+//! Every fault must resolve to a typed error, a clean drop or a counted
+//! failure, leave the residual state untouched by the faulty traffic,
+//! and never poison other connections.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use sdfrs_appmodel::apps::example_platform;
-use sdfrs_core::service::{AllocationService, CommitLog};
+use sdfrs_core::service::{replay_commit_log, AllocationService, CommitLog, ServiceConfig};
 use sdfrs_net::server::{NetServer, ServerOptions};
 use sdfrs_net::wire::{response_kind, response_ok, response_u64, FrameBuffer};
 
@@ -254,4 +255,77 @@ fn oversize_line_is_rejected_and_dropped() {
     let report = server.shutdown();
     assert_eq!(report.stats.parse_errors, 1);
     assert!(report.commit_log.is_empty());
+}
+
+/// A commit-log stream that takes its first record, then fails every
+/// write, as a full disk would.
+#[derive(Default)]
+struct FailsAfterFirstRecord {
+    records: usize,
+}
+
+impl Write for FailsAfterFirstRecord {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.records >= 1 {
+            return Err(std::io::Error::other("no space left on device"));
+        }
+        self.records += buf.iter().filter(|&&b| b == b'\n').count();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A commit-log stream that fails after its first record does not stop
+/// the server: it keeps answering, the in-memory log stays complete
+/// (its replay reproduces the live residual), and both the `health`
+/// answer and the final stats line count the failed writes.
+#[test]
+fn commit_log_write_failures_are_counted_and_reported() {
+    let server = NetServer::spawn(
+        AllocationService::new(&example_platform()),
+        CommitLog::with_writer(FailsAfterFirstRecord::default()),
+        ServerOptions::default(),
+        "127.0.0.1:0",
+    )
+    .expect("bind loopback");
+    let mut stream = connect(server.local_addr());
+    let mut frames = FrameBuffer::default();
+    for line in [
+        "{\"op\":\"admit\",\"example\":\"paper\"}",
+        "{\"op\":\"admit\",\"example\":\"paper\"}",
+        "{\"op\":\"depart\",\"session\":1}",
+    ] {
+        let response = round_trip(&mut stream, &mut frames, line);
+        assert_eq!(response_ok(&response), Some(true), "{response}");
+    }
+    let health = round_trip(
+        &mut stream,
+        &mut frames,
+        "{\"kind\":\"introspect\",\"what\":\"health\"}",
+    );
+    assert_eq!(
+        response_u64(&health, "log_write_failures"),
+        Some(2),
+        "{health}"
+    );
+
+    let report = server.shutdown();
+    assert_eq!(report.commit_log.lines().len(), 3);
+    assert_eq!(report.commit_log.write_failures(), 2);
+    assert_eq!(report.stats.log_write_failures, 2);
+    let stats_line = report.stats.to_json_line();
+    assert!(
+        stats_line.contains("\"log_write_failures\":2"),
+        "{stats_line}"
+    );
+    let replay = replay_commit_log(
+        &example_platform(),
+        ServiceConfig::default(),
+        report.commit_log.lines().iter().map(String::as_str),
+    )
+    .expect("the in-memory log replays");
+    assert_eq!(replay.residual_digest(), report.residual_digest());
 }

@@ -1,13 +1,12 @@
 //! Integration tests for the region-composable platform API and the
 //! region-local admission built on it: `ClaimSet` apply/revert
-//! round-trips, partition/mask/neighbor properties of `RegionMap`,
-//! forced escalation out of starved home regions, and the determinism
-//! of the region-parallel batched drain across thread counts.
+//! round-trips, partition/mask/neighbor properties of `RegionMap`, and
+//! forced escalation out of starved home regions.
 
 use sdfrs_appmodel::apps::{example_platform, paper_example};
 use sdfrs_appmodel::{ActorRequirements, ApplicationGraph, ChannelRequirements};
-use sdfrs_core::service::{AllocationService, ServiceConfig, ServiceRequest, ServiceResponse};
-use sdfrs_core::{Allocator, Metrics, SessionId};
+use sdfrs_core::service::{AllocationService, ServiceConfig};
+use sdfrs_core::{Allocator, Metrics};
 use sdfrs_platform::mesh::{grid_mesh_platform, MeshConfig};
 use sdfrs_platform::{ArchitectureGraph, PlatformState, ProcessorType, RegionId, RegionMap};
 use sdfrs_sdf::{Rational, SdfGraph};
@@ -22,7 +21,7 @@ fn grid(rows: usize, cols: usize) -> ArchitectureGraph {
 }
 
 /// `ClaimSet::apply` followed by `revert` restores the platform state
-/// exactly, and the set's region footprint names precisely the regions
+/// exactly, and the regions of the set's tiles are precisely the regions
 /// whose residual it moved.
 #[test]
 fn claim_set_apply_revert_round_trips_per_region() {
@@ -38,10 +37,19 @@ fn claim_set_apply_revert_round_trips_per_region() {
 
     let mut working = state.clone();
     claim.apply(&mut working);
-    let footprint = claim.region_footprint(&map);
+    let footprint: Vec<RegionId> = claim
+        .entries()
+        .iter()
+        .map(|&(tile, _)| map.region_of(tile))
+        .collect();
     for region in map.region_ids() {
-        let before: Vec<_> = state.region_residual_capacities(&arch, &map, region);
-        let after: Vec<_> = working.region_residual_capacities(&arch, &map, region);
+        let residual = |s: &PlatformState| -> Vec<_> {
+            map.tiles(region)
+                .iter()
+                .map(|&t| s.tile_capacity(&arch, t))
+                .collect()
+        };
+        let (before, after) = (residual(&state), residual(&working));
         if footprint.contains(&region) {
             assert_ne!(before, after, "footprint region {region} must change");
         } else {
@@ -152,68 +160,4 @@ fn starved_home_regions_force_escalation() {
     );
     assert_eq!(snapshot.counter("region_admits_local"), 0);
     assert_eq!(snapshot.regions_configured, arch.tile_count() as u64);
-}
-
-fn drive(svc: &mut AllocationService) -> (Vec<String>, PlatformState) {
-    let admit = || ServiceRequest::Admit {
-        app: Box::new(paper_example()),
-    };
-    let mut out: Vec<(u64, ServiceResponse)> = Vec::new();
-    for req in [admit(), admit(), admit(), admit()] {
-        svc.enqueue(req);
-    }
-    out.extend(svc.drain());
-    let target = svc
-        .session_ids()
-        .first()
-        .copied()
-        .unwrap_or(SessionId::from_raw(u64::MAX));
-    for req in [
-        ServiceRequest::Depart { session: target },
-        admit(),
-        ServiceRequest::Status,
-    ] {
-        svc.enqueue(req);
-    }
-    out.extend(svc.drain());
-    let lines = out.iter().map(|(s, r)| r.to_json_line(*s)).collect();
-    (lines, svc.residual().clone())
-}
-
-fn regional_service(parallel_commit: bool) -> AllocationService {
-    let arch = example_platform();
-    let mut config = ServiceConfig::default();
-    config.regions = 2;
-    config.region_parallel_commit = parallel_commit;
-    config.batch_capacity = 8;
-    AllocationService::from_config(&arch, config)
-}
-
-/// The region-parallel commit path answers byte-for-byte like the
-/// sequential commit path and leaves the identical residual.
-#[test]
-fn region_parallel_drain_matches_sequential_commit() {
-    let (seq_lines, seq_residual) = drive(&mut regional_service(false));
-    let (par_lines, par_residual) = drive(&mut regional_service(true));
-    assert_eq!(seq_lines, par_lines);
-    assert_eq!(seq_residual, par_residual);
-}
-
-/// The region-parallel drain is deterministic in the worker count: the
-/// `SDFRS_THREADS` pin must never change a response byte or the
-/// residual. One test walks all counts sequentially — the variable is
-/// process-global.
-#[test]
-fn region_parallel_drain_deterministic_across_thread_counts() {
-    let mut outcomes = Vec::new();
-    for threads in ["1", "2", "4"] {
-        std::env::set_var("SDFRS_THREADS", threads);
-        outcomes.push(drive(&mut regional_service(true)));
-    }
-    std::env::remove_var("SDFRS_THREADS");
-    let (base_lines, base_residual) = &outcomes[0];
-    for (lines, residual) in &outcomes[1..] {
-        assert_eq!(lines, base_lines);
-        assert_eq!(residual, base_residual);
-    }
 }

@@ -1,13 +1,11 @@
 //! Integration tests for the online admission service: exact resource
 //! reclamation across admit → depart → re-admit cycles, error paths for
-//! dead session ids, rebinding after departures, batched-drain
-//! equivalence, and the service's event/metrics instrumentation.
+//! dead session ids, rebinding after departures, and the service's
+//! event/metrics instrumentation.
 
 use sdfrs_appmodel::apps::{example_platform, paper_example};
 use sdfrs_core::flow::Allocation;
-use sdfrs_core::service::{
-    AllocationService, ServiceConfig, ServiceError, ServiceRequest, ServiceResponse,
-};
+use sdfrs_core::service::{AllocationService, ServiceError, ServiceRequest};
 use sdfrs_core::{Metrics, RecordingSink, SessionId};
 
 fn service() -> AllocationService {
@@ -112,52 +110,6 @@ fn rebind_after_departure_stays_valid() {
     // The rebound claim is consistent: departing it empties the platform.
     s.depart(second).unwrap();
     assert_eq!(s.residual(), service().residual());
-}
-
-/// The same request trace must produce identical responses and residual
-/// state regardless of batch size or speculative parallelism — batching
-/// is a latency lever, never a semantics lever.
-#[test]
-fn batch_size_and_speculation_never_change_outcomes() {
-    let trace = vec![
-        ServiceRequest::Admit {
-            app: Box::new(paper_example()),
-        },
-        ServiceRequest::Admit {
-            app: Box::new(paper_example()),
-        },
-        ServiceRequest::Depart {
-            session: SessionId::from_raw(1),
-        },
-        ServiceRequest::Admit {
-            app: Box::new(paper_example()),
-        },
-        ServiceRequest::Rebind {
-            session: SessionId::from_raw(2),
-        },
-        ServiceRequest::Status,
-    ];
-    let arch = example_platform();
-    let mut variants = Vec::new();
-    for (capacity, speculate) in [(1, true), (3, true), (6, true), (6, false)] {
-        let mut config = ServiceConfig::default();
-        config.batch_capacity = capacity;
-        config.parallel_speculation = speculate;
-        let mut svc = AllocationService::from_config(&arch, config);
-        for r in &trace {
-            svc.enqueue(r.clone());
-        }
-        let responses: Vec<(u64, ServiceResponse)> = svc.drain();
-        variants.push((capacity, speculate, responses, svc.residual().clone()));
-    }
-    let (_, _, base_responses, base_residual) = &variants[0];
-    for (capacity, speculate, responses, residual) in &variants[1..] {
-        assert_eq!(
-            responses, base_responses,
-            "batch_capacity={capacity} speculation={speculate} diverged"
-        );
-        assert_eq!(residual, base_residual);
-    }
 }
 
 #[test]
