@@ -11,7 +11,9 @@ use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
 use sdfrs_sdf::ActorId;
 
 use crate::binding::Binding;
-use crate::cost::{binding_order, tile_cost, tile_loads, CostWeights, DEFAULT_CYCLE_CAP};
+use crate::cost::{
+    binding_order, tile_cost, tile_loads_with, AppWork, CostWeights, DEFAULT_CYCLE_CAP,
+};
 use crate::error::MapError;
 use crate::events::{BindPass, FlowEvent, FlowObserver, NullSink};
 use crate::resources::binding_constraints_hold;
@@ -89,6 +91,7 @@ enum RankScope {
 /// current partial `binding`), ascending; ties in tile order.
 #[allow(clippy::too_many_arguments)]
 fn rank_tiles(
+    work: &AppWork,
     app: &ApplicationGraph,
     arch: &ArchitectureGraph,
     state: &PlatformState,
@@ -102,9 +105,10 @@ fn rank_tiles(
     for &t in tiles {
         binding.bind(actor, t);
         let cost = match scope {
-            RankScope::CandidateTile => {
-                tile_cost(weights, tile_loads(app, arch, state, binding, t)?)
-            }
+            RankScope::CandidateTile => tile_cost(
+                weights,
+                tile_loads_with(work, app, arch, state, binding, t)?,
+            ),
             RankScope::AllTiles => {
                 // Exact restriction of "max over every tile": a tile with
                 // no bound actor has zero demand and zero processing share,
@@ -115,7 +119,7 @@ fn rank_tiles(
                 for u in binding.used_tiles() {
                     worst = worst.max(tile_cost(
                         weights,
-                        tile_loads(app, arch, state, binding, u)?,
+                        tile_loads_with(work, app, arch, state, binding, u)?,
                     ));
                 }
                 worst
@@ -195,12 +199,14 @@ pub fn bind_actors_observed(
             .map(|&a| app.graph().actor(a).name().to_string())
             .collect(),
     });
+    let work = AppWork::of(app)?;
     let mut binding = Binding::new(app.graph().actor_count());
 
     // First-fit in criticality order.
     for &actor in &order {
         let tiles = candidate_tiles(app, arch, state, actor);
         let ranked = rank_tiles(
+            &work,
             app,
             arch,
             state,
@@ -248,6 +254,7 @@ pub fn bind_actors_observed(
             binding.unbind(actor);
             let tiles = candidate_tiles(app, arch, state, actor);
             let ranked = rank_tiles(
+                &work,
                 app,
                 arch,
                 state,

@@ -16,6 +16,7 @@
 
 use sdfrs_appmodel::ApplicationGraph;
 use sdfrs_platform::{ArchitectureGraph, TileId};
+use sdfrs_sdf::rational::lcm;
 use sdfrs_sdf::{ActorId, ChannelId, SdfGraph};
 
 use crate::binding::Binding;
@@ -61,6 +62,18 @@ pub enum ConnectionModel {
 /// together with the bookkeeping needed to run constrained executions and
 /// to re-target slice allocations without rebuilding.
 ///
+/// # Local tile ids
+///
+/// The graph numbers the tiles that host application actors once, in
+/// ascending [`TileId`] order: the `l`-th used tile is *local tile* `l`.
+/// Wheels, slices and the actor→tile map are kept per local tile, so the
+/// constrained executor, the list scheduler, the slice search and the
+/// throughput memo size their state by the application's tiles, never by
+/// the platform's highest tile index. The public accessors
+/// ([`tile_of`](Self::tile_of), [`tdma`](Self::tdma),
+/// [`slice`](Self::slice), [`set_slices`](Self::set_slices)) speak global
+/// tile ids and map onto the local tables.
+///
 /// # Examples
 ///
 /// Build the graph of Fig 4 (paper example, a1/a2 on t1, a3 on t2, 50%
@@ -94,10 +107,16 @@ pub struct BindingAwareGraph {
     graph: SdfGraph,
     kinds: Vec<BaActorKind>,
     app_to_ba: Vec<ActorId>,
-    tile_of: Vec<Option<TileId>>,
-    /// Sync actors and the destination tile whose wheel they wait for.
-    sync_actors: Vec<(ActorId, TileId)>,
+    /// The used tiles, ascending: local tile `l` is `tiles[l]`.
+    tiles: Vec<TileId>,
+    /// Local tile of each binding-aware actor (`None` for connection and
+    /// sync actors).
+    local_of: Vec<Option<usize>>,
+    /// Sync actors and the local tile whose wheel they wait for.
+    sync_actors: Vec<(ActorId, usize)>,
+    /// Wheel size per local tile.
     wheels: Vec<u64>,
+    /// Slice assumption per local tile.
     slices: Vec<u64>,
 }
 
@@ -142,11 +161,11 @@ impl BindingAwareGraph {
         let src = app.graph();
         let mut graph = SdfGraph::new(format!("{}_bound", src.name()));
         let mut kinds = Vec::new();
-        let mut tile_of = Vec::new();
         let mut app_to_ba = Vec::with_capacity(src.actor_count());
         let mut sync_actors = Vec::new();
 
         // Application actors with their bound execution times.
+        let mut bound = Vec::with_capacity(src.actor_count());
         for (a, actor) in src.actors() {
             let tile = binding.require(a)?;
             let pt = arch.tile(tile).processor_type();
@@ -156,9 +175,19 @@ impl BindingAwareGraph {
             let ba = graph.add_actor(actor.name(), tau);
             debug_assert_eq!(ba.index(), a.index());
             kinds.push(BaActorKind::App(a));
-            tile_of.push(Some(tile));
+            bound.push(tile);
             app_to_ba.push(ba);
         }
+        // The one tile numbering of the flow: used tiles, ascending.
+        let mut tiles = bound.clone();
+        tiles.sort();
+        tiles.dedup();
+        let local = |tile: TileId| {
+            tiles
+                .binary_search(&tile)
+                .expect("bound tiles are numbered")
+        };
+        let mut local_of: Vec<Option<usize>> = bound.iter().map(|&t| Some(local(t))).collect();
 
         // Self-edges for actors the application leaves unguarded
         // ("adding a self-edge with rates one and one initial token").
@@ -173,8 +202,8 @@ impl BindingAwareGraph {
         for (d, ch) in src.channels() {
             let a = ch.src();
             let b = ch.dst();
-            let ta = binding.require(a)?;
-            let tb = binding.require(b)?;
+            let ta = bound[a.index()];
+            let tb = bound[b.index()];
             let (p, q, tok) = (
                 ch.production_rate(),
                 ch.consumption_rate(),
@@ -211,14 +240,14 @@ impl BindingAwareGraph {
                         let upsilon_c = conn.latency() + theta.transfer_time();
                         let c = graph.add_actor(format!("c_{}", ch.name()), upsilon_c);
                         kinds.push(BaActorKind::Connection(d));
-                        tile_of.push(None);
+                        local_of.push(None);
                         graph.add_self_edge(c, 1);
                         c
                     }
                     ConnectionModel::PipelinedHops => {
                         let c = graph.add_actor(format!("c_{}", ch.name()), theta.transfer_time());
                         kinds.push(BaActorKind::Connection(d));
-                        tile_of.push(None);
+                        local_of.push(None);
                         graph.add_self_edge(c, 1);
                         c
                     }
@@ -232,7 +261,7 @@ impl BindingAwareGraph {
                         for hop in 0..conn.latency() {
                             let h = graph.add_actor(format!("hop{}_{}", hop, ch.name()), 1);
                             kinds.push(BaActorKind::Connection(d));
-                            tile_of.push(None);
+                            local_of.push(None);
                             graph.add_self_edge(h, 1);
                             graph.add_channel(
                                 format!("{}_hop{}", ch.name(), hop),
@@ -248,16 +277,12 @@ impl BindingAwareGraph {
                     }
                 };
 
-                let wheel = arch.tile(tb).wheel_size();
-                let omega = slices
-                    .get(tb.index())
-                    .copied()
-                    .unwrap_or(wheel)
-                    .clamp(1, wheel);
-                let s = graph.add_actor(format!("s_{}", ch.name()), wheel - omega);
+                // Υ(s) = w − ω of the destination tile, set by
+                // `set_slices` below.
+                let s = graph.add_actor(format!("s_{}", ch.name()), 0);
                 kinds.push(BaActorKind::Sync(d));
-                tile_of.push(None);
-                sync_actors.push((s, tb));
+                local_of.push(None);
+                sync_actors.push((s, local(tb)));
 
                 graph.add_channel(format!("{}_out", ch.name()), ba_a, p, entry, 1, 0);
                 graph.add_channel(format!("{}_net", ch.name()), exit, 1, s, 1, 0);
@@ -281,12 +306,13 @@ impl BindingAwareGraph {
             }
         }
 
-        let wheels = arch.tile_ids().map(|t| arch.tile(t).wheel_size()).collect();
+        let wheels = tiles.iter().map(|&t| arch.tile(t).wheel_size()).collect();
         let mut ba = BindingAwareGraph {
             graph,
             kinds,
             app_to_ba,
-            tile_of,
+            tiles,
+            local_of,
             sync_actors,
             wheels,
             slices: Vec::new(),
@@ -313,53 +339,112 @@ impl BindingAwareGraph {
     /// The tile a binding-aware actor is bound to (`None` for connection
     /// and sync actors, which execute on the interconnect).
     pub fn tile_of(&self, ba_actor: ActorId) -> Option<TileId> {
-        self.tile_of[ba_actor.index()]
+        self.local_tile_of(ba_actor).map(|l| self.tiles[l])
     }
 
     /// Current slice assumption for one tile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` hosts no application actor.
     pub fn slice(&self, tile: TileId) -> u64 {
-        self.slices[tile.index()]
+        self.slices[self.local_tile(tile)]
     }
 
     /// The TDMA configuration of one tile under the current slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` hosts no application actor.
     pub fn tdma(&self, tile: TileId) -> TdmaSlice {
-        TdmaSlice::new(self.wheels[tile.index()], self.slices[tile.index()])
-    }
-
-    /// The sync actors and the tile whose slice each one waits for:
-    /// `(sync_actor, destination_tile)` pairs. A sync actor's execution
-    /// time is `w − ω` of its destination tile, so it is the one actor
-    /// kind whose timing changes under [`set_slices`](Self::set_slices) —
-    /// the incremental re-analysis uses this to know which tile's slice a
-    /// sync firing depends on.
-    pub fn sync_actors(&self) -> &[(ActorId, TileId)] {
-        &self.sync_actors
+        self.local_tdma(self.local_tile(tile))
     }
 
     /// Re-targets the graph to a new slice allocation: sync-actor
     /// execution times become `w − ω` of their destination tile and the
     /// TDMA configurations returned by [`tdma`](Self::tdma) follow.
     ///
-    /// Slice values are clamped into `[1, w]`.
+    /// `slices` is indexed by global tile index; tiles past its end keep
+    /// their full wheel. Slice values are clamped into `[1, w]`.
     pub fn set_slices(&mut self, slices: &[u64]) {
-        self.slices = self
-            .wheels
+        let local: Vec<u64> = self
+            .tiles
             .iter()
-            .enumerate()
-            .map(|(i, &w)| slices.get(i).copied().unwrap_or(w).clamp(1, w))
+            .map(|t| slices.get(t.index()).copied().unwrap_or(u64::MAX))
             .collect();
-        for &(s, tile) in &self.sync_actors {
-            let wait = self.wheels[tile.index()] - self.slices[tile.index()];
-            self.graph.set_execution_time(s, wait);
-        }
+        self.set_local_slices(&local);
     }
 
     /// All tiles that host at least one application actor, ascending.
     pub fn used_tiles(&self) -> Vec<TileId> {
-        let mut tiles: Vec<TileId> = self.tile_of.iter().flatten().copied().collect();
-        tiles.sort();
-        tiles.dedup();
-        tiles
+        self.tiles.clone()
+    }
+
+    /// The used tiles in local order: local tile `l` is `tiles()[l]`.
+    pub(crate) fn tiles(&self) -> &[TileId] {
+        &self.tiles
+    }
+
+    /// The local tile a binding-aware actor is bound to.
+    pub(crate) fn local_tile_of(&self, ba_actor: ActorId) -> Option<usize> {
+        self.local_of[ba_actor.index()]
+    }
+
+    /// The local id of a used tile.
+    fn local_tile(&self, tile: TileId) -> usize {
+        self.tiles
+            .binary_search(&tile)
+            .unwrap_or_else(|_| panic!("tile {tile} hosts no actor of this application"))
+    }
+
+    /// The TDMA configuration of local tile `l` under the current slices.
+    pub(crate) fn local_tdma(&self, l: usize) -> TdmaSlice {
+        TdmaSlice::new(self.wheels[l], self.slices[l])
+    }
+
+    /// The TDMA configuration of every local tile, and the hyper-period
+    /// (least common multiple) of their wheels.
+    pub(crate) fn local_tdmas(&self) -> (Vec<TdmaSlice>, u64) {
+        let tdma: Vec<TdmaSlice> = (0..self.tiles.len()).map(|l| self.local_tdma(l)).collect();
+        let hyperperiod = tdma
+            .iter()
+            .fold(1u64, |h, s| lcm(h as u128, s.wheel as u128) as u64);
+        (tdma, hyperperiod)
+    }
+
+    /// The sync actors and the local tile whose slice each one waits for.
+    /// A sync actor's execution time is `w − ω` of that tile, so it is the
+    /// one actor kind whose timing changes under
+    /// [`set_slices`](Self::set_slices).
+    pub(crate) fn sync_actors(&self) -> &[(ActorId, usize)] {
+        &self.sync_actors
+    }
+
+    /// [`set_slices`](Self::set_slices) with `slices` indexed by local
+    /// tile.
+    pub(crate) fn set_local_slices(&mut self, slices: &[u64]) {
+        self.slices.clear();
+        self.slices.extend(
+            self.wheels
+                .iter()
+                .enumerate()
+                .map(|(l, &w)| slices.get(l).copied().unwrap_or(w).clamp(1, w)),
+        );
+        for &(s, l) in &self.sync_actors {
+            self.graph
+                .set_execution_time(s, self.wheels[l] - self.slices[l]);
+        }
+    }
+
+    /// Expands a per-local-tile vector to one indexed by global tile index
+    /// over `tile_count` platform tiles, 0 for tiles the application does
+    /// not use.
+    pub(crate) fn to_global(&self, local: &[u64], tile_count: usize) -> Vec<u64> {
+        let mut global = vec![0; tile_count];
+        for (&t, &v) in self.tiles.iter().zip(local) {
+            global[t.index()] = v;
+        }
+        global
     }
 }
 

@@ -19,7 +19,6 @@
 use sdfrs_platform::TileId;
 use sdfrs_sdf::analysis::interner::StateInterner;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
-use sdfrs_sdf::rational::lcm;
 use sdfrs_sdf::{ActorId, Rational, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
@@ -46,37 +45,38 @@ pub const DEFAULT_STATE_BUDGET: usize = 4_000_000;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileSchedules {
-    schedules: Vec<Option<StaticOrderSchedule>>,
+    /// Set schedules, sorted by tile; tiles without one are absent, so
+    /// the table grows with the application, not with the platform.
+    schedules: Vec<(TileId, StaticOrderSchedule)>,
 }
 
 impl TileSchedules {
-    /// No schedules yet, for a platform with `tile_count` tiles.
+    /// No schedules yet, with room for `tile_count` of them.
     pub fn new(tile_count: usize) -> Self {
         TileSchedules {
-            schedules: vec![None; tile_count],
+            schedules: Vec::with_capacity(tile_count),
         }
     }
 
-    /// Sets the schedule of one tile, growing the table if needed.
+    /// Sets (or replaces) the schedule of one tile.
     pub fn set(&mut self, tile: TileId, schedule: StaticOrderSchedule) {
-        if tile.index() >= self.schedules.len() {
-            self.schedules.resize(tile.index() + 1, None);
+        match self.schedules.binary_search_by_key(&tile, |&(t, _)| t) {
+            Ok(at) => self.schedules[at].1 = schedule,
+            Err(at) => self.schedules.insert(at, (tile, schedule)),
         }
-        self.schedules[tile.index()] = Some(schedule);
     }
 
-    /// The schedule of one tile, if set (`None` for unknown tiles).
+    /// The schedule of one tile, if set.
     pub fn get(&self, tile: TileId) -> Option<&StaticOrderSchedule> {
-        self.schedules.get(tile.index())?.as_ref()
+        self.schedules
+            .binary_search_by_key(&tile, |&(t, _)| t)
+            .ok()
+            .map(|at| &self.schedules[at].1)
     }
 
-    /// All tiles with a schedule.
+    /// All tiles with a schedule, ascending.
     pub fn tiles(&self) -> impl Iterator<Item = TileId> + '_ {
-        self.schedules
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| TileId::from_index(i))
+        self.schedules.iter().map(|&(t, _)| t)
     }
 
     /// Returns a copy with every schedule minimized (Sec 9.2).
@@ -85,7 +85,7 @@ impl TileSchedules {
             schedules: self
                 .schedules
                 .iter()
-                .map(|s| s.as_ref().map(StaticOrderSchedule::minimized))
+                .map(|(t, s)| (*t, s.minimized()))
                 .collect(),
         }
     }
@@ -93,10 +93,12 @@ impl TileSchedules {
 
 // The recurrence-detection state — token counts, the sorted remaining
 // *work* per actor lane (slice time for bound actors, wall time for
-// connection/sync actors), the canonical schedule position per tile, and
-// the wall-clock phase within the TDMA hyper-period — is flat-encoded
+// connection/sync actors), the canonical schedule position per used tile,
+// and the wall-clock phase within the TDMA hyper-period — is flat-encoded
 // into a `Vec<u64>` and interned (see `encode_state_into`); no per-state
-// struct is allocated.
+// struct is allocated. Tiles are the graph's local tile ids (see
+// `BindingAwareGraph`), so a state's size follows the application, not
+// the platform.
 
 /// Executes a binding-aware SDFG under a scheduling function and computes
 /// the guaranteed throughput (Sec 8.2).
@@ -108,12 +110,14 @@ impl TileSchedules {
 #[derive(Debug)]
 pub struct ConstrainedExecutor<'a> {
     ba: &'a BindingAwareGraph,
-    schedules: &'a TileSchedules,
-    /// TDMA config per tile index (`None` for tiles without a schedule).
-    tdma: Vec<Option<TdmaSlice>>,
+    /// Static order per local tile.
+    schedules: Vec<&'a StaticOrderSchedule>,
+    /// TDMA configuration per local tile.
+    tdma: Vec<TdmaSlice>,
     hyperperiod: u64,
     tokens: Vec<u64>,
     active: Vec<Vec<u64>>,
+    /// Schedule position per local tile.
     positions: Vec<u32>,
     time: u64,
     completions: Vec<u64>,
@@ -148,40 +152,27 @@ impl<'a> ConstrainedExecutor<'a> {
     /// Panics if some tile hosts actors but has no schedule.
     pub fn new(ba: &'a BindingAwareGraph, schedules: &'a TileSchedules) -> Self {
         let g = ba.graph();
-        let mut tdma = Vec::new();
-        let mut hyper = 1u64;
-        let tile_count = {
-            // Highest tile index we may encounter.
-            let used = ba.used_tiles();
-            used.iter().map(|t| t.index() + 1).max().unwrap_or(0)
-        };
-        for i in 0..tile_count {
-            let tile = TileId::from_index(i);
-            if schedules.get(tile).is_some() {
-                let slice = ba.tdma(tile);
-                hyper = lcm(hyper as u128, slice.wheel as u128) as u64;
-                tdma.push(Some(slice));
-            } else {
-                tdma.push(None);
-            }
-        }
-        for tile in ba.used_tiles() {
-            assert!(
-                schedules.get(tile).is_some(),
-                "tile {tile} hosts actors but has no static-order schedule"
-            );
-        }
+        let schedules: Vec<&StaticOrderSchedule> = ba
+            .tiles()
+            .iter()
+            .map(|&tile| {
+                schedules.get(tile).unwrap_or_else(|| {
+                    panic!("tile {tile} hosts actors but has no static-order schedule")
+                })
+            })
+            .collect();
+        let (tdma, hyperperiod) = ba.local_tdmas();
         ConstrainedExecutor {
             ba,
+            positions: vec![0; schedules.len()],
             schedules,
             tdma,
-            hyperperiod: hyper,
+            hyperperiod,
             tokens: g
                 .channel_ids()
                 .map(|c| g.channel(c).initial_tokens())
                 .collect(),
             active: vec![Vec::new(); g.actor_count()],
-            positions: vec![0; tile_count],
             time: 0,
             completions: vec![0; g.actor_count()],
             state_budget: DEFAULT_STATE_BUDGET,
@@ -203,12 +194,9 @@ impl<'a> ConstrainedExecutor<'a> {
     }
 
     fn schedule_allows(&self, actor: ActorId) -> bool {
-        match self.ba.tile_of(actor) {
+        match self.ba.local_tile_of(actor) {
             None => true,
-            Some(tile) => {
-                let schedule = self.schedules.get(tile).expect("used tiles have schedules");
-                schedule.at(self.positions[tile.index()] as usize) == actor
-            }
+            Some(l) => self.schedules[l].at(self.positions[l] as usize) == actor,
         }
     }
 
@@ -235,12 +223,11 @@ impl<'a> ConstrainedExecutor<'a> {
                 }
                 self.completions[idx] += 1;
                 completed.push(actor);
-                if let Some(tile) = self.ba.tile_of(actor) {
+                if let Some(l) = self.ba.local_tile_of(actor) {
                     // The firing at the current schedule position finished:
                     // move on (canonicalized for state hashing).
-                    let schedule = self.schedules.get(tile).expect("used tiles have schedules");
-                    let next = self.positions[tile.index()] as usize + 1;
-                    self.positions[tile.index()] = schedule.canonical_position(next) as u32;
+                    let next = self.positions[l] as usize + 1;
+                    self.positions[l] = self.schedules[l].canonical_position(next) as u32;
                 }
             }
         }
@@ -261,7 +248,7 @@ impl<'a> ConstrainedExecutor<'a> {
                     progress = true;
                     if self.ba.graph().actor(actor).execution_time() == 0 {
                         self.complete_finished();
-                    } else if self.ba.tile_of(actor).is_some() {
+                    } else if self.ba.local_tile_of(actor).is_some() {
                         break;
                     }
                 }
@@ -275,11 +262,9 @@ impl<'a> ConstrainedExecutor<'a> {
 
     /// Wall time from `self.time` until the given active firing completes.
     fn wall_until_done(&self, actor: ActorId, work: u64) -> u64 {
-        match self.ba.tile_of(actor) {
+        match self.ba.local_tile_of(actor) {
             None => work,
-            Some(tile) => self.tdma[tile.index()]
-                .expect("bound actors live on scheduled tiles")
-                .wall_time_for(self.time, work),
+            Some(l) => self.tdma[l].wall_time_for(self.time, work),
         }
     }
 
@@ -299,11 +284,9 @@ impl<'a> ConstrainedExecutor<'a> {
             if self.active[idx].is_empty() {
                 continue;
             }
-            let progress = match self.ba.tile_of(ActorId::from_index(idx)) {
+            let progress = match self.ba.local_tile_of(ActorId::from_index(idx)) {
                 None => delta,
-                Some(tile) => self.tdma[tile.index()]
-                    .expect("bound actors live on scheduled tiles")
-                    .slice_time_in(self.time, delta),
+                Some(l) => self.tdma[l].slice_time_in(self.time, delta),
             };
             for w in self.active[idx].iter_mut() {
                 *w = w.saturating_sub(progress);
@@ -315,7 +298,7 @@ impl<'a> ConstrainedExecutor<'a> {
 
     /// Flat-encodes the recurrence-detection state into `out` (cleared
     /// first): tokens, each lane as length + sorted entries, schedule
-    /// positions, wheel phase. Injective for a fixed graph and schedule
+    /// positions per local tile, wheel phase. Injective for a fixed graph and schedule
     /// set, so interner equality is state equality.
     fn encode_state_into(&self, out: &mut Vec<u64>) {
         out.clear();

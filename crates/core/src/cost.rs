@@ -11,7 +11,7 @@
 use sdfrs_appmodel::ApplicationGraph;
 use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
 use sdfrs_sdf::analysis::cycles::simple_cycles;
-use sdfrs_sdf::{ActorId, Rational};
+use sdfrs_sdf::{ActorId, Rational, RepetitionVector};
 
 use crate::binding::Binding;
 use crate::error::MapError;
@@ -180,6 +180,29 @@ fn fraction(used: f64, capacity: f64) -> f64 {
     }
 }
 
+/// The binding-independent part of `l_p`: the application's repetition
+/// vector and its total γ-weighted worst-case execution time, computed
+/// once per binding step and shared by every candidate tile's loads.
+pub(crate) struct AppWork {
+    gamma: RepetitionVector,
+    total: u128,
+}
+
+impl AppWork {
+    /// # Errors
+    ///
+    /// [`MapError::Sdf`] if the graph has no repetition vector.
+    pub(crate) fn of(app: &ApplicationGraph) -> Result<Self, MapError> {
+        let g = app.graph();
+        let gamma = g.repetition_vector()?;
+        let total = g
+            .actor_ids()
+            .map(|a| gamma[a] as u128 * app.max_execution_time(a) as u128)
+            .sum();
+        Ok(AppWork { gamma, total })
+    }
+}
+
 /// Computes the loads `l_p`, `l_m`, `l_c` of one tile under a (partial)
 /// binding, normalized against the *remaining* capacities of the tile.
 ///
@@ -196,8 +219,19 @@ pub fn tile_loads(
     binding: &Binding,
     tile: TileId,
 ) -> Result<TileLoads, MapError> {
-    let g = app.graph();
-    let gamma = g.repetition_vector()?;
+    tile_loads_with(&AppWork::of(app)?, app, arch, state, binding, tile)
+}
+
+/// [`tile_loads`] with the application's [`AppWork`] computed once by
+/// the caller.
+pub(crate) fn tile_loads_with(
+    work: &AppWork,
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    binding: &Binding,
+    tile: TileId,
+) -> Result<TileLoads, MapError> {
     let pt = arch.tile(tile).processor_type();
 
     // l_p: γ-weighted execution time on this tile over the total
@@ -207,13 +241,9 @@ pub fn tile_loads(
         let tau = app
             .execution_time(a, pt)
             .ok_or(MapError::UnsupportedBinding { actor: a, tile })?;
-        work_here += gamma[a] as u128 * tau as u128;
+        work_here += work.gamma[a] as u128 * tau as u128;
     }
-    let total_work: u128 = g
-        .actor_ids()
-        .map(|a| gamma[a] as u128 * app.max_execution_time(a) as u128)
-        .sum();
-    let processing = fraction(work_here as f64, total_work as f64);
+    let processing = fraction(work_here as f64, work.total as f64);
 
     // l_m and l_c from the Section 7 demand, against remaining capacity.
     let cap = tile_capacity(arch, state, tile);

@@ -375,12 +375,14 @@ fn allocate_steps(
         phase: FlowPhase::Scheduling,
     });
     let span = obs.metrics().span(SpanKind::Schedule);
-    let half: Vec<u64> = arch
-        .tile_ids()
-        .map(|t| (state.available_wheel(arch, t) / 2).max(1))
-        .collect();
     let mut ba =
-        BindingAwareGraph::build_with_model(app, arch, &binding, &half, config.connection_model)?;
+        BindingAwareGraph::build_with_model(app, arch, &binding, &[], config.connection_model)?;
+    let half: Vec<u64> = ba
+        .tiles()
+        .iter()
+        .map(|&t| (state.available_wheel(arch, t) / 2).max(1))
+        .collect();
+    ba.set_local_slices(&half);
     let schedules = ListScheduler::new(&ba)
         .with_state_budget(config.schedule_state_budget)
         .construct_observed(obs)?;

@@ -13,8 +13,6 @@ use std::collections::VecDeque;
 
 use sdfrs_fastutil::FxHashMap;
 
-use sdfrs_platform::TileId;
-use sdfrs_sdf::rational::lcm;
 use sdfrs_sdf::{ActorId, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
@@ -38,17 +36,19 @@ struct ListState {
 #[derive(Debug)]
 pub struct ListScheduler<'a> {
     ba: &'a BindingAwareGraph,
-    tdma: Vec<Option<TdmaSlice>>,
+    /// TDMA configuration per local tile (see `BindingAwareGraph`).
+    tdma: Vec<TdmaSlice>,
     hyperperiod: u64,
     tokens: Vec<u64>,
     active: Vec<Vec<u64>>,
-    /// FIFO ready list per tile (actor indices).
+    /// FIFO ready list per local tile (actor indices).
     ready: Vec<VecDeque<u32>>,
     /// Queued-but-not-started entries per actor (to detect new enablings).
     queued: Vec<u32>,
-    /// One active tile-bound firing at most; `true` while the tile is busy.
+    /// One active tile-bound firing at most; `true` while the local tile
+    /// is busy.
     busy: Vec<bool>,
-    /// Recorded firing sequence per tile.
+    /// Recorded firing sequence per local tile.
     sequences: Vec<Vec<ActorId>>,
     time: u64,
     state_budget: usize,
@@ -60,23 +60,12 @@ impl<'a> ListScheduler<'a> {
     /// (Sec 9.2); the scheduler reads its TDMA configuration from there.
     pub fn new(ba: &'a BindingAwareGraph) -> Self {
         let g = ba.graph();
-        let tile_count = ba
-            .used_tiles()
-            .iter()
-            .map(|t| t.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut tdma = vec![None; tile_count];
-        let mut hyper = 1u64;
-        for tile in ba.used_tiles() {
-            let slice = ba.tdma(tile);
-            hyper = lcm(hyper as u128, slice.wheel as u128) as u64;
-            tdma[tile.index()] = Some(slice);
-        }
+        let tile_count = ba.tiles().len();
+        let (tdma, hyperperiod) = ba.local_tdmas();
         ListScheduler {
             ba,
             tdma,
-            hyperperiod: hyper,
+            hyperperiod,
             tokens: g
                 .channel_ids()
                 .map(|c| g.channel(c).initial_tokens())
@@ -116,13 +105,13 @@ impl<'a> ListScheduler<'a> {
     /// Adds newly enabled tile-bound firings to their ready lists.
     fn refresh_ready_lists(&mut self) {
         for actor in self.ba.graph().actor_ids() {
-            let Some(tile) = self.ba.tile_of(actor) else {
+            let Some(l) = self.ba.local_tile_of(actor) else {
                 continue;
             };
             let target = self.enabled_firings(actor);
             while u64::from(self.queued[actor.index()]) < target {
                 self.queued[actor.index()] += 1;
-                self.ready[tile.index()].push_back(actor.index() as u32);
+                self.ready[l].push_back(actor.index() as u32);
             }
         }
     }
@@ -149,8 +138,8 @@ impl<'a> ListScheduler<'a> {
                 for &ch in g.outgoing(actor) {
                     self.tokens[ch.index()] += g.channel(ch).production_rate();
                 }
-                if let Some(tile) = self.ba.tile_of(actor) {
-                    self.busy[tile.index()] = false;
+                if let Some(l) = self.ba.local_tile_of(actor) {
+                    self.busy[l] = false;
                 }
                 completed += 1;
             }
@@ -167,7 +156,7 @@ impl<'a> ListScheduler<'a> {
             let mut progress = false;
             // Unbound actors fire as soon as enabled.
             for actor in g.actor_ids() {
-                if self.ba.tile_of(actor).is_some() {
+                if self.ba.local_tile_of(actor).is_some() {
                     continue;
                 }
                 while self.enabled_firings(actor) > 0 {
@@ -214,11 +203,9 @@ impl<'a> ListScheduler<'a> {
         let mut delta: Option<u64> = None;
         for idx in 0..self.active.len() {
             if let Some(&work) = self.active[idx].first() {
-                let wall = match self.ba.tile_of(ActorId::from_index(idx)) {
+                let wall = match self.ba.local_tile_of(ActorId::from_index(idx)) {
                     None => work,
-                    Some(tile) => self.tdma[tile.index()]
-                        .expect("bound actors live on used tiles")
-                        .wall_time_for(self.time, work),
+                    Some(l) => self.tdma[l].wall_time_for(self.time, work),
                 };
                 delta = Some(delta.map_or(wall, |d| d.min(wall)));
             }
@@ -228,11 +215,9 @@ impl<'a> ListScheduler<'a> {
             if self.active[idx].is_empty() {
                 continue;
             }
-            let progress = match self.ba.tile_of(ActorId::from_index(idx)) {
+            let progress = match self.ba.local_tile_of(ActorId::from_index(idx)) {
                 None => delta,
-                Some(tile) => self.tdma[tile.index()]
-                    .expect("bound actors live on used tiles")
-                    .slice_time_in(self.time, delta),
+                Some(l) => self.tdma[l].slice_time_in(self.time, delta),
             };
             for w in self.active[idx].iter_mut() {
                 *w = w.saturating_sub(progress);
@@ -350,6 +335,7 @@ impl<'a> ListScheduler<'a> {
                     obs.emit(|| FlowEvent::ScheduleRecurrence { states });
                     let first_lens = prev.get().clone();
                     let mut schedules = TileSchedules::new(self.sequences.len());
+                    let tiles = self.ba.tiles();
                     for (idx, seq) in self.sequences.iter().enumerate() {
                         if seq.is_empty() {
                             continue;
@@ -362,10 +348,7 @@ impl<'a> ListScheduler<'a> {
                             // that only saw transient firings defensively.
                             continue;
                         }
-                        schedules.set(
-                            TileId::from_index(idx),
-                            StaticOrderSchedule::new(prefix, period),
-                        );
+                        schedules.set(tiles[idx], StaticOrderSchedule::new(prefix, period));
                     }
                     return Ok(schedules);
                 }
@@ -393,6 +376,7 @@ mod tests {
     use crate::binding::Binding;
     use crate::constrained::constrained_throughput;
     use sdfrs_appmodel::apps::{example_platform, paper_example};
+    use sdfrs_platform::TileId;
     use sdfrs_sdf::Rational;
 
     fn example_ba() -> BindingAwareGraph {

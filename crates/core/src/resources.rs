@@ -130,21 +130,23 @@ pub fn binding_constraints_hold(
 
 /// The resources a *completed* allocation claims per tile: slice sizes plus
 /// the demand of constraints 2–4. Indexed by tile index.
+///
+/// Only the used tiles are computed: a tile that hosts no actor has an
+/// empty channel partition and demands nothing.
 pub fn allocation_usage(
     app: &ApplicationGraph,
     arch: &ArchitectureGraph,
     binding: &Binding,
     slices: &[u64],
 ) -> Vec<TileUsage> {
-    arch.tile_ids()
-        .map(|t| {
-            let mut u = tile_demand(app, arch, binding, t);
-            if !binding.actors_on(t).is_empty() {
-                u.wheel = slices[t.index()];
-            }
-            u
-        })
-        .collect()
+    let mut usage = vec![TileUsage::default(); arch.tile_count()];
+    for t in binding.used_tiles() {
+        usage[t.index()] = TileUsage {
+            wheel: slices[t.index()],
+            ..tile_demand(app, arch, binding, t)
+        };
+    }
+    usage
 }
 
 #[cfg(test)]

@@ -29,7 +29,9 @@
 //!
 //! With [`ServiceConfig::regions`] ` > 1` the platform is partitioned
 //! into a [`RegionMap`] of contiguous tile regions, and every admission
-//! is assigned a *home region* round-robin. The flow then runs against a
+//! is assigned a *home region* round-robin (the counter advances only
+//! when an admission commits, so replaying the commit log reproduces
+//! the homes). The flow then runs against a
 //! [masked view](RegionMap::masked_state) of the residual state in which
 //! tiles outside the home region appear fully occupied, so the
 //! allocation — if one exists — stays inside the home region and only
@@ -420,9 +422,10 @@ pub struct AllocationService {
     next_seq: u64,
     batches_drained: usize,
     region_map: RegionMap,
-    /// Round-robin home-region counter. Pure arrival-order state — never
-    /// load-dependent — so the home sequence depends only on the order
-    /// of the admit requests.
+    /// Round-robin home-region counter. It advances once per committed
+    /// regional admission — never on load, never on a rejection — so the
+    /// home sequence depends only on the commit order the commit log
+    /// records, and a replay of the log sees the same homes.
     region_rr: u64,
     /// Escalation depth of the most recent regional commit — the
     /// tracing layer reads it after each traced request. Observational
@@ -579,16 +582,17 @@ impl AllocationService {
             let (allocation, stats) = self.allocator.allocate(app, &self.arch, &self.residual)?;
             return Ok(self.commit_admission(app, allocation, stats, None));
         }
-        let home = self.next_home();
-        self.admit_regional(app, home)
+        let session = self.admit_regional(app, self.home_region())?;
+        // A rejected admit never enters the commit log, so only a commit
+        // may move the home of the next admit.
+        self.region_rr += 1;
+        Ok(session)
     }
 
-    /// Advances the round-robin home-region counter by one admit.
-    fn next_home(&mut self) -> RegionId {
+    /// The home region of the next regional admission.
+    fn home_region(&self) -> RegionId {
         let count = self.region_map.region_count() as u64;
-        let home = RegionId::from_index((self.region_rr % count) as usize);
-        self.region_rr += 1;
-        home
+        RegionId::from_index((self.region_rr % count) as usize)
     }
 
     /// The escalation chain for `home`: depth 0 masks to the home region

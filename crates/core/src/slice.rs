@@ -26,7 +26,7 @@ use sdfrs_sdf::Rational;
 use crate::binding::Binding;
 use crate::binding_aware::BindingAwareGraph;
 use crate::constrained::TileSchedules;
-use crate::cost::tile_loads;
+use crate::cost::{tile_loads_with, AppWork};
 use crate::error::MapError;
 use crate::events::{FlowEvent, FlowObserver, NullSink, SliceScope};
 use crate::thru_cache::ThroughputCache;
@@ -73,9 +73,10 @@ pub struct SliceAllocation {
     pub throughput_checks: usize,
 }
 
-/// Evaluates the guaranteed throughput under `slices`, at the output
-/// actor, through `cache` — consulting `shared` first when a refinement
-/// task probes through its pass-start cache.
+/// Evaluates the guaranteed throughput under `slices` (one per local
+/// tile of `ba`), at the output actor, through `cache` — consulting
+/// `shared` first when a refinement task probes through its pass-start
+/// cache.
 ///
 /// Counted as a throughput check even when the cache answers: the paper's
 /// metric is how often the search *consults* the analysis. The second
@@ -92,7 +93,7 @@ fn evaluate(
     shared: Option<&ThroughputCache>,
 ) -> Result<(ThroughputResult, bool), MapError> {
     *checks += 1;
-    ba.set_slices(slices);
+    ba.set_local_slices(slices);
     let reference = ba.ba_actor(app.output_actor());
     let hits_before = cache.hits();
     let thr = cache
@@ -182,30 +183,25 @@ pub fn allocate_slices_observed(
 ) -> Result<SliceAllocation, MapError> {
     let lambda = app.throughput_constraint();
     let ceiling = lambda * (Rational::ONE + config.tolerance);
-    let used = binding.used_tiles();
     let mut checks = 0usize;
 
-    let remaining: Vec<u64> = arch
-        .tile_ids()
-        .map(|t| state.available_wheel(arch, t))
+    // The search works on one slice per local tile of `ba`; probe events
+    // and the result expand to global tile indices.
+    let tiles = ba.tiles().to_vec();
+    let tile_count = arch.tile_count();
+    let remaining: Vec<u64> = tiles
+        .iter()
+        .map(|&t| state.available_wheel(arch, t))
         .collect();
     let slice_for = |k: u64, big_k: u64| -> Vec<u64> {
         // Equal fractions of each tile's remaining wheel, at least 1 unit.
-        arch.tile_ids()
-            .map(|t| {
-                if used.contains(&t) {
-                    (remaining[t.index()] * k / big_k).max(1)
-                } else {
-                    0
-                }
-            })
-            .collect()
+        remaining.iter().map(|&r| (r * k / big_k).max(1)).collect()
     };
 
     // --- Global binary search over the common fraction k / K.
-    let big_k = used
+    let big_k = remaining
         .iter()
-        .map(|t| remaining[t.index()])
+        .copied()
         .max()
         .ok_or(MapError::ConstraintUnsatisfiable)?;
     if big_k == 0 {
@@ -230,7 +226,7 @@ pub fn allocate_slices_observed(
             k: big_k,
             of: big_k,
         },
-        slices: full.clone(),
+        slices: ba.to_global(&full, tile_count),
         throughput: thr_full.iteration_throughput,
         feasible: full_feasible,
         cache_hit: full_hit,
@@ -263,7 +259,7 @@ pub fn allocate_slices_observed(
         obs.metrics().record(|m| m.global_slice_iterations.inc());
         obs.emit(|| FlowEvent::SliceProbe {
             scope: SliceScope::Global { k: mid, of: big_k },
-            slices: candidate.clone(),
+            slices: ba.to_global(&candidate, tile_count),
             throughput: thr.iteration_throughput,
             feasible: thr.iteration_throughput >= lambda,
             cache_hit: hit,
@@ -292,10 +288,11 @@ pub fn allocate_slices_observed(
     // (tile order), each commit re-validated against the *cumulative*
     // candidate — shrinking two tiles at once can violate λ even when
     // each shrink alone is feasible.
-    if config.refine && used.len() > 1 {
-        let loads: Vec<f64> = used
+    if config.refine && tiles.len() > 1 {
+        let work = AppWork::of(app)?;
+        let loads: Vec<f64> = tiles
             .iter()
-            .map(|&t| tile_loads(app, arch, state, binding, t).map(|l| l.processing))
+            .map(|&t| tile_loads_with(&work, app, arch, state, binding, t).map(|l| l.processing))
             .collect::<Result<_, _>>()?;
         let max_load = loads
             .iter()
@@ -304,17 +301,16 @@ pub fn allocate_slices_observed(
             .max(f64::MIN_POSITIVE);
         for pass in 0..config.max_refine_passes {
             let pass_start = slices.clone();
-            let tile_indices: Vec<usize> = (0..used.len()).collect();
+            let tile_indices: Vec<usize> = (0..tiles.len()).collect();
             let snapshot: &BindingAwareGraph = ba;
             let shared: &ThroughputCache = cache;
             let record = obs.enabled();
             let proposals = sdfrs_fastutil::par::maybe_par_map(
                 config.parallel,
                 &tile_indices,
-                |&i| -> Result<(u64, usize, ThroughputCache, Vec<RefineProbe>), MapError> {
-                    let t = used[i];
-                    let upper = pass_start[t.index()];
-                    let lower = (((loads[i] / max_load) * upper as f64).floor() as u64).max(1);
+                |&l| -> Result<(u64, usize, ThroughputCache, Vec<RefineProbe>), MapError> {
+                    let upper = pass_start[l];
+                    let lower = (((loads[l] / max_load) * upper as f64).floor() as u64).max(1);
                     let mut local_cache = shared.task_cache();
                     let mut probes = Vec::new();
                     if lower >= upper {
@@ -327,7 +323,7 @@ pub fn allocate_slices_observed(
                     while lo < hi {
                         let mid = lo + (hi - lo) / 2;
                         let mut candidate = pass_start.clone();
-                        candidate[t.index()] = mid;
+                        candidate[l] = mid;
                         let (thr, hit) = evaluate(
                             &mut local_ba,
                             schedules,
@@ -352,7 +348,7 @@ pub fn allocate_slices_observed(
                 },
             );
             let mut changed = false;
-            for (i, proposal) in proposals.into_iter().enumerate() {
+            for (l, proposal) in proposals.into_iter().enumerate() {
                 let (proposed, local_checks, local_cache, probes) = proposal?;
                 checks += local_checks;
                 obs.counters.refine_slice_iterations += local_checks;
@@ -363,25 +359,25 @@ pub fn allocate_slices_observed(
                     m.refine_search_iters.observe(local_checks as u64);
                 });
                 cache.absorb(local_cache);
-                let t = used[i];
+                let tile = tiles[l].index();
                 for (tried, probe_slices, thr, feasible, hit) in probes {
                     obs.emit(|| FlowEvent::SliceProbe {
                         scope: SliceScope::Refine {
                             pass,
-                            tile: t.index(),
+                            tile,
                             slice: tried,
                         },
-                        slices: probe_slices,
+                        slices: ba.to_global(&probe_slices, tile_count),
                         throughput: thr,
                         feasible,
                         cache_hit: hit,
                     });
                 }
-                if proposed >= slices[t.index()] {
+                if proposed >= slices[l] {
                     continue;
                 }
                 let mut candidate = slices.clone();
-                candidate[t.index()] = proposed;
+                candidate[l] = proposed;
                 let (thr, hit) = evaluate(
                     ba,
                     schedules,
@@ -398,10 +394,10 @@ pub fn allocate_slices_observed(
                 obs.emit(|| FlowEvent::SliceProbe {
                     scope: SliceScope::Commit {
                         pass,
-                        tile: t.index(),
+                        tile,
                         slice: proposed,
                     },
-                    slices: candidate.clone(),
+                    slices: ba.to_global(&candidate, tile_count),
                     throughput: thr.iteration_throughput,
                     feasible,
                     cache_hit: hit,
@@ -431,7 +427,7 @@ pub fn allocate_slices_observed(
         best_thr = final_thr;
         obs.emit(|| FlowEvent::SliceProbe {
             scope: SliceScope::Final,
-            slices: slices.clone(),
+            slices: ba.to_global(&slices, tile_count),
             throughput: best_thr.iteration_throughput,
             feasible: best_thr.iteration_throughput >= lambda,
             cache_hit: final_hit,
@@ -442,11 +438,11 @@ pub fn allocate_slices_observed(
             return Err(MapError::ConstraintUnsatisfiable);
         }
     } else {
-        ba.set_slices(&slices);
+        ba.set_local_slices(&slices);
     }
 
     Ok(SliceAllocation {
-        slices,
+        slices: ba.to_global(&slices, tile_count),
         achieved: best_thr,
         throughput_checks: checks,
     })

@@ -10,10 +10,13 @@
 //!
 //! [`ThroughputCache`] keys each evaluation by a *structural fingerprint*
 //! of everything that determines its outcome: the binding-aware graph
-//! (execution times, channels, actor→tile placement), the per-tile TDMA
-//! wheels and slices, the static-order schedules, the state budget and the
-//! reference actor. The fingerprint is a flat `Vec<u64>`; lookups compare
-//! the full key, so a hash collision can never return a wrong result.
+//! (execution times, channels, actor→local-tile placement), the TDMA
+//! wheel and slice of each local tile, the static-order schedules, the
+//! state budget and the reference actor. Tiles enter the key as the
+//! graph's local tile ids, so an application placed on other tiles with
+//! the same local problem is answered from the memo. The fingerprint is
+//! a flat `Vec<u64>`; lookups compare the full key, so a hash collision
+//! can never return a wrong result.
 //! Hit/miss counters expose how much work the cache saved.
 //!
 //! A refinement task probes through its pass-start cache by shared
@@ -42,6 +45,10 @@ type Memo = FxHashMap<Vec<u64>, Evaluation>;
 /// length-prefixed or fixed-width, so distinct configurations never
 /// collide.
 ///
+/// Tiles are the graph's local tile ids, exactly what the constrained
+/// executor reads, so the key does not depend on where the application
+/// is placed: two placements with the same local problem share an entry.
+///
 /// A sync actor's execution time is `wheel − slice` of its destination
 /// tile — fully determined by words already in the key — so it is
 /// encoded as a sentinel plus the destination tile.
@@ -54,10 +61,10 @@ fn encode_fingerprint(
 ) {
     out.clear();
     let g = ba.graph();
-    // dest tile + 1 per sync actor, 0 otherwise.
+    // local dest tile + 1 per sync actor, 0 otherwise.
     let mut sync_dest = vec![0u64; g.actor_count()];
-    for &(actor, tile) in ba.sync_actors() {
-        sync_dest[actor.index()] = tile.index() as u64 + 1;
+    for &(actor, l) in ba.sync_actors() {
+        sync_dest[actor.index()] = l as u64 + 1;
     }
     out.push(g.actor_count() as u64);
     for a in g.actor_ids() {
@@ -67,8 +74,8 @@ fn encode_fingerprint(
             out.push(dest);
         } else {
             out.push(g.actor(a).execution_time());
-            // 0 = not tile-bound (connection actor), i + 1 = tile i.
-            out.push(ba.tile_of(a).map_or(0, |t| t.index() as u64 + 1));
+            // 0 = not tile-bound (connection actor), l + 1 = local tile l.
+            out.push(ba.local_tile_of(a).map_or(0, |l| l as u64 + 1));
         }
     }
     out.push(g.channel_count() as u64);
@@ -80,20 +87,24 @@ fn encode_fingerprint(
         out.push(ch.consumption_rate());
         out.push(ch.initial_tokens());
     }
-    // TDMA wheels/slices and static orders for every scheduled tile (the
-    // only tiles the constrained executor consults).
-    let tiles: Vec<_> = schedules.tiles().collect();
+    // TDMA wheel, slice and static order per local tile (the only tiles
+    // the constrained executor consults).
+    let tiles = ba.tiles();
     out.push(tiles.len() as u64);
-    for &t in &tiles {
-        let tdma = ba.tdma(t);
-        out.push(t.index() as u64);
+    for (l, &t) in tiles.iter().enumerate() {
+        let tdma = ba.local_tdma(l);
         out.push(tdma.wheel);
         out.push(tdma.slice);
-        let s = schedules.get(t).expect("tiles() yields scheduled tiles");
-        out.push(s.prefix().len() as u64);
-        out.extend(s.prefix().iter().map(|a| a.index() as u64));
-        out.push(s.period().len() as u64);
-        out.extend(s.period().iter().map(|a| a.index() as u64));
+        match schedules.get(t) {
+            Some(s) => {
+                out.push(s.prefix().len() as u64);
+                out.extend(s.prefix().iter().map(|a| a.index() as u64));
+                out.push(s.period().len() as u64);
+                out.extend(s.period().iter().map(|a| a.index() as u64));
+            }
+            // No schedule: the executor rejects the configuration.
+            None => out.push(u64::MAX),
+        }
     }
     out.push(state_budget as u64);
     out.push(reference.index() as u64);

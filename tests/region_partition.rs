@@ -1,14 +1,20 @@
 //! Integration tests for the region-composable platform API and the
 //! region-local admission built on it: `ClaimSet` apply/revert
-//! round-trips, partition/mask/neighbor properties of `RegionMap`, and
-//! forced escalation out of starved home regions.
+//! round-trips, partition/mask/neighbor properties of `RegionMap`,
+//! forced escalation out of starved home regions, commit-log replay of
+//! regional admissions, and placement-independent analysis of congruent
+//! regions.
 
 use sdfrs_appmodel::apps::{example_platform, paper_example};
 use sdfrs_appmodel::{ActorRequirements, ApplicationGraph, ChannelRequirements};
-use sdfrs_core::service::{AllocationService, ServiceConfig};
+use sdfrs_core::service::{
+    parse_request_line, replay_commit_log, AllocationService, CommitLog, ServiceConfig,
+};
 use sdfrs_core::{Allocator, Metrics};
 use sdfrs_platform::mesh::{grid_mesh_platform, MeshConfig};
-use sdfrs_platform::{ArchitectureGraph, PlatformState, ProcessorType, RegionId, RegionMap};
+use sdfrs_platform::{
+    ArchitectureGraph, PlatformState, ProcessorType, RegionId, RegionMap, TileId,
+};
 use sdfrs_sdf::{Rational, SdfGraph};
 
 fn grid(rows: usize, cols: usize) -> ArchitectureGraph {
@@ -160,4 +166,75 @@ fn starved_home_regions_force_escalation() {
     );
     assert_eq!(snapshot.counter("region_admits_local"), 0);
     assert_eq!(snapshot.regions_configured, arch.tile_count() as u64);
+}
+
+/// A rejected admit never enters the commit log, so it must not move the
+/// round-robin home region either: otherwise a replay of the log places
+/// every later admit in another region than the live run did.
+#[test]
+fn rejected_admits_keep_regional_replay_exact() {
+    let arch = example_platform();
+    let mut config = ServiceConfig::default();
+    config.regions = 2;
+    let mut live = AllocationService::from_config(&arch, config);
+    let mut log = CommitLog::new();
+    for (example, admitted) in [("h263", false), ("paper", true)] {
+        let line = format!(r#"{{"op":"admit","example":"{example}"}}"#);
+        let request = parse_request_line(&line).unwrap();
+        let response = live.execute_logged(request, &mut log);
+        assert_eq!(response.commits(), admitted, "admit {example}");
+    }
+    assert_eq!(log.len(), 1, "only the paper admission is logged");
+    let replayed =
+        replay_commit_log(&arch, config, log.lines().iter().map(String::as_str)).unwrap();
+    assert_eq!(replayed.residual_digest(), live.residual_digest());
+}
+
+/// The same application admitted into two congruent regions — the first
+/// and the last row band of a grid — is the same local problem: the flow
+/// numbers the used tiles locally, so the second placement is answered
+/// entirely from the throughput memo and yields the same guaranteed
+/// throughput, slices and schedules up to the tile translation.
+#[test]
+fn congruent_regions_share_the_throughput_memo() {
+    let config = MeshConfig {
+        rows: 4,
+        cols: 4,
+        processor_types: vec![ProcessorType::new("p1"), ProcessorType::new("p2")],
+        ..MeshConfig::default()
+    };
+    let arch = grid_mesh_platform("grid", &config);
+    let map = RegionMap::contiguous(&arch, config.rows);
+    let app = paper_example();
+    let fresh = PlatformState::new(&arch);
+    let mut allocator = Allocator::new();
+    let first = RegionId::from_index(0);
+    let last = RegionId::from_index(config.rows - 1);
+    let (a, _) = allocator
+        .allocate(&app, &arch, &map.masked_state(&arch, &fresh, &[first]))
+        .unwrap();
+    let (b, stats) = allocator
+        .allocate(&app, &arch, &map.masked_state(&arch, &fresh, &[last]))
+        .unwrap();
+
+    let offset = (config.rows - 1) * config.cols;
+    let moved = |t: TileId| TileId::from_index(t.index() + offset);
+    let used = a.binding.used_tiles();
+    assert!(used.iter().all(|&t| map.region_of(t) == first));
+    assert_eq!(
+        b.binding.used_tiles(),
+        used.iter().copied().map(moved).collect::<Vec<_>>()
+    );
+    assert_eq!(a.achieved, b.achieved, "period, transient and states too");
+    for t in arch.tile_ids() {
+        if map.region_of(t) == first {
+            assert_eq!(a.slices[t.index()], b.slices[moved(t).index()]);
+            assert_eq!(a.schedules.get(t), b.schedules.get(moved(t)));
+        }
+    }
+    assert!(stats.throughput_checks > 0);
+    assert_eq!(
+        stats.cache_misses, 0,
+        "every probe of the second placement is a memo hit"
+    );
 }
