@@ -362,6 +362,31 @@ fn serve_matches_golden_transcript_online_and_batched() {
     let _ = std::fs::remove_file(platform);
 }
 
+/// `trace` on the paper example renders the constrained execution's
+/// firings exactly as the committed golden Gantt charts: any change to
+/// the executor's start order or completion instants shows here.
+#[test]
+fn trace_matches_golden_gantt() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let golden = std::fs::read_to_string(fixtures.join("trace_golden.txt")).unwrap();
+    let (app_text, _, ok) = sdfrs(&["example", "paper"]);
+    assert!(ok);
+    let (platform_text, _, ok) = sdfrs(&["example", "platform"]);
+    assert!(ok);
+    let app = write_temp("g_paper.sdfa", &app_text);
+    let platform = write_temp("g_platform.sdfp", &platform_text);
+    let (out, err, ok) = sdfrs(&[
+        "trace",
+        app.to_str().unwrap(),
+        platform.to_str().unwrap(),
+        "120",
+    ]);
+    assert!(ok, "stderr: {err}");
+    assert_eq!(out, golden, "trace output diverged from golden");
+    let _ = std::fs::remove_file(app);
+    let _ = std::fs::remove_file(platform);
+}
+
 #[test]
 fn serve_rejects_malformed_requests_with_line_numbers() {
     let (platform_text, _, _) = sdfrs(&["example", "platform"]);

@@ -5,7 +5,7 @@
 //!               [--log FILE.jsonl] [--trace FILE.jsonl]
 //! ```
 //!
-//! Runs every seed in the range through the five-oracle panel and exits
+//! Runs every seed in the range through the oracle panel and exits
 //! non-zero when any oracle diverges. With `--shrink`, each failing
 //! scenario is reduced to a minimal reproduction and written to the
 //! corpus directory as a `.ron` file ready to be committed to

@@ -8,7 +8,9 @@
 //! stream vs. the aggregated stats, the online admission service vs. the
 //! batch protocols, regional admissions vs. the verifier and the
 //! residual they leave, the networked front-end vs. its own commit log,
-//! the request span tree vs. the metrics registry) gives us eight more.
+//! the request span tree vs. the metrics registry, the exact solver vs.
+//! enumeration, the event-driven constrained executor vs. a reference
+//! scan) gives us ten more.
 //! This crate runs seeded random [`Scenario`]s through the whole panel:
 //!
 //! 1. **HSDF equivalence** — self-timed throughput of the binding-aware
@@ -51,7 +53,14 @@
 //!     exhaustive enumeration bit-for-bit (binding, schedules, slices,
 //!     achieved throughput), must never report a worse lower bound than
 //!     the greedy heuristic achieves, and both must satisfy the
-//!     throughput constraint λ whenever they admit.
+//!     throughput constraint λ whenever they admit;
+//! 11. **executor equivalence** — the event-driven
+//!     [`ConstrainedExecutor`](sdfrs_core::ConstrainedExecutor) must return
+//!     exactly the `Result<ThroughputResult, SdfError>` of a reference
+//!     scan executor that keeps the textbook state (remaining in-slice
+//!     work per firing, every actor scanned each round), on the
+//!     scenario's binding-aware graph and static orders at the allocated
+//!     slices, at full wheels and at 1-unit slices.
 //!
 //! A failing scenario is [`shrink`](shrink::shrink)-able to a minimal
 //! reproduction and persisted as a `.ron` [`corpus`] file, which the
@@ -59,6 +68,7 @@
 
 pub mod corpus;
 mod oracles;
+mod reference;
 pub mod shrink;
 
 use std::time::Duration;
@@ -151,6 +161,9 @@ pub enum OracleId {
     /// identical on enumerable instances) and vs. the greedy heuristic
     /// (never worse, both constraint-satisfying).
     ExactOptimality,
+    /// Event-driven constrained executor vs. the reference scan executor
+    /// (identical throughput results or errors at three slice settings).
+    ExecutorEquivalence,
 }
 
 impl OracleId {
@@ -167,6 +180,7 @@ impl OracleId {
             OracleId::NetReplay => "net_replay_equivalence",
             OracleId::TraceReconciliation => "trace_reconciliation",
             OracleId::ExactOptimality => "exact_optimality",
+            OracleId::ExecutorEquivalence => "executor_equivalence",
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The nine-oracle panel (see the crate docs for the rationale).
+//! The eleven-oracle panel (see the crate docs for the rationale).
 //!
 //! Every oracle is *differential*: it never needs to know the right
 //! answer for a scenario, only that two independent routes to the answer
@@ -8,10 +8,11 @@
 use sdfrs_core::dse::{self, DseResult};
 use sdfrs_core::exact::enumerate_exhaustive;
 use sdfrs_core::flow::{Allocation, FlowStats};
+use sdfrs_core::list_sched::construct_schedules;
 use sdfrs_core::verify::verify_allocation;
 use sdfrs_core::{
-    Allocator, Binding, BindingAwareGraph, FlowEvent, MapError, Metrics, MetricsSnapshot,
-    RecordingSink,
+    Allocator, Binding, BindingAwareGraph, ConstrainedExecutor, FlowEvent, MapError, Metrics,
+    MetricsSnapshot, RecordingSink,
 };
 use sdfrs_gen::Scenario;
 use sdfrs_platform::PlatformState;
@@ -20,6 +21,7 @@ use sdfrs_sdf::error::SdfError;
 use sdfrs_sdf::hsdf::{hsdf_reference_throughput, hsdf_size};
 use sdfrs_sdf::rational::Rational;
 
+use crate::reference::ScanExecutor;
 use crate::{FaultInjection, HarnessConfig, OracleFailure, OracleId, ScenarioReport};
 
 type FlowOutcome = Result<(Allocation, FlowStats), MapError>;
@@ -129,6 +131,10 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
     // branch-and-bound solver must equal the exhaustive optimum
     // bit-for-bit and never trail the greedy heuristic.
     exact_optimality_oracle(scenario, config, &base, &mut failures, &mut skipped);
+
+    // Oracle 11 — executor equivalence: the event-driven constrained
+    // executor must return exactly what the reference scan returns.
+    executor_oracle(scenario, config, &base, &mut failures, &mut skipped);
 
     ScenarioReport {
         seed: None,
@@ -993,6 +999,94 @@ fn fallback_binding(scenario: &Scenario) -> Option<(Binding, Vec<u64>)> {
     }
     let slices = arch.tiles().map(|(_, t)| t.wheel_size()).collect();
     Some((binding, slices))
+}
+
+/// Oracle 11 — executor equivalence.
+///
+/// Runs the core's event-driven [`ConstrainedExecutor`] and the
+/// reference scan ([`ScanExecutor`]) on the scenario's binding-aware
+/// graph and static orders — the base allocation's, or for an infeasible
+/// scenario the first-fit fallback binding with list-scheduled orders —
+/// at the allocated slices, at full wheels and at 1-unit slices. The
+/// full results (throughput, period, transient, states explored) or the
+/// errors must be equal.
+fn executor_oracle(
+    scenario: &Scenario,
+    config: &HarnessConfig,
+    base: &FlowOutcome,
+    failures: &mut Vec<OracleFailure>,
+    skipped: &mut Vec<(OracleId, String)>,
+) {
+    let app = &scenario.app;
+    let arch = &scenario.arch;
+    let oracle = OracleId::ExecutorEquivalence;
+    let build = |binding: &Binding, slices: &[u64]| {
+        BindingAwareGraph::build_with_model(
+            app,
+            arch,
+            binding,
+            slices,
+            config.flow.connection_model,
+        )
+    };
+    let (binding, schedules, slices) = match base {
+        Ok((alloc, _)) => (
+            alloc.binding.clone(),
+            alloc.schedules.clone(),
+            alloc.slices.clone(),
+        ),
+        // List-schedule the fallback binding at half wheels, the
+        // assumption of Sec 9.2.
+        Err(_) => {
+            let Some((binding, wheels)) = fallback_binding(scenario) else {
+                skipped.push((oracle, "no type-feasible fallback binding".into()));
+                return;
+            };
+            let half: Vec<u64> = wheels.iter().map(|w| w.div_ceil(2)).collect();
+            let schedules = build(&binding, &half)
+                .map_err(|e| e.to_string())
+                .and_then(|ba| construct_schedules(&ba).map_err(|e| e.to_string()));
+            match schedules {
+                Ok(schedules) => (binding, schedules, half),
+                Err(e) => {
+                    skipped.push((oracle, format!("no static orders: {e}")));
+                    return;
+                }
+            }
+        }
+    };
+    let mut ba = match build(&binding, &slices) {
+        Ok(ba) => ba,
+        Err(e) => {
+            skipped.push((
+                oracle,
+                format!("binding-aware graph construction failed: {e}"),
+            ));
+            return;
+        }
+    };
+    let reference = ba.ba_actor(app.output_actor());
+    let budget = config.flow.slice.state_budget;
+    let wheels: Vec<u64> = arch.tiles().map(|(_, t)| t.wheel_size()).collect();
+    for (label, setting) in [
+        ("allocated", slices),
+        ("full-wheel", wheels.clone()),
+        ("1-unit", vec![1; wheels.len()]),
+    ] {
+        ba.set_slices(&setting);
+        let core = ConstrainedExecutor::new(&ba, &schedules)
+            .with_state_budget(budget)
+            .throughput(reference);
+        let scan = ScanExecutor::new(&ba, &schedules, budget).throughput(reference);
+        if core != scan {
+            failures.push(OracleFailure {
+                oracle,
+                detail: format!(
+                    "{label} slices {setting:?}: core executor {core:?}, reference scan {scan:?}"
+                ),
+            });
+        }
+    }
 }
 
 /// Oracle 9 — trace reconciliation.

@@ -7,7 +7,8 @@
 //!
 //! * a tile-bound actor may only start firing when it is the actor at the
 //!   current position of its tile's static-order schedule (the position
-//!   advances when the firing completes);
+//!   advances when the firing completes), and a tile runs one firing at a
+//!   time;
 //! * the remaining execution time of a tile-bound firing decreases only
 //!   while the tile's TDMA wheel is inside the application's slice;
 //! * connection and sync actors execute unconstrained.
@@ -15,10 +16,47 @@
 //! The state is extended with the schedule positions and the wheel phase,
 //! so recurrence detection — and therefore the computed throughput —
 //! remains exact.
+//!
+//! # Executor layout
+//!
+//! [`ConstrainedExecutor::new`] flattens what a state step reads into
+//! tables once: the execution time and local tile of every actor, CSR
+//! lists of `(channel, rate)` inputs and outputs, the consumer of every
+//! channel and the static orders. The execution state *is* the word
+//! vector the recurrence check interns:
+//!
+//! ```text
+//! tokens per channel | slot per actor | position per local tile | phase | tail
+//! ```
+//!
+//! * a slot is 0 while its actor is idle, otherwise the remaining wall
+//!   time of its firing plus one;
+//! * a sync actor has no self-edge and can overlap its own firings: its
+//!   slot holds their count, and their remaining wall times, ascending,
+//!   follow the fixed part in the tail, ordered by actor;
+//! * the phase is the wall clock modulo the hyper-period of the wheels.
+//!
+//! A tile-bound firing's completion instant is set once, when it starts,
+//! from its tile's wheel phase. Slices are constant within an
+//! exploration, so the instant is exact, and an advance by δ only
+//! subtracts δ from every active firing. At a fixed phase the wall time
+//! ([`TdmaSlice::wall_time_for`]) is strictly increasing in the remaining
+//! work, so keying states by remaining wall time tells apart exactly the
+//! states that keying by remaining work would: recurrence stays exact.
+//!
+//! Starts are event driven: only the consumers of channels that gained
+//! tokens and the actor a tile's schedule moved on to can have become
+//! startable. These candidates are swept in ascending actor index, and a
+//! candidate marked below the sweep position waits for the next sweep:
+//! exactly the order in which repeated scans over all actors start them.
+
+use std::collections::VecDeque;
+use std::fmt;
 
 use sdfrs_platform::TileId;
 use sdfrs_sdf::analysis::interner::StateInterner;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
+use sdfrs_sdf::analysis::statespace::{StateSpaceGraph, StateTransition};
 use sdfrs_sdf::{ActorId, Rational, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
@@ -27,6 +65,10 @@ use crate::tdma::TdmaSlice;
 
 /// Default bound on the number of explored states.
 pub const DEFAULT_STATE_BUDGET: usize = 4_000_000;
+
+/// The tile of an actor bound to none (connection and sync actors), or a
+/// schedule entry naming no actor of the graph.
+const NONE: u32 = u32::MAX;
 
 /// The static-order part of the scheduling function 𝒮 (Definition 7): one
 /// schedule per tile that hosts actors.
@@ -91,17 +133,79 @@ impl TileSchedules {
     }
 }
 
-// The recurrence-detection state — token counts, the sorted remaining
-// *work* per actor lane (slice time for bound actors, wall time for
-// connection/sync actors), the canonical schedule position per used tile,
-// and the wall-clock phase within the TDMA hyper-period — is flat-encoded
-// into a `Vec<u64>` and interned (see `encode_state_into`); no per-state
-// struct is allocated. Tiles are the graph's local tile ids (see
-// `BindingAwareGraph`), so a state's size follows the application, not
-// the platform.
+/// Buffers one throughput exploration leaves to the next: the interner's
+/// arena words and offsets, and the `(time, firings)` payload of every
+/// state. Each exploration truncates them and interns behind a fresh
+/// default-size slot table (see [`StateInterner::reusing`]).
+#[derive(Default)]
+pub(crate) struct ProbeScratch {
+    arena: Vec<u64>,
+    offsets: Vec<usize>,
+    payloads: Vec<(u64, u64)>,
+}
+
+impl fmt::Debug for ProbeScratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProbeScratch")
+            .field("arena_capacity", &self.arena.capacity())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A set of actor indices, taken out in ascending order.
+#[derive(Debug, Clone)]
+struct ActorSet {
+    words: Vec<u64>,
+}
+
+impl ActorSet {
+    /// The empty set over `n` actors, or all of them when `full`.
+    fn new(n: usize, full: bool) -> Self {
+        let mut set = ActorSet {
+            words: vec![0; n.div_ceil(64)],
+        };
+        if full {
+            (0..n).for_each(|a| set.insert(a));
+        }
+        set
+    }
+
+    fn insert(&mut self, a: usize) {
+        self.words[a / 64] |= 1 << (a % 64);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Removes and returns the smallest member `≥ from`.
+    fn pop_from(&mut self, from: usize) -> Option<usize> {
+        let mut i = from / 64;
+        let mut word = self.words.get(i)? & (u64::MAX << (from % 64));
+        while word == 0 {
+            i += 1;
+            word = *self.words.get(i)?;
+        }
+        let bit = word.trailing_zeros() as usize;
+        self.words[i] &= !(1 << bit);
+        Some(i * 64 + bit)
+    }
+}
+
+/// A start or completion within one round, logged for the explorers that
+/// report firings ([`explore_state_space`], [`trace`]).
+///
+/// [`explore_state_space`]: ConstrainedExecutor::explore_state_space
+/// [`trace`]: ConstrainedExecutor::trace
+#[derive(Debug, Clone, Copy)]
+enum Fired {
+    Start(u32),
+    Done(u32),
+}
 
 /// Executes a binding-aware SDFG under a scheduling function and computes
-/// the guaranteed throughput (Sec 8.2).
+/// the guaranteed throughput (Sec 8.2). See the [module docs](self) for
+/// the state layout.
 ///
 /// # Examples
 ///
@@ -110,17 +214,56 @@ impl TileSchedules {
 #[derive(Debug)]
 pub struct ConstrainedExecutor<'a> {
     ba: &'a BindingAwareGraph,
-    /// Static order per local tile.
-    schedules: Vec<&'a StaticOrderSchedule>,
+    /// Execution time per actor.
+    exec: Vec<u64>,
+    /// Local tile per actor, [`NONE`] for connection and sync actors.
+    tile_of: Vec<u32>,
+    /// `inputs[in_at[a]..in_at[a + 1]]`: actor `a`'s input channels and
+    /// consumption rates.
+    in_at: Vec<u32>,
+    inputs: Vec<(u32, u64)>,
+    /// `outputs[out_at[a]..out_at[a + 1]]`: actor `a`'s output channels
+    /// and production rates.
+    out_at: Vec<u32>,
+    outputs: Vec<(u32, u64)>,
+    /// The actor consuming from each channel.
+    consumer: Vec<u32>,
+    /// Actors that can overlap their own firings, ascending: the tail
+    /// holds their remaining times in this order.
+    overlapping: Vec<u32>,
+    /// Membership in `overlapping`, per actor.
+    overlaps: Vec<bool>,
+    /// Static orders per local tile: `order[order_at[l]..order_at[l + 1]]`
+    /// is tile `l`'s prefix followed by its period, whose first
+    /// `prefix_len[l]` entries are the prefix.
+    order: Vec<u32>,
+    order_at: Vec<u32>,
+    prefix_len: Vec<u32>,
     /// TDMA configuration per local tile.
     tdma: Vec<TdmaSlice>,
     hyperperiod: u64,
-    tokens: Vec<u64>,
-    active: Vec<Vec<u64>>,
-    /// Schedule position per local tile.
-    positions: Vec<u32>,
+    /// The interned state (see the module docs); `slot0`, `pos0` and
+    /// `phase_at` index its regions.
+    state: Vec<u64>,
+    slot0: usize,
+    pos0: usize,
+    phase_at: usize,
+    /// The actor at the current schedule position, per local tile.
+    scheduled: Vec<u32>,
+    /// Wheel phase per local tile.
+    wheel_phase: Vec<u64>,
+    /// Actors with a one-at-a-time firing that has time left.
+    active: Vec<u32>,
+    /// Actors that may have become startable.
+    candidates: ActorSet,
+    /// Actors with a firing that ended at the last advance.
+    finishing: ActorSet,
     time: u64,
-    completions: Vec<u64>,
+    /// The actor whose completions `reference_firings` counts.
+    reference: u32,
+    reference_firings: u64,
+    /// This round's starts and completions, when an explorer reports them.
+    log: Option<Vec<Fired>>,
     state_budget: usize,
 }
 
@@ -136,45 +279,114 @@ enum Transition {
     Deadlock { rounds: u32 },
 }
 
-impl Transition {
-    fn rounds(self) -> u32 {
-        match self {
-            Transition::Advanced { rounds } | Transition::Deadlock { rounds } => rounds,
-        }
-    }
-}
-
 impl<'a> ConstrainedExecutor<'a> {
     /// Creates an executor at the initial state.
     ///
     /// # Panics
     ///
     /// Panics if some tile hosts actors but has no schedule.
-    pub fn new(ba: &'a BindingAwareGraph, schedules: &'a TileSchedules) -> Self {
+    pub fn new(ba: &'a BindingAwareGraph, schedules: &TileSchedules) -> Self {
         let g = ba.graph();
-        let schedules: Vec<&StaticOrderSchedule> = ba
-            .tiles()
-            .iter()
-            .map(|&tile| {
-                schedules.get(tile).unwrap_or_else(|| {
-                    panic!("tile {tile} hosts actors but has no static-order schedule")
-                })
-            })
+        let n = g.actor_count();
+        let mut order = Vec::new();
+        let mut order_at = vec![0];
+        let mut prefix_len = Vec::new();
+        for &tile in ba.tiles() {
+            let s = schedules.get(tile).unwrap_or_else(|| {
+                panic!("tile {tile} hosts actors but has no static-order schedule")
+            });
+            order.extend(s.prefix().iter().chain(s.period()).map(|a| {
+                if a.index() < n {
+                    a.index() as u32
+                } else {
+                    NONE
+                }
+            }));
+            order_at.push(order.len() as u32);
+            prefix_len.push(s.prefix().len() as u32);
+        }
+        let tile_of: Vec<u32> = g
+            .actor_ids()
+            .map(|a| ba.local_tile_of(a).map_or(NONE, |l| l as u32))
             .collect();
+        let (mut in_at, mut inputs) = (vec![0], Vec::new());
+        let (mut out_at, mut outputs) = (vec![0], Vec::new());
+        for a in g.actor_ids() {
+            inputs.extend(
+                g.incoming(a)
+                    .iter()
+                    .map(|&ch| (ch.index() as u32, g.channel(ch).consumption_rate())),
+            );
+            in_at.push(inputs.len() as u32);
+            outputs.extend(
+                g.outgoing(a)
+                    .iter()
+                    .map(|&ch| (ch.index() as u32, g.channel(ch).production_rate())),
+            );
+            out_at.push(outputs.len() as u32);
+        }
+        // A tile runs one firing at a time, and so does an actor whose
+        // self-edge holds tokens for one firing only (a connection
+        // actor). Everything else — the sync actors — overlaps.
+        let overlapping: Vec<u32> = g
+            .actor_ids()
+            .filter(|&a| {
+                tile_of[a.index()] == NONE
+                    && !g.incoming(a).iter().any(|&ch| {
+                        let c = g.channel(ch);
+                        c.src() == a && c.initial_tokens() < 2 * c.consumption_rate()
+                    })
+            })
+            .map(|a| a.index() as u32)
+            .collect();
+        let mut overlaps = vec![false; n];
+        for &a in &overlapping {
+            overlaps[a as usize] = true;
+        }
         let (tdma, hyperperiod) = ba.local_tdmas();
+        let mut state: Vec<u64> = g
+            .channel_ids()
+            .map(|c| g.channel(c).initial_tokens())
+            .collect();
+        let slot0 = state.len();
+        let pos0 = slot0 + n;
+        let phase_at = pos0 + tdma.len();
+        state.resize(phase_at + 1, 0);
         ConstrainedExecutor {
             ba,
-            positions: vec![0; schedules.len()],
-            schedules,
+            exec: g.actor_ids().map(|a| g.actor(a).execution_time()).collect(),
+            tile_of,
+            in_at,
+            inputs,
+            out_at,
+            outputs,
+            consumer: g
+                .channel_ids()
+                .map(|c| g.channel(c).dst().index() as u32)
+                .collect(),
+            overlapping,
+            overlaps,
+            scheduled: order_at[..tdma.len()]
+                .iter()
+                .map(|&at| order[at as usize])
+                .collect(),
+            order,
+            order_at,
+            prefix_len,
+            wheel_phase: vec![0; tdma.len()],
             tdma,
             hyperperiod,
-            tokens: g
-                .channel_ids()
-                .map(|c| g.channel(c).initial_tokens())
-                .collect(),
-            active: vec![Vec::new(); g.actor_count()],
+            state,
+            slot0,
+            pos0,
+            phase_at,
+            active: Vec::new(),
+            candidates: ActorSet::new(n, true),
+            finishing: ActorSet::new(n, false),
             time: 0,
-            completions: vec![0; g.actor_count()],
+            reference: NONE,
+            reference_firings: 0,
+            log: None,
             state_budget: DEFAULT_STATE_BUDGET,
         }
     }
@@ -185,152 +397,229 @@ impl<'a> ConstrainedExecutor<'a> {
         self
     }
 
-    fn tokens_enable(&self, actor: ActorId) -> bool {
-        self.ba
-            .graph()
-            .incoming(actor)
-            .iter()
-            .all(|&ch| self.tokens[ch.index()] >= self.ba.graph().channel(ch).consumption_rate())
-    }
-
-    fn schedule_allows(&self, actor: ActorId) -> bool {
-        match self.ba.local_tile_of(actor) {
-            None => true,
-            Some(l) => self.schedules[l].at(self.positions[l] as usize) == actor,
-        }
-    }
-
-    fn start_firing(&mut self, actor: ActorId) {
-        let g = self.ba.graph();
-        for &ch in g.incoming(actor) {
-            self.tokens[ch.index()] -= g.channel(ch).consumption_rate();
-        }
-        let work = g.actor(actor).execution_time();
-        let lane = &mut self.active[actor.index()];
-        let pos = lane.partition_point(|&t| t <= work);
-        lane.insert(pos, work);
-    }
-
-    fn complete_finished(&mut self) -> Vec<ActorId> {
-        let g = self.ba.graph();
-        let mut completed = Vec::new();
-        for idx in 0..self.active.len() {
-            while self.active[idx].first() == Some(&0) {
-                self.active[idx].remove(0);
-                let actor = ActorId::from_index(idx);
-                for &ch in g.outgoing(actor) {
-                    self.tokens[ch.index()] += g.channel(ch).production_rate();
-                }
-                self.completions[idx] += 1;
-                completed.push(actor);
-                if let Some(l) = self.ba.local_tile_of(actor) {
-                    // The firing at the current schedule position finished:
-                    // move on (canonicalized for state hashing).
-                    let next = self.positions[l] as usize + 1;
-                    self.positions[l] = self.schedules[l].canonical_position(next) as u32;
-                }
-            }
-        }
-        completed
-    }
-
-    fn start_all_allowed(&mut self) -> Vec<ActorId> {
-        let mut started = Vec::new();
-        loop {
-            let mut progress = false;
-            for actor in self.ba.graph().actor_ids() {
-                while self.tokens_enable(actor) && self.schedule_allows(actor) {
-                    // A bound actor with one active firing holds its
-                    // self-edge token, so this loop cannot double-start it;
-                    // zero-work firings complete immediately below.
-                    self.start_firing(actor);
-                    started.push(actor);
-                    progress = true;
-                    if self.ba.graph().actor(actor).execution_time() == 0 {
-                        self.complete_finished();
-                    } else if self.ba.local_tile_of(actor).is_some() {
-                        break;
-                    }
-                }
-            }
-            if !progress {
+    /// Where actor `a`'s remaining times start in the tail, and how many
+    /// there are (`a` must overlap).
+    fn run_of(&self, a: usize) -> (usize, usize) {
+        let mut at = self.phase_at + 1;
+        for &m in &self.overlapping {
+            if m as usize == a {
                 break;
             }
+            at += self.state[self.slot0 + m as usize] as usize;
         }
-        started
+        (at, self.state[self.slot0 + a] as usize)
     }
 
-    /// Wall time from `self.time` until the given active firing completes.
-    fn wall_until_done(&self, actor: ActorId, work: u64) -> u64 {
-        match self.ba.local_tile_of(actor) {
-            None => work,
-            Some(l) => self.tdma[l].wall_time_for(self.time, work),
+    fn can_start(&self, a: usize) -> bool {
+        let l = self.tile_of[a];
+        // Only the firing at a tile's schedule position can be running on
+        // it, so the tile is idle exactly when the scheduled actor is.
+        if l != NONE && (self.scheduled[l as usize] != a as u32 || self.state[self.slot0 + a] != 0)
+        {
+            return false;
         }
+        self.inputs[self.in_at[a] as usize..self.in_at[a + 1] as usize]
+            .iter()
+            .all(|&(ch, rate)| self.state[ch as usize] >= rate)
     }
 
-    fn advance_clock(&mut self) -> Option<u64> {
-        let mut delta: Option<u64> = None;
-        for idx in 0..self.active.len() {
-            if let Some(&work) = self.active[idx].first() {
-                let wall = self.wall_until_done(ActorId::from_index(idx), work);
-                delta = Some(match delta {
-                    None => wall,
-                    Some(d) => d.min(wall),
-                });
-            }
+    fn start(&mut self, a: usize) {
+        for i in self.in_at[a] as usize..self.in_at[a + 1] as usize {
+            let (ch, rate) = self.inputs[i];
+            self.state[ch as usize] -= rate;
         }
-        let delta = delta?;
-        for idx in 0..self.active.len() {
-            if self.active[idx].is_empty() {
-                continue;
-            }
-            let progress = match self.ba.local_tile_of(ActorId::from_index(idx)) {
-                None => delta,
-                Some(l) => self.tdma[l].slice_time_in(self.time, delta),
+        if let Some(log) = &mut self.log {
+            log.push(Fired::Start(a as u32));
+        }
+        let exec = self.exec[a];
+        if exec == 0 {
+            self.complete(a);
+        } else if self.overlaps[a] {
+            let (run, count) = self.run_of(a);
+            let at = run + self.state[run..run + count].partition_point(|&t| t <= exec);
+            self.state.insert(at, exec);
+            self.state[self.slot0 + a] += 1;
+        } else {
+            let wall = match self.tile_of[a] {
+                NONE => exec,
+                l => {
+                    let l = l as usize;
+                    self.tdma[l].wall_time_from_phase(self.wheel_phase[l], exec)
+                }
             };
-            for w in self.active[idx].iter_mut() {
-                *w = w.saturating_sub(progress);
+            self.state[self.slot0 + a] = wall + 1;
+            self.active.push(a as u32);
+        }
+    }
+
+    /// Ends one firing of `a`: produces its outputs, marks their consumers
+    /// as candidates, and moves a tile-bound actor's schedule on.
+    fn complete(&mut self, a: usize) {
+        for i in self.out_at[a] as usize..self.out_at[a + 1] as usize {
+            let (ch, rate) = self.outputs[i];
+            self.state[ch as usize] += rate;
+            self.candidates.insert(self.consumer[ch as usize] as usize);
+        }
+        let l = self.tile_of[a];
+        if l != NONE {
+            let l = l as usize;
+            let at = self.order_at[l] as usize;
+            let mut pos = self.state[self.pos0 + l] as usize + 1;
+            if at + pos == self.order_at[l + 1] as usize {
+                pos = self.prefix_len[l] as usize;
+            }
+            self.state[self.pos0 + l] = pos as u64;
+            let next = self.order[at + pos];
+            self.scheduled[l] = next;
+            if next != NONE {
+                self.candidates.insert(next as usize);
+            }
+        }
+        if a as u32 == self.reference {
+            self.reference_firings += 1;
+        }
+        if let Some(log) = &mut self.log {
+            log.push(Fired::Done(a as u32));
+        }
+    }
+
+    /// Completes every firing that ended at the last advance, in
+    /// ascending actor order; `true` if there was one.
+    fn complete_finishing(&mut self) -> bool {
+        let mut any = false;
+        while let Some(a) = self.finishing.pop_from(0) {
+            any = true;
+            if self.overlaps[a] {
+                let (run, count) = self.run_of(a);
+                let done = self.state[run..run + count]
+                    .iter()
+                    .take_while(|&&t| t == 0)
+                    .count();
+                self.state.drain(run..run + done);
+                self.state[self.slot0 + a] -= done as u64;
+                for _ in 0..done {
+                    self.complete(a);
+                }
+            } else {
+                self.state[self.slot0 + a] = 0;
+                self.complete(a);
+            }
+        }
+        any
+    }
+
+    /// Starts every startable candidate, sweeping in ascending actor
+    /// index until no candidate is left; `true` if anything started.
+    fn start_candidates(&mut self) -> bool {
+        let mut any = false;
+        while !self.candidates.is_empty() {
+            let mut from = 0;
+            while let Some(a) = self.candidates.pop_from(from) {
+                from = a + 1;
+                // Zero-time firings complete at once and may re-enable `a`.
+                while self.can_start(a) {
+                    self.start(a);
+                    any = true;
+                }
+            }
+        }
+        any
+    }
+
+    /// Advances the clock to the next firing end; `None` if no firing is
+    /// active.
+    fn advance(&mut self) -> Option<u64> {
+        let tail = self.phase_at + 1;
+        if self.active.is_empty() && self.state.len() == tail {
+            return None;
+        }
+        let slot0 = self.slot0;
+        let state = &mut self.state;
+        let delta = self
+            .active
+            .iter()
+            .map(|&a| state[slot0 + a as usize] - 1)
+            .chain(state[tail..].iter().copied())
+            .min()
+            .expect("a firing is active");
+        let finishing = &mut self.finishing;
+        self.active.retain(|&a| {
+            let slot = &mut state[slot0 + a as usize];
+            *slot -= delta;
+            // Slot 1 (no time left) stays in the state until the next
+            // round completes the firing.
+            let running = *slot > 1;
+            if !running {
+                finishing.insert(a as usize);
+            }
+            running
+        });
+        if state.len() > tail {
+            state[tail..].iter_mut().for_each(|t| *t -= delta);
+            let mut run = tail;
+            for &m in &self.overlapping {
+                let count = state[slot0 + m as usize] as usize;
+                if count > 0 && state[run] == 0 {
+                    finishing.insert(m as usize);
+                }
+                run += count;
+            }
+        }
+        let phase = &mut state[self.phase_at];
+        *phase += delta;
+        if *phase >= self.hyperperiod {
+            *phase %= self.hyperperiod;
+        }
+        for (p, tdma) in self.wheel_phase.iter_mut().zip(&self.tdma) {
+            *p += delta;
+            if *p >= tdma.wheel {
+                *p %= tdma.wheel;
             }
         }
         self.time += delta;
         Some(delta)
     }
 
-    /// Flat-encodes the recurrence-detection state into `out` (cleared
-    /// first): tokens, each lane as length + sorted entries, schedule
-    /// positions per local tile, wheel phase. Injective for a fixed graph and schedule
-    /// set, so interner equality is state equality.
-    fn encode_state_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.tokens);
-        for lane in &self.active {
-            out.push(lane.len() as u64);
-            out.extend_from_slice(lane);
+    /// One complete/start/advance pass: the wall time it advanced (`None`
+    /// when no firing is active afterwards) and whether any firing
+    /// completed or started.
+    fn round(&mut self) -> (Option<u64>, bool) {
+        if let Some(log) = &mut self.log {
+            log.clear();
         }
-        out.extend(self.positions.iter().map(|&p| p as u64));
-        out.push(self.time % self.hyperperiod);
+        let completed = self.complete_finishing();
+        let started = self.start_candidates();
+        (self.advance(), completed || started)
     }
 
-    /// Runs complete/start/advance passes until the clock advances to the
-    /// successor state or the execution deadlocks — the per-state work of
-    /// the [`throughput`](Self::throughput) exploration loop.
+    /// Runs rounds until the clock advances to the successor state or the
+    /// execution deadlocks — the per-state work of the
+    /// [`throughput`](Self::throughput) exploration loop.
     fn transition(&mut self) -> Transition {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
-            let completed = self.complete_finished();
-            let started = self.start_all_allowed();
-            match self.advance_clock() {
-                Some(_) => return Transition::Advanced { rounds },
-                None => {
-                    if completed.is_empty() && started.is_empty() {
-                        return Transition::Deadlock { rounds };
-                    }
-                    // Something still happened at this instant; loop once
-                    // more — if nothing follows, the next pass deadlocks.
-                }
+            match self.round() {
+                (Some(_), _) => return Transition::Advanced { rounds },
+                (None, false) => return Transition::Deadlock { rounds },
+                // Something still happened at this instant; loop once
+                // more — if nothing follows, the next pass deadlocks.
+                (None, true) => {}
             }
         }
+    }
+
+    /// The actor a deadlock of [`explore_state_space`] or [`trace`]
+    /// names.
+    ///
+    /// [`explore_state_space`]: Self::explore_state_space
+    /// [`trace`]: Self::trace
+    fn first_actor(&self) -> ActorId {
+        self.ba
+            .graph()
+            .actor_ids()
+            .next()
+            .expect("graphs have actors")
     }
 
     /// Runs until a recurrent state and returns the guaranteed throughput
@@ -341,80 +630,94 @@ impl<'a> ConstrainedExecutor<'a> {
     /// * [`SdfError::Deadlock`] if the constrained execution stalls (e.g. a
     ///   schedule incompatible with the token flow);
     /// * [`SdfError::BudgetExceeded`] if no recurrence is found in budget.
-    pub fn throughput(mut self, reference: ActorId) -> Result<ThroughputResult, SdfError> {
-        // Interned exploration: states are flat-encoded into a reusable
-        // scratch buffer; `(time, firings)` payloads are indexed by the
-        // dense state id.
-        let mut seen = StateInterner::new();
-        let mut at_state: Vec<(u64, u64)> = Vec::new();
-        let mut scratch = Vec::new();
-        self.encode_state_into(&mut scratch);
-        seen.intern(&scratch);
+    pub fn throughput(self, reference: ActorId) -> Result<ThroughputResult, SdfError> {
+        self.throughput_in(reference, &mut ProbeScratch::default())
+    }
+
+    /// [`throughput`](Self::throughput), interning into the buffers of
+    /// `scratch` and handing them back grown.
+    pub(crate) fn throughput_in(
+        mut self,
+        reference: ActorId,
+        scratch: &mut ProbeScratch,
+    ) -> Result<ThroughputResult, SdfError> {
+        let mut seen = StateInterner::reusing(
+            std::mem::take(&mut scratch.arena),
+            std::mem::take(&mut scratch.offsets),
+        );
+        scratch.payloads.clear();
+        let result = self.run_to_recurrence(reference, &mut seen, &mut scratch.payloads);
+        (scratch.arena, scratch.offsets) = seen.into_buffers();
+        result
+    }
+
+    /// The exploration behind [`throughput`](Self::throughput):
+    /// `at_state[id]` is the `(time, reference firings)` of state `id`.
+    fn run_to_recurrence(
+        &mut self,
+        reference: ActorId,
+        seen: &mut StateInterner,
+        at_state: &mut Vec<(u64, u64)>,
+    ) -> Result<ThroughputResult, SdfError> {
+        self.reference = reference.index() as u32;
+        seen.intern(&self.state);
         at_state.push((0, 0));
         let mut states = 0usize;
         loop {
             let step = self.transition();
-            for _ in 0..step.rounds() {
-                states += 1;
-                if states > self.state_budget {
-                    return Err(SdfError::BudgetExceeded {
-                        analysis: "constrained state space",
-                        budget: self.state_budget,
-                    });
-                }
+            let (Transition::Advanced { rounds } | Transition::Deadlock { rounds }) = step;
+            states += rounds as usize;
+            if states > self.state_budget {
+                return Err(SdfError::BudgetExceeded {
+                    analysis: "constrained state space",
+                    budget: self.state_budget,
+                });
             }
             if let Transition::Deadlock { .. } = step {
                 return Err(SdfError::Deadlock { actor: reference });
             }
-            self.encode_state_into(&mut scratch);
-            let (id, fresh) = seen.intern(&scratch);
+            let (id, fresh) = seen.intern(&self.state);
             if fresh {
-                at_state.push((self.time, self.completions[reference.index()]));
-            } else {
-                let (t0, f0) = at_state[id as usize];
-                let period = self.time - t0;
-                let firings = self.completions[reference.index()] - f0;
-                if period == 0 {
-                    return Err(SdfError::BudgetExceeded {
-                        analysis: "constrained state space (zero-time cycle)",
-                        budget: self.state_budget,
-                    });
-                }
-                let actor_throughput = Rational::new(firings as i128, period as i128);
-                let gamma = self.ba.graph().repetition_vector()?;
-                let iteration_throughput =
-                    actor_throughput / Rational::from_integer(gamma[reference] as i128);
-                return Ok(ThroughputResult {
-                    actor_throughput,
-                    iteration_throughput,
-                    reference,
-                    period,
-                    firings_in_period: firings,
-                    states_explored: states,
-                    transient_time: t0,
+                at_state.push((self.time, self.reference_firings));
+                continue;
+            }
+            let (t0, f0) = at_state[id as usize];
+            let period = self.time - t0;
+            let firings = self.reference_firings - f0;
+            if period == 0 {
+                return Err(SdfError::BudgetExceeded {
+                    analysis: "constrained state space (zero-time cycle)",
+                    budget: self.state_budget,
                 });
             }
+            let actor_throughput = Rational::new(firings as i128, period as i128);
+            let gamma = self.ba.graph().repetition_vector()?;
+            let iteration_throughput =
+                actor_throughput / Rational::from_integer(gamma[reference] as i128);
+            return Ok(ThroughputResult {
+                actor_throughput,
+                iteration_throughput,
+                reference,
+                period,
+                firings_in_period: firings,
+                states_explored: states,
+                transient_time: t0,
+            });
         }
     }
-}
 
-impl ConstrainedExecutor<'_> {
     /// Explores the constrained state space explicitly — the data behind
     /// Figure 5(c) of the paper.
     ///
     /// # Errors
     ///
     /// Same conditions as [`throughput`](ConstrainedExecutor::throughput).
-    pub fn explore_state_space(
-        mut self,
-    ) -> Result<sdfrs_sdf::analysis::statespace::StateSpaceGraph, SdfError> {
-        use sdfrs_sdf::analysis::statespace::{StateSpaceGraph, StateTransition};
+    pub fn explore_state_space(mut self) -> Result<StateSpaceGraph, SdfError> {
+        self.log = Some(Vec::new());
         // Interner ids are dense in first-seen order and double as the
         // recorded state indices.
         let mut seen = StateInterner::new();
-        let mut scratch = Vec::new();
-        self.encode_state_into(&mut scratch);
-        seen.intern(&scratch);
+        seen.intern(&self.state);
         let mut transitions = Vec::new();
         let mut current = 0usize;
         let mut steps = 0usize;
@@ -426,52 +729,44 @@ impl ConstrainedExecutor<'_> {
                     budget: self.state_budget,
                 });
             }
-            let completed = self.complete_finished();
-            let started = self.start_all_allowed();
-            let fired: Vec<String> = started
-                .iter()
-                .map(|&a| self.ba.graph().actor(a).name().to_string())
-                .collect();
-            let elapsed = match self.advance_clock() {
-                Some(d) => d,
-                None => {
-                    if completed.is_empty() && started.is_empty() {
-                        let first = self
-                            .ba
-                            .graph()
-                            .actor_ids()
-                            .next()
-                            .expect("graphs have actors");
-                        return Err(SdfError::Deadlock { actor: first });
-                    }
-                    continue;
+            let elapsed = match self.round() {
+                (Some(elapsed), _) => elapsed,
+                (None, false) => {
+                    return Err(SdfError::Deadlock {
+                        actor: self.first_actor(),
+                    })
                 }
+                (None, true) => continue,
             };
+            let g = self.ba.graph();
+            let fired = self
+                .log
+                .iter()
+                .flatten()
+                .filter_map(|&f| match f {
+                    Fired::Start(a) => {
+                        Some(g.actor(ActorId::from_index(a as usize)).name().to_string())
+                    }
+                    Fired::Done(_) => None,
+                })
+                .collect();
             let next_index = seen.len();
-            self.encode_state_into(&mut scratch);
-            let (id, fresh) = seen.intern(&scratch);
-            if fresh {
-                transitions.push(StateTransition {
-                    from: current,
-                    to: next_index,
-                    fired,
-                    elapsed,
-                });
-                current = next_index;
-            } else {
-                let target = id as usize;
-                transitions.push(StateTransition {
-                    from: current,
-                    to: target,
-                    fired,
-                    elapsed,
-                });
+            let (id, fresh) = seen.intern(&self.state);
+            let to = if fresh { next_index } else { id as usize };
+            transitions.push(StateTransition {
+                from: current,
+                to,
+                fired,
+                elapsed,
+            });
+            if !fresh {
                 return Ok(StateSpaceGraph {
                     state_count: next_index,
                     transitions,
-                    recurrent_target: target,
+                    recurrent_target: to,
                 });
             }
+            current = next_index;
         }
     }
 }
@@ -512,62 +807,44 @@ impl ConstrainedExecutor<'_> {
     /// Executes until (at least) `horizon` time units have passed and
     /// returns the completed firings.
     ///
-    /// Start/completion pairing is exact: bound actors have at most one
-    /// active firing (their self-edge), and concurrent firings of a
-    /// connection/sync actor share one execution time, so FIFO matching is
-    /// faithful.
+    /// Start/completion pairing is exact: a tile runs one firing at a
+    /// time, and concurrent firings of a connection/sync actor share one
+    /// execution time, so FIFO matching is faithful.
     ///
     /// # Errors
     ///
     /// [`SdfError::Deadlock`] if the execution stalls before the horizon.
     pub fn trace(mut self, horizon: u64) -> Result<ExecutionTrace, SdfError> {
-        use std::collections::VecDeque;
-        let mut pending: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.ba.graph().actor_count()];
+        self.log = Some(Vec::new());
+        let mut pending: Vec<VecDeque<u64>> = vec![VecDeque::new(); self.exec.len()];
         let mut events = Vec::new();
         let mut stalled_rounds = 0u32;
         while self.time < horizon {
             let now = self.time;
-            let completed = self.complete_finished();
-            for actor in completed.iter().copied() {
-                let start = pending[actor.index()]
-                    .pop_front()
-                    .expect("every completion had a start");
-                events.push(TraceEvent {
-                    actor,
-                    start,
-                    end: now,
-                });
-            }
-            let started = self.start_all_allowed();
-            for actor in &started {
-                pending[actor.index()].push_back(now);
-            }
-            // Zero-time firings completed inside start_all_allowed; flush
-            // them so their events carry the right instant. (Their lanes
-            // are already empty, so only the pending queues drain here.)
-            for (idx, queue) in pending.iter_mut().enumerate() {
-                let active = self.active[idx].len();
-                while queue.len() > active {
-                    let start = queue.pop_front().expect("non-empty");
-                    events.push(TraceEvent {
-                        actor: ActorId::from_index(idx),
-                        start,
-                        end: now,
-                    });
+            let (elapsed, eventful) = self.round();
+            for &fired in self.log.iter().flatten() {
+                match fired {
+                    Fired::Start(a) => pending[a as usize].push_back(now),
+                    Fired::Done(a) => {
+                        let start = pending[a as usize]
+                            .pop_front()
+                            .expect("every completion had a start");
+                        events.push(TraceEvent {
+                            actor: ActorId::from_index(a as usize),
+                            start,
+                            end: now,
+                        });
+                    }
                 }
             }
-            match self.advance_clock() {
+            match elapsed {
                 Some(_) => stalled_rounds = 0,
                 None => {
                     stalled_rounds += 1;
-                    if (completed.is_empty() && started.is_empty()) || stalled_rounds > 2 {
-                        let reference = self
-                            .ba
-                            .graph()
-                            .actor_ids()
-                            .next()
-                            .expect("graphs have actors");
-                        return Err(SdfError::Deadlock { actor: reference });
+                    if !eventful || stalled_rounds > 2 {
+                        return Err(SdfError::Deadlock {
+                            actor: self.first_actor(),
+                        });
                     }
                 }
             }

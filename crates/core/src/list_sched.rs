@@ -8,11 +8,9 @@
 //! state, yielding a finite `prefix (period)*` schedule per tile, which is
 //! then minimized.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use sdfrs_fastutil::FxHashMap;
-
+use sdfrs_sdf::analysis::interner::StateInterner;
 use sdfrs_sdf::{ActorId, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
@@ -23,14 +21,6 @@ use crate::tdma::TdmaSlice;
 
 /// Default state budget for the schedule-construction execution.
 pub const DEFAULT_STATE_BUDGET: usize = 4_000_000;
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ListState {
-    tokens: Vec<u64>,
-    active: Vec<Vec<u64>>,
-    ready: Vec<Vec<u32>>,
-    phase: u64,
-}
 
 /// List scheduler over a binding-aware SDFG.
 #[derive(Debug)]
@@ -227,17 +217,27 @@ impl<'a> ListScheduler<'a> {
         Some(delta)
     }
 
-    fn snapshot(&self) -> ListState {
-        ListState {
-            tokens: self.tokens.clone(),
-            active: self.active.clone(),
-            ready: self
-                .ready
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
-            phase: self.time % self.hyperperiod,
+    /// Flat-encodes the recurrence-detection state into `out` (cleared
+    /// first): tokens, each lane as length + sorted entries, each ready
+    /// list as length + entries, wheel phase. Injective for a fixed graph,
+    /// so interner equality is state equality.
+    fn encode_state_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.tokens);
+        for lane in &self.active {
+            out.push(lane.len() as u64);
+            out.extend_from_slice(lane);
         }
+        for queue in &self.ready {
+            out.push(queue.len() as u64);
+            out.extend(queue.iter().map(|&a| u64::from(a)));
+        }
+        out.push(self.time % self.hyperperiod);
+    }
+
+    /// Appends the recorded sequence length of every local tile to `out`.
+    fn push_sequence_lens(&self, out: &mut Vec<u32>) {
+        out.extend(self.sequences.iter().map(|s| s.len() as u32));
     }
 
     /// Runs the construction until a recurrent state and returns the
@@ -301,9 +301,15 @@ impl<'a> ListScheduler<'a> {
         mut self,
         obs: &mut FlowObserver<'_>,
     ) -> Result<TileSchedules, SdfError> {
-        let mut seen: FxHashMap<ListState, Vec<usize>> = FxHashMap::default();
-        let seq_lens = |s: &ListScheduler| s.sequences.iter().map(Vec::len).collect::<Vec<_>>();
-        seen.insert(self.snapshot(), seq_lens(&self));
+        // States are interned with dense ids; state `id` was first seen
+        // when tile `l`'s sequence had `seq_lens[id * tiles + l]` entries.
+        let tiles = self.sequences.len();
+        let mut seen = StateInterner::new();
+        let mut seq_lens: Vec<u32> = Vec::new();
+        let mut scratch = Vec::new();
+        self.encode_state_into(&mut scratch);
+        seen.intern(&scratch);
+        self.push_sequence_lens(&mut seq_lens);
         let mut states = 0usize;
         loop {
             states += 1;
@@ -327,35 +333,36 @@ impl<'a> ListScheduler<'a> {
                 }
                 continue;
             }
-            match seen.entry(self.snapshot()) {
-                Entry::Occupied(prev) => {
-                    obs.counters.schedule_states += states;
-                    obs.metrics()
-                        .record(|m| m.schedule_states.add(states as u64));
-                    obs.emit(|| FlowEvent::ScheduleRecurrence { states });
-                    let first_lens = prev.get().clone();
-                    let mut schedules = TileSchedules::new(self.sequences.len());
-                    let tiles = self.ba.tiles();
-                    for (idx, seq) in self.sequences.iter().enumerate() {
-                        if seq.is_empty() {
-                            continue;
-                        }
-                        let prefix = seq[..first_lens[idx]].to_vec();
-                        let period = seq[first_lens[idx]..].to_vec();
-                        if period.is_empty() {
-                            // An actor-less period cannot happen for tiles
-                            // hosting actors of a live graph; skip tiles
-                            // that only saw transient firings defensively.
-                            continue;
-                        }
-                        schedules.set(tiles[idx], StaticOrderSchedule::new(prefix, period));
-                    }
-                    return Ok(schedules);
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(seq_lens(&self));
-                }
+            self.encode_state_into(&mut scratch);
+            let (id, fresh) = seen.intern(&scratch);
+            if fresh {
+                self.push_sequence_lens(&mut seq_lens);
+                continue;
             }
+            obs.counters.schedule_states += states;
+            obs.metrics()
+                .record(|m| m.schedule_states.add(states as u64));
+            obs.emit(|| FlowEvent::ScheduleRecurrence { states });
+            let first_lens = &seq_lens[id as usize * tiles..][..tiles];
+            let mut schedules = TileSchedules::new(tiles);
+            for ((seq, &first), &tile) in self.sequences.iter().zip(first_lens).zip(self.ba.tiles())
+            {
+                if seq.is_empty() {
+                    continue;
+                }
+                let (prefix, period) = seq.split_at(first as usize);
+                if period.is_empty() {
+                    // An actor-less period cannot happen for tiles hosting
+                    // actors of a live graph; skip tiles that only saw
+                    // transient firings defensively.
+                    continue;
+                }
+                schedules.set(
+                    tile,
+                    StaticOrderSchedule::new(prefix.to_vec(), period.to_vec()),
+                );
+            }
+            return Ok(schedules);
         }
     }
 }

@@ -55,10 +55,16 @@ impl TdmaSlice {
     /// assert_eq!(t.wall_time_for(7, 2), 5);   // wait 3 to phase 0, then 2
     /// ```
     pub fn wall_time_for(&self, time: u64, work: u64) -> u64 {
+        self.wall_time_from_phase(time % self.wheel, work)
+    }
+
+    /// [`wall_time_for`](TdmaSlice::wall_time_for) starting at wheel
+    /// phase `phase < wheel`, for callers that track the phase and so
+    /// need no division to find it.
+    pub(crate) fn wall_time_from_phase(&self, phase: u64, work: u64) -> u64 {
         if work == 0 {
             return 0;
         }
-        let phase = time % self.wheel;
         let mut wall = 0u64;
         let mut remaining = work;
         if phase < self.slice {

@@ -22,7 +22,13 @@
 //! A refinement task probes through its pass-start cache by shared
 //! reference and memoizes into a task-local cache that is absorbed after
 //! the pass. The cache holds at most [`MAX_ENTRIES`] evaluations.
+//!
+//! Every exploration a cache runs interns its states into the cache's
+//! one probe arena, reset but not freed between probes. A task cache
+//! borrows the arena of the cache it probes through while no other task
+//! holds it, so a sequential flow interns every probe into one arena.
 
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use sdfrs_fastutil::FxHashMap;
@@ -30,7 +36,7 @@ use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::{ActorId, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
-use crate::constrained::{ConstrainedExecutor, TileSchedules};
+use crate::constrained::{ConstrainedExecutor, ProbeScratch, TileSchedules};
 use crate::metrics::{Metrics, SpanKind};
 
 /// The most evaluations one cache holds. An insert that would exceed it
@@ -39,6 +45,18 @@ pub const MAX_ENTRIES: usize = 16_384;
 
 type Evaluation = Result<ThroughputResult, SdfError>;
 type Memo = FxHashMap<Vec<u64>, Evaluation>;
+
+/// A cache's probe arena, locked so that tasks probing through the cache
+/// by shared reference can borrow it. It holds capacity, not results, so
+/// a clone starts empty.
+#[derive(Debug, Default)]
+struct ProbeArena(Mutex<ProbeScratch>);
+
+impl Clone for ProbeArena {
+    fn clone(&self) -> Self {
+        ProbeArena::default()
+    }
+}
 
 /// Encodes everything that determines a constrained-throughput result
 /// into `out`. Injective for a fixed encoding version: every field is
@@ -135,6 +153,9 @@ pub struct ThroughputCache {
     /// directly, but leave the `cache_entries` gauge to the main cache:
     /// their entries are not resident until [`absorb`](Self::absorb).
     is_task: bool,
+    /// The arena this cache's probes intern into. Task caches and
+    /// clones start with an empty one.
+    probe: ProbeArena,
 }
 
 impl ThroughputCache {
@@ -259,7 +280,7 @@ impl ThroughputCache {
                 m.throughput_checks.inc();
                 m.cache_misses.inc();
             });
-            return self.explore(ba, schedules, reference, state_budget);
+            return self.explore(shared, ba, schedules, reference, state_budget);
         }
         let mut key = std::mem::take(&mut self.scratch);
         encode_fingerprint(ba, schedules, reference, state_budget, &mut key);
@@ -281,7 +302,7 @@ impl ThroughputCache {
             m.throughput_checks.inc();
             m.cache_misses.inc();
         });
-        let result = self.explore(ba, schedules, reference, state_budget);
+        let result = self.explore(shared, ba, schedules, reference, state_budget);
         self.insert(key.clone(), result.clone());
         self.scratch = key;
         self.publish_entries();
@@ -319,9 +340,11 @@ impl ThroughputCache {
     }
 
     /// Runs the constrained exploration, timed as a `probe` span, and
-    /// records how many states it visited.
+    /// records how many states it visited. It interns into the arena of
+    /// `shared` when no other task holds it, otherwise into this cache's.
     fn explore(
-        &self,
+        &mut self,
+        shared: Option<&ThroughputCache>,
         ba: &BindingAwareGraph,
         schedules: &TileSchedules,
         reference: ActorId,
@@ -330,9 +353,16 @@ impl ThroughputCache {
         // `Instant::now` only when a registry listens: the disabled path
         // must cost a single branch.
         let probe_start = self.metrics.enabled().then(Instant::now);
-        let result = ConstrainedExecutor::new(ba, schedules)
-            .with_state_budget(state_budget)
-            .throughput(reference);
+        let executor = ConstrainedExecutor::new(ba, schedules).with_state_budget(state_budget);
+        let result = match shared.and_then(|s| s.probe.0.try_lock().ok()) {
+            Some(mut arena) => executor.throughput_in(reference, &mut arena),
+            None => {
+                // A poisoned arena only holds a panicked probe's states,
+                // which the next probe discards anyway.
+                let arena = self.probe.0.get_mut();
+                executor.throughput_in(reference, arena.unwrap_or_else(PoisonError::into_inner))
+            }
+        };
         if let Some(t0) = probe_start {
             let elapsed = t0.elapsed();
             self.metrics.record(|m| {
@@ -585,6 +615,37 @@ mod tests {
                 .throughput(reference);
             assert_eq!(cache.throughput(&ba, &schedules, reference, budget), direct);
         }
+    }
+
+    /// Probes interning into a reused arena — the cache's own, or the
+    /// shared one a task borrows — answer exactly like fresh ones, in
+    /// whatever order configurations of different sizes arrive.
+    #[test]
+    fn reused_probe_arenas_match_fresh_explorations() {
+        let (mut ba, schedules, reference) = setup([5, 5]);
+        let mut cache = ThroughputCache::disabled();
+        let mut task = cache.task_cache();
+        for (i, slices) in [[5, 5], [1, 1], [10, 10], [2, 7], [1, 1], [9, 3]]
+            .into_iter()
+            .enumerate()
+        {
+            ba.set_slices(&slices);
+            let fresh = ConstrainedExecutor::new(&ba, &schedules)
+                .with_state_budget(100_000)
+                .throughput(reference);
+            let reused = if i % 2 == 0 {
+                cache.throughput(&ba, &schedules, reference, 100_000)
+            } else {
+                task.throughput_via(Some(&cache), &ba, &schedules, reference, 100_000)
+            };
+            assert_eq!(reused, fresh, "slices {slices:?}");
+        }
+        // A budget error mid-probe leaves nothing behind either.
+        assert!(cache.throughput(&ba, &schedules, reference, 3).is_err());
+        let fresh = ConstrainedExecutor::new(&ba, &schedules)
+            .with_state_budget(100_000)
+            .throughput(reference);
+        assert_eq!(cache.throughput(&ba, &schedules, reference, 100_000), fresh);
     }
 
     #[test]

@@ -84,15 +84,29 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Hashes a `u64` slice in one shot — the fast path of the state interner
-/// and the cache fingerprints, avoiding `Hash` trait dispatch.
+/// Hashes a `u64` slice in one shot — the fast path of the state interner,
+/// avoiding `Hash` trait dispatch.
+///
+/// Word `i` feeds Fx lane `i % 4`, so the four multiply chains run
+/// independently instead of each word waiting on the previous one's
+/// multiply; the lanes are then folded in order, and finally the length,
+/// so prefixes hash differently.
 #[inline]
 pub fn hash_u64s(words: &[u64]) -> u64 {
-    let mut h = FxHasher::default();
-    for &w in words {
-        h.add_to_hash(w);
+    let mut lanes = [FxHasher::default(); 4];
+    let mut chunks = words.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &w) in lanes.iter_mut().zip(chunk) {
+            lane.add_to_hash(w);
+        }
     }
-    // Finalize with the length so prefixes hash differently.
+    for (lane, &w) in lanes.iter_mut().zip(chunks.remainder()) {
+        lane.add_to_hash(w);
+    }
+    let mut h = FxHasher::default();
+    for lane in lanes {
+        h.add_to_hash(lane.hash);
+    }
     h.add_to_hash(words.len() as u64);
     h.finish()
 }
@@ -108,6 +122,22 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(hash_u64s(&[1, 2, 3]), hash_u64s(&[1, 2, 4]));
         assert_ne!(hash_u64s(&[1, 2, 3]), hash_u64s(&[1, 2, 3, 0]));
+    }
+
+    #[test]
+    fn every_word_position_matters() {
+        // Swapping words across lanes, within a lane (positions 0 and 4)
+        // or moving a word into the tail must all change the hash.
+        let base: Vec<u64> = (1..=9).collect();
+        let h = hash_u64s(&base);
+        for (i, j) in [(0, 1), (0, 4), (3, 8), (5, 6)] {
+            let mut swapped = base.clone();
+            swapped.swap(i, j);
+            assert_ne!(hash_u64s(&swapped), h, "swap {i}<->{j}");
+        }
+        for len in 0..base.len() {
+            assert_ne!(hash_u64s(&base[..len]), h);
+        }
     }
 
     #[test]

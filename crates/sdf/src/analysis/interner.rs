@@ -21,6 +21,9 @@ use sdfrs_fastutil::fxhash::hash_u64s;
 /// Slot marker for an empty open-addressing table entry.
 const EMPTY: u32 = u32::MAX;
 
+/// States a default interner holds before its slot table first grows.
+const DEFAULT_STATES: usize = 1024;
+
 /// Interns `&[u64]`-encoded states, assigning dense ids in first-seen
 /// order.
 ///
@@ -50,15 +53,21 @@ pub struct StateInterner {
 impl StateInterner {
     /// Creates an empty interner.
     pub fn new() -> Self {
-        Self::with_capacity(1024)
+        Self::with_capacity(DEFAULT_STATES)
     }
 
     /// Creates an interner pre-sized for roughly `states` entries.
     pub fn with_capacity(states: usize) -> Self {
+        Self::in_buffers(Vec::new(), vec![0], states)
+    }
+
+    /// An interner over the given (empty) arena and offsets whose slot
+    /// table is sized for roughly `states` entries.
+    fn in_buffers(arena: Vec<u64>, offsets: Vec<usize>, states: usize) -> Self {
         let table = (states * 2).next_power_of_two().max(16);
         StateInterner {
-            arena: Vec::new(),
-            offsets: vec![0],
+            arena,
+            offsets,
             slots: vec![(0, EMPTY); table],
             mask: table - 1,
         }
@@ -87,6 +96,37 @@ impl StateInterner {
         self.offsets.clear();
         self.offsets.push(0);
         self.slots.fill((0, EMPTY));
+    }
+
+    /// An empty interner that stores its states in the allocations of
+    /// `arena` and `offsets` (their contents are discarded) behind a
+    /// fresh default-size slot table. With
+    /// [`into_buffers`](Self::into_buffers) this lets a sequence of
+    /// explorations share one arena without keeping a slot table sized
+    /// for the largest of them: refilling a grown table costs more than
+    /// allocating a small one.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sdfrs_sdf::analysis::interner::StateInterner;
+    /// let mut first = StateInterner::new();
+    /// first.intern(&[1, 2, 3]);
+    /// let (arena, offsets) = first.into_buffers();
+    /// let mut second = StateInterner::reusing(arena, offsets);
+    /// assert!(second.is_empty());
+    /// assert_eq!(second.intern(&[4]), (0, true));
+    /// ```
+    pub fn reusing(mut arena: Vec<u64>, mut offsets: Vec<usize>) -> Self {
+        arena.clear();
+        offsets.clear();
+        offsets.push(0);
+        Self::in_buffers(arena, offsets, DEFAULT_STATES)
+    }
+
+    /// The arena and offset allocations, for [`reusing`](Self::reusing).
+    pub fn into_buffers(self) -> (Vec<u64>, Vec<usize>) {
+        (self.arena, self.offsets)
     }
 
     /// The encoded words of state `id`.
@@ -207,6 +247,28 @@ mod tests {
         let (id, fresh) = it.intern(&[42]);
         assert_eq!((id, fresh), (0, true));
         assert_eq!(it.get(0), &[42]);
+    }
+
+    #[test]
+    fn reusing_keeps_the_arena_but_not_the_grown_table() {
+        let mut it = StateInterner::with_capacity(4);
+        for i in 0..5_000u64 {
+            it.intern(&[i, i + 1]);
+        }
+        let (arena, offsets) = it.into_buffers();
+        let (arena_cap, offsets_cap) = (arena.capacity(), offsets.capacity());
+        let mut again = StateInterner::reusing(arena, offsets);
+        assert!(again.is_empty());
+        assert_eq!(again.slots.len(), 2 * DEFAULT_STATES);
+        assert_eq!(again.intern(&[7, 8]), (0, true));
+        assert_eq!(again.intern(&[9]), (1, true));
+        assert_eq!(again.intern(&[7, 8]), (0, false));
+        assert_eq!(again.get(1), &[9]);
+        let (arena, offsets) = again.into_buffers();
+        assert_eq!(
+            (arena.capacity(), offsets.capacity()),
+            (arena_cap, offsets_cap)
+        );
     }
 
     #[test]

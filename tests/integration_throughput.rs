@@ -4,12 +4,13 @@
 //! overlap.
 
 use sdfrs_appmodel::apps::{example_platform, paper_example};
+use sdfrs_appmodel::textio::{parse_application, parse_platform};
 use sdfrs_core::binding_aware::BindingAwareGraph;
-use sdfrs_core::constrained::{constrained_throughput, TileSchedules};
+use sdfrs_core::constrained::{constrained_throughput, ConstrainedExecutor, TileSchedules};
 use sdfrs_core::list_sched::construct_schedules;
 use sdfrs_core::schedule::StaticOrderSchedule;
-use sdfrs_core::Binding;
-use sdfrs_platform::TileId;
+use sdfrs_core::{Allocator, Binding};
+use sdfrs_platform::{PlatformState, TileId};
 use sdfrs_sdf::analysis::mcr::{hsdf_max_cycle_mean, CycleRatio};
 use sdfrs_sdf::analysis::selftimed::{self_timed_throughput, SelfTimedExecutor};
 use sdfrs_sdf::hsdf::convert_to_hsdf;
@@ -166,5 +167,45 @@ fn throughput_is_independent_of_reference_actor() {
             assert_eq!(prev, r.iteration_throughput);
         }
         last = Some(r.iteration_throughput);
+    }
+}
+
+/// An application self-edge with two tokens lets `x` start again while
+/// its first firing runs, but the tile may not: the list scheduler
+/// serializes it into `x x x y x (x y)*`, and the constrained execution
+/// must follow that order rather than overlap two firings of `x`, leave
+/// the schedule and deadlock.
+#[test]
+fn a_tile_runs_one_firing_at_a_time() {
+    let app = parse_application(
+        "app selfedge2 lambda 1/12
+         actor x pt p1 tau 10 mu 10
+         actor y pt p1 tau 1 mu 10
+         channel dxy x 1 y 1 tokens 0 sz 1 atile 4 asrc 2 adst 2 beta 10
+         channel dxx x 1 x 1 tokens 2 sz 1 atile 2 asrc 0 adst 0 beta 0
+         output y",
+    )
+    .unwrap();
+    let arch =
+        parse_platform("arch onetile\ntile t1 pt p1 wheel 10 mem 700 conn 5 bwin 100 bwout 100")
+            .unwrap();
+    let (alloc, _) = Allocator::new()
+        .allocate(&app, &arch, &PlatformState::new(&arch))
+        .expect("one firing at a time meets 1/12 on the full wheel");
+    assert_eq!(alloc.slices, vec![10]);
+    assert_eq!(alloc.guaranteed_throughput(), Rational::new(1, 11));
+
+    // At half the wheel the execution keeps to the schedule too.
+    let ba = BindingAwareGraph::build(&app, &arch, &alloc.binding, &[5]).unwrap();
+    let y = ba.ba_actor(app.output_actor());
+    let half = constrained_throughput(&ba, &alloc.schedules, y).unwrap();
+    assert_eq!(half.iteration_throughput, Rational::new(1, 22));
+    let trace = ConstrainedExecutor::new(&ba, &alloc.schedules)
+        .trace(200)
+        .unwrap();
+    let mut busy: Vec<(u64, u64)> = trace.events.iter().map(|e| (e.start, e.end)).collect();
+    busy.sort();
+    for pair in busy.windows(2) {
+        assert!(pair[0].1 <= pair[1].0, "firings overlap on t1: {pair:?}");
     }
 }
