@@ -1,6 +1,8 @@
 //! Criterion benches for the fast-path machinery: the state interner, the
 //! memoized evaluation cache, and the parallel DSE sweep.
 
+use std::time::Instant;
+
 use sdfrs_fastutil::{crit::Criterion, criterion_group, criterion_main};
 
 use sdfrs_appmodel::apps::{example_platform, paper_example};
@@ -94,12 +96,12 @@ fn bench_dse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The observability overhead budget: the default `NullSink` must stay
-/// within noise of the pre-instrumentation flow (events are never even
-/// constructed), while a recording observer pays for every event. The
-/// same budget applies to metrics: the default `Metrics::null()` handle
-/// is one branch per site, and even a collecting registry only pays for
-/// relaxed atomic increments.
+/// The observability overhead budget: with the default `NullSink`, a
+/// null metrics handle and no request tap, events are never even
+/// constructed, so the flow stays within noise of an uninstrumented one.
+/// Any listening destination — a recording sink, a collecting registry
+/// (which folds every event), a request tap — makes every event be built
+/// once and pays for that.
 fn bench_observer_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("observer_overhead");
     let app = paper_example();
@@ -145,27 +147,26 @@ fn bench_observer_overhead(c: &mut Criterion) {
         })
     });
 
-    // Request tracing off: no event tap installed — the per-site cost
-    // is one `tap.is_some()` branch, so this must stay within ~1% of
-    // `flow_null_sink`.
+    // Request tracing off: a tap opened and closed around nothing, so
+    // the flow itself runs with no destination and must stay within
+    // noise of `flow_null_sink`.
     group.bench_function("flow_trace_off", |b| {
         b.iter(|| {
             let mut allocator = Allocator::new();
-            allocator.set_event_tap(None);
+            allocator.begin_event_tap(Instant::now());
+            black_box(allocator.end_event_tap());
             allocator.allocate(&app, &arch, &state).unwrap()
         })
     });
 
-    // Request tracing on: a tap records every event into the span tree
-    // buffer regardless of the primary sink — the per-request price of
-    // a flight-recorder entry.
+    // Request tracing on: a tap captures every event by move regardless
+    // of the sink — the per-request price of a flight-recorder entry.
     group.bench_function("flow_trace_on", |b| {
         b.iter(|| {
-            let tap = RecordingSink::new();
             let mut allocator = Allocator::new();
-            allocator.set_event_tap(Some(tap.clone()));
+            allocator.begin_event_tap(Instant::now());
             let out = allocator.allocate(&app, &arch, &state).unwrap();
-            black_box(tap.len());
+            black_box(allocator.end_event_tap().len());
             out
         })
     });

@@ -235,9 +235,8 @@ fn write_metrics(export: &MetricsExport, metrics: &Metrics) -> Result<(), String
 
 fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
     let (args, sink, export) = global_options(args)?;
-    // One registry for the whole invocation; attached to the allocator
-    // directly (not via `MetricsSink`) so cache and probe internals are
-    // captured too.
+    // One registry for the whole invocation, attached to the allocator:
+    // it folds every event and the cache records its probes into it.
     let metrics = if export.is_some() {
         Metrics::collecting()
     } else {

@@ -362,6 +362,69 @@ fn serve_matches_golden_transcript_online_and_batched() {
     let _ = std::fs::remove_file(platform);
 }
 
+/// Replaces every `"nanos":N` (wall-clock phase time) with `"nanos":0`.
+fn zero_nanos(json: &str) -> String {
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(at) = rest.find("\"nanos\":") {
+        let (head, tail) = rest.split_at(at + "\"nanos\":".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The metrics registry a `serve` run exports is exact: every counter,
+/// gauge, histogram, per-tile and per-region family and phase call
+/// count equals the committed golden (phase times zeroed). The regional
+/// run rejects `h263` in three failing flows, so its golden also pins
+/// that failed binding phases keep their calls.
+#[test]
+fn serve_metrics_json_matches_golden() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let (platform_text, _, ok) = sdfrs(&["example", "platform"]);
+    assert!(ok);
+    let platform = write_temp("sm_platform.sdfp", &platform_text);
+    let cases = [
+        (
+            "serve_requests.jsonl",
+            "--batch",
+            "6",
+            "serve_metrics_batch_golden.json",
+        ),
+        (
+            "serve_regional_requests.jsonl",
+            "--regions",
+            "2",
+            "serve_metrics_regional_golden.json",
+        ),
+    ];
+    for (requests, flag, value, golden) in cases {
+        let metrics =
+            std::env::temp_dir().join(format!("sdfrs_test_{}_{golden}", std::process::id()));
+        let (out, err, ok) = sdfrs(&[
+            "--metrics-out",
+            metrics.to_str().unwrap(),
+            "--metrics-format",
+            "json",
+            "serve",
+            platform.to_str().unwrap(),
+            "--input",
+            fixtures.join(requests).to_str().unwrap(),
+            flag,
+            value,
+        ]);
+        assert!(ok, "stdout: {out}\nstderr: {err}");
+        let text = std::fs::read_to_string(&metrics).expect("metrics file exists");
+        let want = std::fs::read_to_string(fixtures.join(golden)).unwrap();
+        assert_eq!(zero_nanos(&text), want, "{requests} {flag} {value}");
+        let _ = std::fs::remove_file(metrics);
+    }
+    let _ = std::fs::remove_file(platform);
+}
+
 /// `trace` on the paper example renders the constrained execution's
 /// firings exactly as the committed golden Gantt charts: any change to
 /// the executor's start order or completion instants shows here.

@@ -25,7 +25,8 @@
 //!    [`verify_allocation`](sdfrs_core::verify::verify_allocation) with
 //!    zero violations;
 //! 5. **event reconciliation** — the recorded `FlowEvent` stream agrees
-//!    with the returned `FlowStats`;
+//!    with the counts the flow's steps returned in `FlowStats`, and the
+//!    metrics registry with both;
 //! 6. **session reclamation** — after an admit → depart → admit trace
 //!    through the [`AllocationService`](sdfrs_core::AllocationService),
 //!    the surviving sessions match a fresh `allocate_sequence` of the
@@ -43,10 +44,10 @@
 //!    reproduces the live server's residual state byte-for-byte;
 //! 9. **trace reconciliation** — a traced service admit's span tree
 //!    (the [`RequestTrace`](sdfrs_core::RequestTrace) event capture)
-//!    must fold through the independent event→metrics bridge into
-//!    exactly the flow counters the service's own registry accumulated,
-//!    and the trace id must not influence the allocation (identical
-//!    event streams under different ids);
+//!    must hold one probe event per throughput check, and one cache-hit
+//!    probe per hit, that the throughput cache counted into the
+//!    service's registry, and the trace id must not influence the
+//!    allocation (identical event streams under different ids);
 //! 10. **exact optimality** — on instances small enough to enumerate
 //!     (≤ 4 actors, ≤ 2 tiles), the branch-and-bound
 //!     [`exact`](sdfrs_core::exact) solver must match the budget-free

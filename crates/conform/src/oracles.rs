@@ -61,8 +61,8 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
     }
 
     // Oracle 5 — event reconciliation: the recorded stream must agree
-    // with the aggregate counters the flow returned, and the metrics
-    // registry (a third, independently-written tally) with both.
+    // with the counts the flow's steps returned, and the metrics registry
+    // (the event fold plus the cache's own counters) with both.
     if let Ok((_, stats)) = &base {
         reconcile_events(&events, stats, snapshot.as_ref(), &mut failures);
     }
@@ -118,10 +118,9 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
     // offline replay reproduces the live residual byte-for-byte.
     net_replay_oracle(scenario, config, &mut failures);
 
-    // Oracle 9 — trace reconciliation: a traced service admit's span
-    // tree must fold into exactly the flow counters the service's own
-    // registry accumulated, and trace ids must not influence the
-    // allocation.
+    // Oracle 9 — trace reconciliation: a traced service admit's probe
+    // events must match the checks, hits and misses the throughput cache
+    // counted, and trace ids must not influence the allocation.
     trace_reconciliation_oracle(scenario, config, &mut failures);
 
     // Oracle 1 — HSDF equivalence (the paper's own claim).
@@ -252,9 +251,10 @@ fn compare_dse(seq: &DseResult, par: &DseResult, failures: &mut Vec<OracleFailur
     }
 }
 
-/// Oracle 5: the event stream, the aggregate [`FlowStats`], and the
-/// metrics registry snapshot are written by independent code paths; any
-/// drift means one of them lies.
+/// Oracle 5: the event stream and the [`FlowStats`] the steps return are
+/// counted independently, and the metrics registry folds the events
+/// beside the cache's own check/hit/miss counters; any drift means one of
+/// them lies.
 fn reconcile_events(
     events: &[(std::time::Duration, FlowEvent)],
     stats: &FlowStats,
@@ -318,9 +318,8 @@ fn reconcile_events(
         )));
     }
 
-    // The registry counts at the same sites the stats deltas derive from,
-    // through entirely separate plumbing — a fresh single-run allocator
-    // must therefore agree exactly.
+    // A fresh single-run allocator's registry — the fold of its events
+    // and the cache's counters — must agree exactly with the step counts.
     if let Some(m) = snapshot {
         let pairs: [(&str, usize); 7] = [
             ("bind_attempts", stats.bind_attempts),
@@ -1093,11 +1092,12 @@ fn executor_oracle(
 ///
 /// Runs one traced admit through the service and checks three things:
 ///
-/// * the per-request event capture (the span tree's `execute` events),
-///   folded through the independent event→metrics bridge
-///   ([`MetricsRegistry::record_event`](sdfrs_core::MetricsRegistry::record_event)),
-///   reproduces exactly the flow counters the service's own registry
-///   accumulated at the instrumentation sites;
+/// * the per-request event capture (the span tree's `execute` events)
+///   holds one `slice_probe` per throughput check the cache counted
+///   into the service's registry, and one `cache_hit` per cache hit —
+///   the cache is the only writer of those counters, so this compares
+///   two independent tallies (the registry's other flow counters are a
+///   fold of the same events and are not compared with themselves);
 /// * the trace id never influences the allocation — a second run under
 ///   a different id must produce the identical event stream (modulo
 ///   timestamps) and the identical response;
@@ -1184,40 +1184,30 @@ fn trace_reconciliation_oracle(
         });
     }
 
-    // Fold the span tree's events into a fresh registry through the
-    // event→metrics bridge and compare the flow counters the bridge
-    // reconstructs against the service registry's direct-site tallies.
-    let rebuilt = Metrics::collecting();
-    rebuilt.record(|registry| {
-        for (_, event) in &completed.events {
-            registry.record_event(event);
-        }
-    });
-    let (Some(direct), Some(rebuilt)) = (snapshot, rebuilt.snapshot()) else {
+    // The cache's counts against the probe events the trace captured.
+    let Some(direct) = snapshot else {
         failures.push(OracleFailure {
             oracle,
             detail: "collecting metrics handle returned no snapshot".into(),
         });
         return;
     };
-    for name in [
-        "flows_started",
-        "bind_attempts",
-        "throughput_checks",
-        "global_slice_iterations",
-        "refine_slice_iterations",
-        "cache_hits",
-        "cache_misses",
-        "schedule_states",
+    let probes = completed.events.iter().filter_map(|(_, e)| match e {
+        FlowEvent::SliceProbe { cache_hit, .. } => Some(*cache_hit),
+        _ => None,
+    });
+    let (checks, hits) = probes.fold((0u64, 0u64), |(c, h), hit| (c + 1, h + u64::from(hit)));
+    for (name, got) in [
+        ("throughput_checks", checks),
+        ("cache_hits", hits),
+        ("cache_misses", checks - hits),
     ] {
         let want = direct.counter(name);
-        let got = rebuilt.counter(name);
         if want != got {
             failures.push(OracleFailure {
                 oracle,
                 detail: format!(
-                    "span-tree events rebuild {name} = {got} but the service registry \
-                     counted {want}"
+                    "span-tree probe events give {name} = {got} but the cache counted {want}"
                 ),
             });
         }

@@ -334,7 +334,6 @@ pub fn allocate_best_fit_with(
         match best {
             Some((i, alloc, stats, _)) => {
                 alloc.claim_set().apply(&mut state);
-                allocator.metric(|m| m.admission_admitted.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
                     app: apps[i].graph().name().to_string(),
@@ -347,7 +346,6 @@ pub fn allocate_best_fit_with(
             None => {
                 // Nothing fits any more: everything left is rejected.
                 for (i, e) in round_errors {
-                    allocator.metric(|m| m.admission_rejected.inc());
                     allocator.emit(|| FlowEvent::AdmissionDecision {
                         index: i,
                         app: apps[i].graph().name().to_string(),
@@ -421,7 +419,6 @@ pub fn allocate_solver_with(
         match backend.solve(allocator, app, arch, &state) {
             Ok(outcome) => {
                 outcome.allocation.claim_set().apply(&mut state);
-                allocator.metric(|m| m.admission_admitted.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
                     app: app.graph().name().to_string(),
@@ -432,7 +429,6 @@ pub fn allocate_solver_with(
                 admitted.push((AppId::from_index(i), outcome.allocation, outcome.stats));
             }
             Err(e) => {
-                allocator.metric(|m| m.admission_rejected.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
                     app: app.graph().name().to_string(),
@@ -484,7 +480,6 @@ pub fn allocate_skipping_failures_with(
         match allocator.allocate(&apps[i], arch, &state) {
             Ok((alloc, stats)) => {
                 alloc.claim_set().apply(&mut state);
-                allocator.metric(|m| m.admission_admitted.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
                     app: apps[i].graph().name().to_string(),
@@ -494,7 +489,6 @@ pub fn allocate_skipping_failures_with(
                 admitted.push((AppId::from_index(i), alloc, stats));
             }
             Err(e) => {
-                allocator.metric(|m| m.admission_rejected.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
                     app: apps[i].graph().name().to_string(),

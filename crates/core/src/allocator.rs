@@ -8,9 +8,10 @@
 //! * repeated runs — admission protocols, DSE sweeps, multi-application
 //!   sequences — share the [`ThroughputCache`] without threading it
 //!   through every call site;
-//! * every phase of every run reports through the same
-//!   [`EventSink`], with timestamps monotonic
-//!   across runs (one epoch per allocator);
+//! * every phase of every run reports through one
+//!   [`FlowObserver`], which builds each event once and delivers it to
+//!   the metrics registry, the [`EventSink`] and the per-request tap,
+//!   with timestamps monotonic across runs (one epoch per allocator);
 //! * configuration is validated once, up front, instead of failing
 //!   mid-flow.
 //!
@@ -33,7 +34,7 @@
 //! # }
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sdfrs_appmodel::ApplicationGraph;
 use sdfrs_platform::{ArchitectureGraph, PlatformState};
@@ -42,9 +43,9 @@ use crate::admission::{AdmissionPolicy, AdmissionResult};
 use crate::cost::CostWeights;
 use crate::dse::DseResult;
 use crate::error::MapError;
-use crate::events::{EventSink, FlowEvent, FlowObserver, NullSink, RecordingSink, TapSink};
+use crate::events::{EventSink, EventTap, FlowEvent, FlowObserver, NullSink};
 use crate::flow::{Allocation, FlowConfig, FlowStats};
-use crate::metrics::{Metrics, MetricsRegistry};
+use crate::metrics::Metrics;
 use crate::multi_app::MultiAppResult;
 use crate::thru_cache::ThroughputCache;
 
@@ -60,11 +61,10 @@ pub struct Allocator {
     /// the shared memo.
     pub(crate) cache: ThroughputCache,
     sink: Box<dyn EventSink>,
-    /// Per-request event tap: when installed, every event is *also*
-    /// captured here (even with a `NullSink` primary) so the service
-    /// can attach the trail to a request trace. `None` — the default —
-    /// costs one branch per emission site.
-    tap: Option<RecordingSink>,
+    /// Per-request event tap: while one is open every event is *also*
+    /// captured here (even with a `NullSink`) so the service can attach
+    /// the trail to a request trace.
+    tap: Option<EventTap>,
     metrics: Metrics,
     epoch: Instant,
 }
@@ -148,16 +148,12 @@ impl Allocator {
         self
     }
 
-    /// Attaches a metrics handle: counters, histograms and phase spans
-    /// are recorded into its registry on every subsequent run. Accepts
-    /// [`Metrics`], an `Arc<`[`MetricsRegistry`]`>`, a bare
-    /// [`MetricsRegistry`], or
-    /// [`NullMetrics`](crate::metrics::NullMetrics) to switch recording
-    /// off again.
-    ///
-    /// Do not also route this allocator's events into a
-    /// [`MetricsSink`](crate::events::MetricsSink) over the *same*
-    /// registry — everything would be counted twice.
+    /// Attaches a metrics handle: every event of every subsequent run is
+    /// folded into its registry, and the cache records its probes there.
+    /// Accepts [`Metrics`], an
+    /// `Arc<`[`MetricsRegistry`](crate::metrics::MetricsRegistry)`>`, a
+    /// bare registry, or [`NullMetrics`](crate::metrics::NullMetrics) to
+    /// switch recording off again.
     #[must_use]
     pub fn with_metrics(mut self, metrics: impl Into<Metrics>) -> Self {
         self.metrics = metrics.into();
@@ -179,15 +175,24 @@ impl Allocator {
         self
     }
 
-    /// Installs (or removes) a per-request event tap. While a tap is
-    /// installed every event is recorded into it *in addition to* the
-    /// configured sink; the tracing layer installs one around each
-    /// traced request and drains it into the trace afterwards. The tap
-    /// is observational only — it never changes allocation results —
-    /// and with no tap installed the cost is one branch per site
-    /// (pinned by the `observer_overhead` bench).
-    pub fn set_event_tap(&mut self, tap: Option<RecordingSink>) {
-        self.tap = tap;
+    /// Opens a per-request event tap: until
+    /// [`end_event_tap`](Self::end_event_tap) every event is captured
+    /// *in addition to* going to the registry and the sink, stamped with
+    /// the time since `origin` (the request's arrival) rather than this
+    /// allocator's epoch. The tracing layer opens one around each traced
+    /// request. The tap is observational only — it never changes
+    /// allocation results.
+    pub fn begin_event_tap(&mut self, origin: Instant) {
+        self.tap = Some(EventTap {
+            origin,
+            events: Vec::new(),
+        });
+    }
+
+    /// Closes the tap and returns what it captured, in emission order
+    /// (empty when no tap was open).
+    pub fn end_event_tap(&mut self) -> Vec<(Duration, FlowEvent)> {
+        self.tap.take().map(|tap| tap.events).unwrap_or_default()
     }
 
     /// The flow configuration.
@@ -248,22 +253,10 @@ impl Allocator {
             metrics,
             epoch,
         } = self;
-        match tap {
-            Some(tap) => {
-                let mut tee = TapSink {
-                    primary: sink.as_mut(),
-                    tap: tap.clone(),
-                };
-                let mut obs =
-                    FlowObserver::with_epoch(&mut tee, *epoch).with_metrics(metrics.clone());
-                crate::flow::allocate_inner(app, arch, state, config, cache, &mut obs)
-            }
-            None => {
-                let mut obs =
-                    FlowObserver::with_epoch(sink.as_mut(), *epoch).with_metrics(metrics.clone());
-                crate::flow::allocate_inner(app, arch, state, config, cache, &mut obs)
-            }
-        }
+        let mut obs = FlowObserver::with_epoch(sink.as_mut(), *epoch)
+            .with_metrics(metrics)
+            .with_tap(tap.as_mut());
+        crate::flow::allocate_inner(app, arch, state, config, cache, &mut obs)
     }
 
     /// Allocates `apps` in order onto one platform until the first
@@ -338,25 +331,13 @@ impl Allocator {
         crate::dse::explore_with(self, app, arch, state, weights)
     }
 
-    /// Emits one event through this allocator's sink (used by the
-    /// admission and multi-application protocols for their own events).
+    /// Emits one event through the same observer a flow run uses (for
+    /// the events of the protocols, the solver and the service).
     pub(crate) fn emit(&mut self, make: impl FnOnce() -> FlowEvent) {
-        if self.sink.enabled() || self.tap.is_some() {
-            let at = self.epoch.elapsed();
-            let event = make();
-            if self.sink.enabled() {
-                self.sink.record(at, &event);
-            }
-            if let Some(tap) = &mut self.tap {
-                tap.record(at, &event);
-            }
-        }
-    }
-
-    /// Records into the metrics registry, if one is attached (used by
-    /// the admission, multi-application and DSE protocols).
-    pub(crate) fn metric(&self, f: impl FnOnce(&MetricsRegistry)) {
-        self.metrics.record(f);
+        FlowObserver::with_epoch(self.sink.as_mut(), self.epoch)
+            .with_metrics(&self.metrics)
+            .with_tap(self.tap.as_mut())
+            .emit(make);
     }
 }
 

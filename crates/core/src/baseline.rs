@@ -180,6 +180,9 @@ pub fn allocate_baseline(
             slices: best,
             achieved,
             throughput_checks: stats.throughput_checks,
+            // The baseline runs only the global search.
+            global_iterations: stats.throughput_checks,
+            refine_iterations: 0,
         },
         stats,
     ))

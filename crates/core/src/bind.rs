@@ -15,7 +15,7 @@ use crate::cost::{
     binding_order, tile_cost, tile_loads_with, AppWork, CostWeights, DEFAULT_CYCLE_CAP,
 };
 use crate::error::MapError;
-use crate::events::{BindPass, FlowEvent, FlowObserver, NullSink};
+use crate::events::{BindPass, FlowEvent, FlowObserver};
 use crate::resources::binding_constraints_hold;
 
 /// Configuration of the binding step.
@@ -171,16 +171,15 @@ pub fn bind_actors(
     state: &PlatformState,
     config: &BindConfig,
 ) -> Result<Binding, MapError> {
-    let mut sink = NullSink;
-    let mut obs = FlowObserver::new(&mut sink);
-    bind_actors_observed(app, arch, state, config, &mut obs)
+    bind_actors_observed(app, arch, state, config, &mut FlowObserver::null()).map(|(b, _)| b)
 }
 
 /// [`bind_actors`] reporting every decision through an observer: the
 /// Eqn 1 criticality order, one
 /// [`BindAttempt`](FlowEvent::BindAttempt) per candidate tile tried in
 /// either pass, and an [`ActorRebound`](FlowEvent::ActorRebound) whenever
-/// the optimization pass moves an actor.
+/// the optimization pass moves an actor. Returns the binding and the
+/// number of candidate tiles tried in both passes.
 ///
 /// # Errors
 ///
@@ -191,7 +190,7 @@ pub fn bind_actors_observed(
     state: &PlatformState,
     config: &BindConfig,
     obs: &mut FlowObserver<'_>,
-) -> Result<Binding, MapError> {
+) -> Result<(Binding, usize), MapError> {
     let order = binding_order(app, config.max_cycles)?;
     obs.emit(|| FlowEvent::CriticalityOrder {
         actors: order
@@ -201,6 +200,7 @@ pub fn bind_actors_observed(
     });
     let work = AppWork::of(app)?;
     let mut binding = Binding::new(app.graph().actor_count());
+    let mut attempts = 0usize;
 
     // First-fit in criticality order.
     for &actor in &order {
@@ -220,14 +220,7 @@ pub fn bind_actors_observed(
         for (tile, cost) in ranked {
             binding.bind(actor, tile);
             let accepted = binding_constraints_hold(app, arch, state, &binding);
-            obs.counters.bind_attempts += 1;
-            obs.metrics().record(|m| {
-                m.bind_attempts.inc();
-                m.bind_attempts_per_tile.add(tile.index(), 1);
-                if accepted {
-                    m.bind_accepted.inc();
-                }
-            });
+            attempts += 1;
             obs.emit(|| FlowEvent::BindAttempt {
                 pass: BindPass::FirstFit,
                 actor: app.graph().actor(actor).name().to_string(),
@@ -268,14 +261,7 @@ pub fn bind_actors_observed(
             for (tile, cost) in ranked {
                 binding.bind(actor, tile);
                 let accepted = binding_constraints_hold(app, arch, state, &binding);
-                obs.counters.bind_attempts += 1;
-                obs.metrics().record(|m| {
-                    m.bind_attempts.inc();
-                    m.bind_attempts_per_tile.add(tile.index(), 1);
-                    if accepted {
-                        m.bind_accepted.inc();
-                    }
-                });
+                attempts += 1;
                 obs.emit(|| FlowEvent::BindAttempt {
                     pass: BindPass::Rebind,
                     actor: app.graph().actor(actor).name().to_string(),
@@ -294,7 +280,6 @@ pub fn bind_actors_observed(
             }
             let landed = binding.tile_of(actor).expect("actor rebound or restored");
             if landed != original {
-                obs.metrics().record(|m| m.actors_rebound.inc());
                 obs.emit(|| FlowEvent::ActorRebound {
                     actor: app.graph().actor(actor).name().to_string(),
                     from: original.index(),
@@ -304,7 +289,7 @@ pub fn bind_actors_observed(
         }
     }
 
-    Ok(binding)
+    Ok((binding, attempts))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use sdfrs_sdf::Rational;
 use crate::allocator::Allocator;
 use crate::binding_aware::ConnectionModel;
 use crate::cost::CostWeights;
-use crate::events::{FlowEvent, FlowObserver, NullSink};
+use crate::events::{FlowEvent, FlowObserver};
 use crate::flow::{Allocation, FlowConfig};
 use crate::thru_cache::ThroughputCache;
 
@@ -119,7 +119,6 @@ pub fn explore_with(
     let mut failures = Vec::new();
     for (w, model, outcome) in sweep_outcomes(app, arch, state, weights, &base, false) {
         let ok = outcome.is_ok();
-        allocator.metric(|m| m.dse_points.inc());
         allocator.emit(|| FlowEvent::DsePointEvaluated {
             weights: w.to_string(),
             connection_model: format!("{model:?}"),
@@ -155,11 +154,16 @@ fn sweep_outcomes(
         let mut config = *base;
         config.bind.weights = w;
         config.connection_model = model;
-        let mut sink = NullSink;
-        let mut obs = FlowObserver::new(&mut sink);
         let mut cache = ThroughputCache::new();
-        crate::flow::allocate_inner(app, arch, state, &config, &mut cache, &mut obs)
-            .map(|(allocation, _)| allocation)
+        crate::flow::allocate_inner(
+            app,
+            arch,
+            state,
+            &config,
+            &mut cache,
+            &mut FlowObserver::null(),
+        )
+        .map(|(allocation, _)| allocation)
     });
     sweep
         .into_iter()

@@ -4,30 +4,30 @@
 //! Every phase of the Sec 9 strategy — the criticality sort and per-actor
 //! bind attempts (Sec 9.1), the list-scheduler recurrence detection
 //! (Sec 9.2), every slice-search iteration with its tested slice vector
-//! and measured throughput (Sec 9.3), cache hits/misses, admission
-//! decisions and multi-application rounds — is reported as a
-//! [`FlowEvent`] carrying a monotonic timestamp relative to the owning
+//! and measured throughput (Sec 9.3), admission decisions and
+//! multi-application rounds — is reported as a [`FlowEvent`] carrying a
+//! monotonic timestamp relative to the owning
 //! [`Allocator`](crate::Allocator)'s epoch.
 //!
-//! Events flow to an [`EventSink`]:
+//! [`FlowObserver::emit`] is the one emission path: it builds each event
+//! once, only if a destination listens, and hands it to the metrics
+//! registry ([`MetricsRegistry::record_event`]), the [`EventSink`] and,
+//! by move, the tap of a traced service request. Sinks:
 //!
-//! * [`NullSink`] — the zero-overhead default. It reports
-//!   [`enabled`](EventSink::enabled)` == false`, so instrumentation sites
-//!   never even *construct* the event (construction is deferred behind a
-//!   closure in [`FlowObserver::emit`]).
+//! * [`NullSink`] — the zero-overhead default: it reports
+//!   [`enabled`](EventSink::enabled)` == false`, so with no registry and
+//!   no tap either no event is ever constructed.
 //! * [`LogSink`] — human-readable lines on stderr (or any writer); what
-//!   the CLI's `--verbose` streams and what replaces ad-hoc `println!`
-//!   diagnostics.
+//!   the CLI's `--verbose` streams.
 //! * [`JsonlSink`] — one JSON object per line; the machine-readable trace
 //!   behind the CLI's `--trace <file>`.
 //! * [`RecordingSink`] — an in-memory buffer for tests and benches that
 //!   assert on event order and counts.
 //! * [`MultiSink`] — fan-out to several sinks at once.
 //!
-//! The same stream is aggregated into the iteration counters of
-//! [`FlowStats`](crate::FlowStats), so structured data is available even
-//! under the `NullSink` (counters are plain integer increments, kept
-//! outside the event path).
+//! The iteration counts of [`FlowStats`](crate::FlowStats) are returned
+//! by the steps themselves, so they exist under the `NullSink` and stay a
+//! tally independent of this stream.
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use sdfrs_sdf::Rational;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, MetricsRegistry};
 
 /// The three phases of the allocation strategy (Sec 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +114,28 @@ pub enum SliceScope {
     Final,
 }
 
+/// The slice vector a [`FlowEvent::SliceProbe`] tested, kept sparse so
+/// that building the event costs O(application tiles), not O(platform
+/// tiles); renderings expand it to one slice per platform tile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeSlices {
+    /// `(tile index, slice)` of each tile the application uses, ascending.
+    pub used: Vec<(usize, u64)>,
+    /// Tiles of the platform.
+    pub tile_count: usize,
+}
+
+impl ProbeSlices {
+    /// The slice per platform tile index (0 for unused tiles).
+    pub fn to_vec(&self) -> Vec<u64> {
+        let mut all = vec![0; self.tile_count];
+        for &(tile, slice) in &self.used {
+            all[tile] = slice;
+        }
+        all
+    }
+}
+
 /// One observation from inside the allocation flow.
 ///
 /// Marked `#[non_exhaustive]`: more phases will grow more variants, and
@@ -139,7 +161,8 @@ pub enum FlowEvent {
         /// The phase.
         phase: FlowPhase,
     },
-    /// A phase of the strategy finished successfully.
+    /// A phase of the strategy finished, successfully or with the error
+    /// that ends the flow.
     PhaseFinished {
         /// The phase.
         phase: FlowPhase,
@@ -193,8 +216,8 @@ pub enum FlowEvent {
     SliceProbe {
         /// Which search probed.
         scope: SliceScope,
-        /// The tested slice per tile index.
-        slices: Vec<u64>,
+        /// The tested slice of each tile the application uses.
+        slices: ProbeSlices,
         /// Measured guaranteed throughput under those slices.
         throughput: Rational,
         /// `throughput ≥ λ`.
@@ -448,7 +471,7 @@ impl FlowEvent {
                     SliceScope::Final => s.push_str(",\"scope\":\"final\""),
                 }
                 s.push_str(",\"slices\":[");
-                for (i, w) in slices.iter().enumerate() {
+                for (i, w) in slices.to_vec().iter().enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
@@ -623,7 +646,8 @@ impl FlowEvent {
                 }
                 let _ = write!(
                     s,
-                    ": ω = {slices:?} ⇒ thr {throughput} {}{}",
+                    ": ω = {:?} ⇒ thr {throughput} {}{}",
+                    slices.to_vec(),
                     if *feasible {
                         "(feasible)"
                     } else {
@@ -923,12 +947,6 @@ impl RecordingSink {
     pub fn clear(&self) {
         self.events.lock().expect("recording sink lock").clear();
     }
-
-    /// Takes everything recorded so far, leaving the sink empty — how
-    /// the per-request event tap drains into a trace without cloning.
-    pub fn take(&self) -> Vec<(Duration, FlowEvent)> {
-        std::mem::take(&mut *self.events.lock().expect("recording sink lock"))
-    }
 }
 
 impl EventSink for RecordingSink {
@@ -937,29 +955,6 @@ impl EventSink for RecordingSink {
             .lock()
             .expect("recording sink lock")
             .push((at, event.clone()));
-    }
-}
-
-/// Tee used by the allocator's per-request event tap: every event goes
-/// to the tap unconditionally and to the primary sink only when the
-/// primary wants it. Reporting `enabled() == true` is what makes
-/// instrumentation sites construct events while a tap is installed,
-/// even over a `NullSink` primary.
-pub(crate) struct TapSink<'a> {
-    pub(crate) primary: &'a mut dyn EventSink,
-    pub(crate) tap: RecordingSink,
-}
-
-impl EventSink for TapSink<'_> {
-    fn record(&mut self, at: Duration, event: &FlowEvent) {
-        if self.primary.enabled() {
-            self.primary.record(at, event);
-        }
-        self.tap.record(at, event);
-    }
-
-    fn flush(&mut self) {
-        self.primary.flush();
     }
 }
 
@@ -1018,72 +1013,42 @@ impl EventSink for MultiSink {
     }
 }
 
-/// A sink that folds every event into a
-/// [`MetricsRegistry`](crate::metrics::MetricsRegistry) via
-/// [`record_event`](crate::metrics::MetricsRegistry::record_event) —
-/// the bridge between the event stream and the metrics layer, for
-/// consumers that only see events (a replayed trace, a remote stream).
-///
-/// Do **not** combine it with
-/// [`Allocator::with_metrics`](crate::Allocator::with_metrics) on the
-/// *same* registry: the flow would then record every observation twice
-/// (once directly, once through the event bridge).
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSink {
-    metrics: Metrics,
+/// The events one traced service request emitted, captured by move and
+/// stamped on the request's clock (time since `origin`, the instant the
+/// request arrived) rather than the allocator's epoch.
+#[derive(Debug)]
+pub(crate) struct EventTap {
+    pub(crate) origin: Instant,
+    pub(crate) events: Vec<(Duration, FlowEvent)>,
 }
 
-impl MetricsSink {
-    /// A sink recording into `metrics` (a null handle makes the sink
-    /// report `enabled() == false`, i.e. behave like [`NullSink`]).
-    pub fn new(metrics: impl Into<Metrics>) -> Self {
-        MetricsSink {
-            metrics: metrics.into(),
-        }
-    }
-
-    /// The handle events are folded into.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-}
-
-impl EventSink for MetricsSink {
-    fn record(&mut self, _at: Duration, event: &FlowEvent) {
-        self.metrics.record(|registry| registry.record_event(event));
-    }
-
-    fn enabled(&self) -> bool {
-        self.metrics.enabled()
-    }
-}
-
-/// Lightweight per-run iteration counters, aggregated into
-/// [`FlowStats`](crate::FlowStats). Kept outside the event path so the
-/// counts exist even under the [`NullSink`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct StepCounters {
-    pub bind_attempts: usize,
-    pub schedule_states: usize,
-    pub global_slice_iterations: usize,
-    pub refine_slice_iterations: usize,
-}
-
-/// The handle instrumentation sites emit through: a sink reference, the
-/// epoch all timestamps are relative to, and the iteration counters.
+/// The handle instrumentation sites emit through: the sink, the metrics
+/// registry and the per-request tap every event goes to, and the epoch
+/// sink timestamps are relative to.
 ///
 /// [`emit`](Self::emit) takes a *closure* producing the event, evaluated
-/// only when the sink is enabled — the `NullSink` path performs a single
-/// branch and no allocation.
+/// only when at least one destination listens — with the `NullSink`, a
+/// null metrics handle and no tap it performs a single branch and no
+/// allocation.
 pub struct FlowObserver<'s> {
-    sink: &'s mut dyn EventSink,
+    /// `None` when the sink discards everything.
+    sink: Option<&'s mut dyn EventSink>,
+    registry: Option<&'s MetricsRegistry>,
+    tap: Option<&'s mut EventTap>,
     epoch: Instant,
-    enabled: bool,
-    pub(crate) counters: StepCounters,
-    metrics: Metrics,
 }
 
 impl<'s> FlowObserver<'s> {
+    /// An observer with no destination: every emission is one branch.
+    pub fn null() -> Self {
+        FlowObserver {
+            sink: None,
+            registry: None,
+            tap: None,
+            epoch: Instant::now(),
+        }
+    }
+
     /// An observer over `sink` with the epoch set to now.
     pub fn new(sink: &'s mut dyn EventSink) -> Self {
         Self::with_epoch(sink, Instant::now())
@@ -1093,41 +1058,58 @@ impl<'s> FlowObserver<'s> {
     /// [`Allocator`](crate::Allocator) keep timestamps monotonic across
     /// repeated runs.
     pub fn with_epoch(sink: &'s mut dyn EventSink, epoch: Instant) -> Self {
-        let enabled = sink.enabled();
         FlowObserver {
-            sink,
+            sink: if sink.enabled() { Some(sink) } else { None },
+            registry: None,
+            tap: None,
             epoch,
-            enabled,
-            counters: StepCounters::default(),
-            metrics: Metrics::null(),
         }
     }
 
-    /// Attaches a metrics handle: instrumentation sites record their
-    /// counters and histograms through it alongside the events.
+    /// Folds every emitted event into the registry behind `metrics` (a
+    /// null handle adds no destination).
     #[must_use]
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = metrics;
+    pub fn with_metrics(mut self, metrics: &'s Metrics) -> Self {
+        self.registry = metrics.registry().map(|r| &**r);
         self
     }
 
-    /// The attached metrics handle (null unless
-    /// [`with_metrics`](Self::with_metrics) was called).
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// Also captures every emitted event into `tap`, if one is given.
+    #[must_use]
+    pub(crate) fn with_tap(mut self, tap: Option<&'s mut EventTap>) -> Self {
+        self.tap = tap;
+        self
     }
 
-    /// `true` if emitted events reach a sink (construction is worthwhile).
+    /// The attached registry, for the few instruments no event carries.
+    pub fn registry(&self) -> Option<&'s MetricsRegistry> {
+        self.registry
+    }
+
+    /// `true` if emitted events reach a destination (construction is
+    /// worthwhile).
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some() || self.registry.is_some() || self.tap.is_some()
     }
 
-    /// Stamps and records the event produced by `make` — or does nothing,
-    /// without evaluating `make`, when the sink is disabled.
+    /// Stamps the event produced by `make` and delivers it to the
+    /// registry, the sink and the tap — or does nothing, without
+    /// evaluating `make`, when none of them listens.
     pub fn emit(&mut self, make: impl FnOnce() -> FlowEvent) {
-        if self.enabled {
-            let at = self.epoch.elapsed();
-            self.sink.record(at, &make());
+        if !self.enabled() {
+            return;
+        }
+        let now = Instant::now();
+        let event = make();
+        if let Some(registry) = self.registry {
+            registry.record_event(&event);
+        }
+        if let Some(sink) = self.sink.as_mut() {
+            sink.record(now.saturating_duration_since(self.epoch), &event);
+        }
+        if let Some(tap) = self.tap.as_mut() {
+            let at = now.saturating_duration_since(tap.origin);
+            tap.events.push((at, event));
         }
     }
 }
@@ -1135,8 +1117,7 @@ impl<'s> FlowObserver<'s> {
 impl std::fmt::Debug for FlowObserver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlowObserver")
-            .field("enabled", &self.enabled)
-            .field("counters", &self.counters)
+            .field("enabled", &self.enabled())
             .finish_non_exhaustive()
     }
 }
@@ -1148,7 +1129,8 @@ mod tests {
     #[test]
     fn null_sink_never_constructs_events() {
         let mut sink = NullSink;
-        let mut obs = FlowObserver::new(&mut sink);
+        let null_metrics = Metrics::null();
+        let mut obs = FlowObserver::new(&mut sink).with_metrics(&null_metrics);
         let mut built = false;
         obs.emit(|| {
             built = true;
@@ -1207,7 +1189,10 @@ mod tests {
             },
             FlowEvent::SliceProbe {
                 scope: SliceScope::Global { k: 5, of: 10 },
-                slices: vec![5, 5],
+                slices: ProbeSlices {
+                    used: vec![(0, 5), (1, 5)],
+                    tile_count: 2,
+                },
                 throughput: Rational::new(1, 30),
                 feasible: true,
                 cache_hit: false,
@@ -1218,7 +1203,10 @@ mod tests {
                     tile: 1,
                     slice: 3,
                 },
-                slices: vec![5, 3],
+                slices: ProbeSlices {
+                    used: vec![(1, 3)],
+                    tile_count: 3,
+                },
                 throughput: Rational::new(1, 40),
                 feasible: false,
                 cache_hit: true,
@@ -1297,6 +1285,13 @@ mod tests {
             // The log rendering exists for every variant, too.
             assert!(!e.to_log_line(Duration::ZERO).is_empty());
         }
+        // Probe slices render one entry per platform tile.
+        assert!(events[9]
+            .to_json(Duration::ZERO)
+            .contains("\"slices\":[0,3,0],"));
+        assert!(events[9]
+            .to_log_line(Duration::ZERO)
+            .contains("ω = [0, 3, 0]"));
     }
 
     #[test]

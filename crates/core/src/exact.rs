@@ -57,7 +57,7 @@ use crate::binding_aware::BindingAwareGraph;
 use crate::constrained::TileSchedules;
 use crate::cost::binding_order;
 use crate::error::MapError;
-use crate::events::{FlowEvent, FlowObserver, NullSink};
+use crate::events::FlowEvent;
 use crate::flow::{Allocation, FlowConfig, FlowStats};
 use crate::list_sched::ListScheduler;
 use crate::resources::{allocation_usage, cross_channels_routable, tile_constraints_hold};
@@ -340,13 +340,12 @@ fn evaluate_leaf(
     let schedule_budget = ctx.flow.schedule_state_budget;
     let eval_budget = ctx.flow.slice.state_budget;
     let reference = ba.ba_actor(ctx.app.output_actor());
-    let cache = &mut allocator.cache;
-    let mut sink = NullSink;
-    let mut obs = FlowObserver::new(&mut sink);
     let schedules = ListScheduler::new(&ba)
         .with_state_budget(schedule_budget)
-        .construct_observed(&mut obs)?;
-    let achieved = cache.throughput(&ba, &schedules, reference, eval_budget)?;
+        .construct()?;
+    let achieved = allocator
+        .cache
+        .throughput(&ba, &schedules, reference, eval_budget)?;
     Ok(Some((schedules, achieved)))
 }
 
@@ -410,7 +409,6 @@ fn search(
     allocator.emit(|| FlowEvent::SolverStarted {
         backend: kind.name(),
     });
-    allocator.metric(|m| m.solver_runs_exact.inc());
 
     let ctx = Ctx::build(app, arch, state, flow)?;
     let mut out = Search {
@@ -600,16 +598,6 @@ fn search(
         pruned_infeasible: pi,
         leaves,
     });
-    allocator.metric(|m| {
-        m.exact_nodes_expanded.add(nodes);
-        m.exact_lp_pivots.add(pivots);
-        m.exact_prunes_bound.add(pb);
-        m.exact_prunes_infeasible.add(pi);
-        m.exact_leaves_evaluated.add(leaves);
-        if proven {
-            m.exact_proven_optimal.inc();
-        }
-    });
     Ok((greedy, out))
 }
 
@@ -647,6 +635,7 @@ fn witness_allocation(ctx: &Ctx<'_>, incumbent: Incumbent) -> Allocation {
         slices,
         usage,
         achieved: incumbent.achieved,
+        connection_model: ctx.flow.connection_model,
     }
 }
 

@@ -10,7 +10,7 @@
 //! The public entry point is [`Allocator`](crate::Allocator), which owns
 //! the [`FlowConfig`], the evaluation cache, and an event sink.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sdfrs_appmodel::ApplicationGraph;
 use sdfrs_platform::{ArchitectureGraph, ClaimSet, PlatformState, TileUsage};
@@ -25,7 +25,6 @@ use crate::cost::CostWeights;
 use crate::error::MapError;
 use crate::events::{FlowEvent, FlowObserver, FlowPhase};
 use crate::list_sched::ListScheduler;
-use crate::metrics::SpanKind;
 use crate::resources::allocation_usage;
 use crate::slice::{allocate_slices_observed, SliceConfig};
 use crate::thru_cache::ThroughputCache;
@@ -233,8 +232,10 @@ impl FlowConfigBuilder {
 }
 
 /// Run-time statistics of one allocation (the quantities reported in
-/// Sec 10.2 / 10.3), aggregated from the same observations that flow to
-/// the event sink.
+/// Sec 10.2 / 10.3). The iteration counts are the ones the bind,
+/// list-scheduler and slice steps return, counted independently of the
+/// event stream; the times are the durations the `PhaseFinished` events
+/// carry.
 ///
 /// Marked `#[non_exhaustive]`: more phases will grow more counters.
 #[non_exhaustive]
@@ -288,6 +289,9 @@ pub struct Allocation {
     pub usage: Vec<TileUsage>,
     /// Guaranteed throughput under the allocation.
     pub achieved: ThroughputResult,
+    /// The connection model the throughput was analysed under — what a
+    /// re-verification must rebuild the binding-aware graph with.
+    pub connection_model: ConnectionModel,
 }
 
 impl Allocation {
@@ -325,22 +329,29 @@ pub(crate) fn allocate_inner(
         tiles: arch.tile_count(),
         constraint: app.throughput_constraint(),
     });
-    obs.metrics().record(|m| m.flows_started.inc());
-    // One measurement feeds the `FlowFinished` duration *and* the `flow`
-    // profiler span, so the trace and the metrics reconcile exactly.
-    let run_span = obs.metrics().span(SpanKind::Flow);
+    let start = Instant::now();
     let result = allocate_steps(app, arch, state, config, cache, obs);
+    let duration = start.elapsed();
     let ok = result.is_ok();
-    let duration = run_span.finish();
-    obs.metrics().record(|m| {
-        if ok {
-            m.flows_succeeded.inc();
-        } else {
-            m.flows_failed.inc();
-        }
-    });
     obs.emit(|| FlowEvent::FlowFinished { ok, duration });
     result
+}
+
+/// Runs one phase of the strategy between its `PhaseStarted` and
+/// `PhaseFinished` events and returns its result with its wall time.
+/// `PhaseFinished` is emitted before an error propagates too, so a
+/// failed phase keeps its time in the profiler.
+fn run_phase<'s, T>(
+    obs: &mut FlowObserver<'s>,
+    phase: FlowPhase,
+    step: impl FnOnce(&mut FlowObserver<'s>) -> Result<T, MapError>,
+) -> Result<(T, Duration), MapError> {
+    obs.emit(|| FlowEvent::PhaseStarted { phase });
+    let start = Instant::now();
+    let result = step(obs);
+    let duration = start.elapsed();
+    obs.emit(|| FlowEvent::PhaseFinished { phase, duration });
+    result.map(|value| (value, duration))
 }
 
 fn allocate_steps(
@@ -351,77 +362,62 @@ fn allocate_steps(
     cache: &mut ThroughputCache,
     obs: &mut FlowObserver<'_>,
 ) -> Result<(Allocation, FlowStats), MapError> {
-    let mut stats = FlowStats::default();
     let (hits0, misses0) = (cache.hits(), cache.misses());
-    // The observer may be shared across runs (admission protocols); read
-    // counters as deltas against this run's start.
-    let counters0 = obs.counters;
 
     // Step 1: resource binding.
-    obs.emit(|| FlowEvent::PhaseStarted {
-        phase: FlowPhase::Binding,
-    });
-    let span = obs.metrics().span(SpanKind::Bind);
-    let binding = bind_actors_observed(app, arch, state, &config.bind, obs)?;
-    stats.binding_time = span.finish();
-    obs.emit(|| FlowEvent::PhaseFinished {
-        phase: FlowPhase::Binding,
-        duration: stats.binding_time,
-    });
+    let ((binding, bind_attempts), binding_time) = run_phase(obs, FlowPhase::Binding, |obs| {
+        bind_actors_observed(app, arch, state, &config.bind, obs)
+    })?;
 
     // Step 2: static-order schedules, assuming 50% of each remaining
     // wheel.
-    obs.emit(|| FlowEvent::PhaseStarted {
-        phase: FlowPhase::Scheduling,
-    });
-    let span = obs.metrics().span(SpanKind::Schedule);
-    let mut ba =
-        BindingAwareGraph::build_with_model(app, arch, &binding, &[], config.connection_model)?;
-    let half: Vec<u64> = ba
-        .tiles()
-        .iter()
-        .map(|&t| (state.available_wheel(arch, t) / 2).max(1))
-        .collect();
-    ba.set_local_slices(&half);
-    let schedules = ListScheduler::new(&ba)
-        .with_state_budget(config.schedule_state_budget)
-        .construct_observed(obs)?;
-    stats.scheduling_time = span.finish();
-    obs.emit(|| FlowEvent::PhaseFinished {
-        phase: FlowPhase::Scheduling,
-        duration: stats.scheduling_time,
-    });
+    let ((mut ba, schedules, schedule_states), scheduling_time) =
+        run_phase(obs, FlowPhase::Scheduling, |obs| {
+            let mut ba = BindingAwareGraph::build_with_model(
+                app,
+                arch,
+                &binding,
+                &[],
+                config.connection_model,
+            )?;
+            let half: Vec<u64> = ba
+                .tiles()
+                .iter()
+                .map(|&t| (state.available_wheel(arch, t) / 2).max(1))
+                .collect();
+            ba.set_local_slices(&half);
+            let (schedules, states) = ListScheduler::new(&ba)
+                .with_state_budget(config.schedule_state_budget)
+                .construct_observed(obs)?;
+            Ok((ba, schedules, states))
+        })?;
 
     // Step 3: TDMA slice allocation.
-    obs.emit(|| FlowEvent::PhaseStarted {
-        phase: FlowPhase::SliceAllocation,
-    });
-    let span = obs.metrics().span(SpanKind::Slice);
-    let slice_alloc = allocate_slices_observed(
-        &mut ba,
-        &schedules,
-        app,
-        arch,
-        state,
-        &binding,
-        &config.slice,
-        cache,
-        obs,
-    )?;
-    stats.slice_time = span.finish();
-    obs.emit(|| FlowEvent::PhaseFinished {
-        phase: FlowPhase::SliceAllocation,
-        duration: stats.slice_time,
-    });
-    stats.throughput_checks = slice_alloc.throughput_checks;
-    stats.cache_hits = cache.hits() - hits0;
-    stats.cache_misses = cache.misses() - misses0;
-    stats.bind_attempts = obs.counters.bind_attempts - counters0.bind_attempts;
-    stats.schedule_states = obs.counters.schedule_states - counters0.schedule_states;
-    stats.global_slice_iterations =
-        obs.counters.global_slice_iterations - counters0.global_slice_iterations;
-    stats.refine_slice_iterations =
-        obs.counters.refine_slice_iterations - counters0.refine_slice_iterations;
+    let (slice_alloc, slice_time) = run_phase(obs, FlowPhase::SliceAllocation, |obs| {
+        allocate_slices_observed(
+            &mut ba,
+            &schedules,
+            app,
+            arch,
+            state,
+            &binding,
+            &config.slice,
+            cache,
+            obs,
+        )
+    })?;
+    let stats = FlowStats {
+        throughput_checks: slice_alloc.throughput_checks,
+        cache_hits: cache.hits() - hits0,
+        cache_misses: cache.misses() - misses0,
+        binding_time,
+        scheduling_time,
+        slice_time,
+        bind_attempts,
+        schedule_states,
+        global_slice_iterations: slice_alloc.global_iterations,
+        refine_slice_iterations: slice_alloc.refine_iterations,
+    };
 
     let usage = allocation_usage(app, arch, &binding, &slice_alloc.slices);
     Ok((
@@ -431,6 +427,7 @@ fn allocate_steps(
             slices: slice_alloc.slices,
             usage,
             achieved: slice_alloc.achieved,
+            connection_model: config.connection_model,
         },
         stats,
     ))

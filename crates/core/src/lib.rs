@@ -26,10 +26,10 @@
 //! loop (long-lived sessions that admit, depart and rebind against a
 //! persistent platform), and [`gantt`] renders execution traces.
 //! Every phase of every run reports typed [`events::FlowEvent`]s through
-//! the allocator's pluggable [`events::EventSink`], and the [`metrics`]
-//! module measures the work behind those decisions — atomic counters,
-//! fixed-bucket histograms and a hierarchical phase profiler with
-//! Prometheus / JSON exporters.
+//! one observer, which delivers each event to the allocator's pluggable
+//! [`events::EventSink`] and folds it into the [`metrics`] registry —
+//! atomic counters, fixed-bucket histograms and a hierarchical phase
+//! profiler with Prometheus / JSON exporters.
 //!
 //! # Example
 //!
@@ -91,8 +91,7 @@ pub use constrained::{
 pub use cost::CostWeights;
 pub use error::MapError;
 pub use events::{
-    EventSink, FlowEvent, FlowPhase, JsonlSink, LogSink, MetricsSink, MultiSink, NullSink,
-    RecordingSink,
+    EventSink, FlowEvent, FlowPhase, JsonlSink, LogSink, MultiSink, NullSink, RecordingSink,
 };
 pub use exact::{enumerate_exhaustive, ExactConfig};
 pub use flow::{Allocation, FlowConfig, FlowStats};

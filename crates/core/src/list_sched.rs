@@ -15,7 +15,7 @@ use sdfrs_sdf::{ActorId, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
 use crate::constrained::TileSchedules;
-use crate::events::{FlowEvent, FlowObserver, NullSink};
+use crate::events::{FlowEvent, FlowObserver};
 use crate::schedule::StaticOrderSchedule;
 use crate::tdma::TdmaSlice;
 
@@ -255,17 +255,18 @@ impl<'a> ListScheduler<'a> {
     /// recurrence detection
     /// ([`ScheduleRecurrence`](FlowEvent::ScheduleRecurrence)) and one
     /// [`ScheduleConstructed`](FlowEvent::ScheduleConstructed) per tile
-    /// with the minimized prefix/period lengths.
+    /// with the minimized prefix/period lengths. Returns the schedules
+    /// and the number of states explored until the recurrence closed.
     ///
     /// # Errors
     ///
     /// See [`construct`](Self::construct).
-    pub fn construct_observed(self, obs: &mut FlowObserver<'_>) -> Result<TileSchedules, SdfError> {
-        let schedules = self.construct_raw_observed(obs)?.minimized();
-        obs.metrics().record(|m| {
-            m.schedules_constructed
-                .add(schedules.tiles().count() as u64)
-        });
+    pub fn construct_observed(
+        self,
+        obs: &mut FlowObserver<'_>,
+    ) -> Result<(TileSchedules, usize), SdfError> {
+        let (raw, states) = self.construct_raw_observed(obs)?;
+        let schedules = raw.minimized();
         if obs.enabled() {
             for tile in schedules.tiles() {
                 let s = schedules.get(tile).expect("tiles() yields set tiles");
@@ -276,7 +277,7 @@ impl<'a> ListScheduler<'a> {
                 });
             }
         }
-        Ok(schedules)
+        Ok((schedules, states))
     }
 
     /// Like [`construct`](Self::construct) but returns the raw
@@ -287,12 +288,11 @@ impl<'a> ListScheduler<'a> {
     ///
     /// See [`construct`](Self::construct).
     pub fn construct_raw(self) -> Result<TileSchedules, SdfError> {
-        let mut sink = NullSink;
-        let mut obs = FlowObserver::new(&mut sink);
-        self.construct_raw_observed(&mut obs)
+        Ok(self.construct_raw_observed(&mut FlowObserver::null())?.0)
     }
 
-    /// [`construct_raw`](Self::construct_raw) with an observer.
+    /// [`construct_raw`](Self::construct_raw) with an observer; also
+    /// returns the number of states explored.
     ///
     /// # Errors
     ///
@@ -300,7 +300,7 @@ impl<'a> ListScheduler<'a> {
     pub fn construct_raw_observed(
         mut self,
         obs: &mut FlowObserver<'_>,
-    ) -> Result<TileSchedules, SdfError> {
+    ) -> Result<(TileSchedules, usize), SdfError> {
         // States are interned with dense ids; state `id` was first seen
         // when tile `l`'s sequence had `seq_lens[id * tiles + l]` entries.
         let tiles = self.sequences.len();
@@ -339,9 +339,6 @@ impl<'a> ListScheduler<'a> {
                 self.push_sequence_lens(&mut seq_lens);
                 continue;
             }
-            obs.counters.schedule_states += states;
-            obs.metrics()
-                .record(|m| m.schedule_states.add(states as u64));
             obs.emit(|| FlowEvent::ScheduleRecurrence { states });
             let first_lens = &seq_lens[id as usize * tiles..][..tiles];
             let mut schedules = TileSchedules::new(tiles);
@@ -362,7 +359,7 @@ impl<'a> ListScheduler<'a> {
                     StaticOrderSchedule::new(prefix.to_vec(), period.to_vec()),
                 );
             }
-            return Ok(schedules);
+            return Ok((schedules, states));
         }
     }
 }

@@ -7,16 +7,31 @@
 //! bind attempts per tile, binary-search iteration counts, and where
 //! wall-clock time goes (flow → bind / schedule / slice → probe).
 //!
-//! The design mirrors the [`NullSink`](crate::events::NullSink) lazy
-//! pattern: a [`Metrics`] handle is either *null* (the default — one
-//! branch per instrumentation site, nothing else) or carries an
+//! The registry is a fold over that stream:
+//! [`MetricsRegistry::record_event`] is the only writer of every
+//! instrument an event carries — flow, bind, schedule and slice-iteration
+//! counters, admission, DSE, session, queue and solver counters, and the
+//! flow and phase times. The observer calls it once per event
+//! (see [`FlowObserver::emit`](crate::events::FlowObserver::emit)).
+//! Facts no event carries keep exactly one direct writer each: the
+//! throughput cache (`throughput_checks`, `cache_hits`, `cache_misses`,
+//! `cache_evictions`, `states_explored`, the `cache_entries` gauge, the
+//! `probe_states` histogram and the `probe` span), the slice search
+//! (`refine_search_iters`), regional admission (`region_*`,
+//! `regions_configured`), the commit log (`net_commits_logged`,
+//! `net_log_write_failures`) and the network front-end (`net_*`,
+//! `traces_*`).
+//!
+//! A [`Metrics`] handle is either *null* (the default — one branch per
+//! instrumentation site, nothing else) or carries an
 //! `Arc<`[`MetricsRegistry`]`>` of cache-line-padded atomics
 //! ([`sdfrs_fastutil::cell`]) that parallel refinement tasks update
 //! without false sharing. All counter and histogram-bucket values are
 //! **deterministic** even under parallel refinement: each parallel task
-//! runs a deterministic binary search against a forked cache, so the
-//! multiset of recorded observations is independent of thread
-//! interleaving; only span *durations* are wall-clock.
+//! runs a deterministic binary search against its own task cache, and
+//! probe events are replayed in tile order, so the multiset of recorded
+//! observations is independent of thread interleaving; only span
+//! *durations* are wall-clock.
 //!
 //! Two exporters serialize a [`MetricsSnapshot`]: Prometheus text
 //! exposition ([`MetricsSnapshot::to_prometheus`]) and deterministic
@@ -48,7 +63,7 @@
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use sdfrs_fastutil::PaddedAtomicU64;
 
@@ -265,44 +280,6 @@ impl Profiler {
     /// Spans finished under `kind`.
     pub fn calls(&self, kind: SpanKind) -> u64 {
         self.calls[kind.index()].get()
-    }
-}
-
-/// An RAII timing guard: measures from construction until
-/// [`finish`](Span::finish) (or drop) and attributes the elapsed time
-/// to its [`SpanKind`].
-///
-/// The span always measures, even on a null handle — the flow uses the
-/// returned [`Duration`] to fill
-/// [`FlowStats`](crate::FlowStats) timings, so the *same measurement*
-/// feeds the stats, the `PhaseFinished` event, and the profiler. That
-/// is what makes the three reconcile exactly.
-#[derive(Debug)]
-pub struct Span {
-    start: Instant,
-    kind: SpanKind,
-    metrics: Metrics,
-    done: bool,
-}
-
-impl Span {
-    /// Stops the clock, records the elapsed time, and returns it.
-    pub fn finish(mut self) -> Duration {
-        self.done = true;
-        let elapsed = self.start.elapsed();
-        let kind = self.kind;
-        self.metrics.record(|m| m.profiler.record(kind, elapsed));
-        elapsed
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if !self.done {
-            let elapsed = self.start.elapsed();
-            let kind = self.kind;
-            self.metrics.record(|m| m.profiler.record(kind, elapsed));
-        }
     }
 }
 
@@ -737,10 +714,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Applies one [`FlowEvent`] to the registry — the
-    /// [`MetricsSink`](crate::events::MetricsSink) bridge, so an event
-    /// stream alone reconstructs the counters the instrumented flow
-    /// records directly.
+    /// Folds one [`FlowEvent`] into the registry: the only writer of
+    /// every instrument an event carries, flow and phase times included.
+    /// The observer calls it for each event it emits; consumers that
+    /// hold only events (a replayed trace) call it directly.
     pub fn record_event(&self, event: &FlowEvent) {
         match event {
             FlowEvent::FlowStarted { .. } => self.flows_started.inc(),
@@ -768,22 +745,15 @@ impl MetricsRegistry {
                 self.schedule_states.add(*states as u64);
             }
             FlowEvent::ScheduleConstructed { .. } => self.schedules_constructed.inc(),
-            FlowEvent::SliceProbe {
-                scope, cache_hit, ..
-            } => {
-                self.throughput_checks.inc();
-                if *cache_hit {
-                    self.cache_hits.inc();
-                } else {
-                    self.cache_misses.inc();
+            // Checks, hits and misses are the cache's to count: it also
+            // sees the evaluations no probe event reports (exact-solver
+            // leaves, probes that fail).
+            FlowEvent::SliceProbe { scope, .. } => match scope {
+                SliceScope::Global { .. } => self.global_slice_iterations.inc(),
+                SliceScope::Refine { .. } | SliceScope::Commit { .. } | SliceScope::Final => {
+                    self.refine_slice_iterations.inc();
                 }
-                match scope {
-                    SliceScope::Global { .. } => self.global_slice_iterations.inc(),
-                    SliceScope::Refine { .. } | SliceScope::Commit { .. } | SliceScope::Final => {
-                        self.refine_slice_iterations.inc();
-                    }
-                }
-            }
+            },
             FlowEvent::AdmissionDecision { admitted, .. } => {
                 if *admitted {
                     self.admission_admitted.inc();
@@ -920,18 +890,6 @@ impl Metrics {
     /// The backing registry, if any.
     pub fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
         self.registry.as_ref()
-    }
-
-    /// Starts a timing span. The span always measures (its duration
-    /// feeds [`FlowStats`](crate::FlowStats) timings); it records into
-    /// the registry only on a collecting handle.
-    pub fn span(&self, kind: SpanKind) -> Span {
-        Span {
-            start: Instant::now(),
-            kind,
-            metrics: self.clone(),
-            done: false,
-        }
     }
 
     /// Snapshots the registry; `None` on the null handle.
@@ -1213,10 +1171,6 @@ mod tests {
         assert!(!metrics.enabled());
         metrics.record(|m| m.cache_hits.inc());
         assert!(metrics.snapshot().is_none());
-        // The span still measures (the flow uses its duration) but has
-        // nowhere to record.
-        let d = metrics.span(SpanKind::Bind).finish();
-        assert!(d >= Duration::ZERO);
     }
 
     #[test]
@@ -1247,18 +1201,6 @@ mod tests {
         assert_eq!(SpanKind::Schedule.parent(), Some(SpanKind::Flow));
         assert_eq!(SpanKind::Slice.parent(), Some(SpanKind::Flow));
         assert_eq!(SpanKind::Probe.parent(), Some(SpanKind::Slice));
-    }
-
-    #[test]
-    fn span_records_on_finish_and_on_drop() {
-        let metrics = Metrics::collecting();
-        let d = metrics.span(SpanKind::Slice).finish();
-        {
-            let _guard = metrics.span(SpanKind::Slice);
-        }
-        let registry = metrics.registry().unwrap();
-        assert_eq!(registry.profiler.calls(SpanKind::Slice), 2);
-        assert!(registry.profiler.nanos(SpanKind::Slice) >= d.as_nanos() as u64);
     }
 
     #[test]
@@ -1310,9 +1252,13 @@ mod tests {
 
     #[test]
     fn record_event_mirrors_direct_instrumentation() {
-        use crate::events::BindPass;
+        use crate::events::{BindPass, ProbeSlices};
         use sdfrs_sdf::Rational;
         let registry = MetricsRegistry::new();
+        let slices = || ProbeSlices {
+            used: vec![(0, 1), (1, 1)],
+            tile_count: 2,
+        };
         registry.record_event(&FlowEvent::BindAttempt {
             pass: BindPass::FirstFit,
             actor: "a1".into(),
@@ -1322,14 +1268,14 @@ mod tests {
         });
         registry.record_event(&FlowEvent::SliceProbe {
             scope: SliceScope::Global { k: 1, of: 2 },
-            slices: vec![1, 1],
+            slices: slices(),
             throughput: Rational::new(1, 30),
             feasible: true,
             cache_hit: false,
         });
         registry.record_event(&FlowEvent::SliceProbe {
             scope: SliceScope::Final,
-            slices: vec![1, 1],
+            slices: slices(),
             throughput: Rational::new(1, 30),
             feasible: true,
             cache_hit: true,
@@ -1338,11 +1284,26 @@ mod tests {
         assert_eq!(s.counter("bind_attempts"), 1);
         assert_eq!(s.counter("bind_accepted"), 1);
         assert_eq!(s.bind_attempts_per_tile, vec![1]);
-        assert_eq!(s.counter("throughput_checks"), 2);
         assert_eq!(s.counter("global_slice_iterations"), 1);
         assert_eq!(s.counter("refine_slice_iterations"), 1);
-        assert_eq!(s.counter("cache_hits"), 1);
-        assert_eq!(s.counter("cache_misses"), 1);
+        // The cache, not the probe event, counts checks, hits and misses.
+        assert_eq!(s.counter("throughput_checks"), 0);
+        assert_eq!(s.counter("cache_hits"), 0);
+        assert_eq!(s.counter("cache_misses"), 0);
+
+        // Phase and flow times come from the events' durations.
+        registry.record_event(&FlowEvent::PhaseFinished {
+            phase: FlowPhase::Binding,
+            duration: Duration::from_micros(3),
+        });
+        registry.record_event(&FlowEvent::FlowFinished {
+            ok: false,
+            duration: Duration::from_micros(5),
+        });
+        let s = registry.snapshot();
+        assert_eq!(s.counter("flows_failed"), 1);
+        assert_eq!((s.phases[0].nanos, s.phases[0].calls), (5_000, 1));
+        assert_eq!((s.phases[1].nanos, s.phases[1].calls), (3_000, 1));
     }
 
     #[test]

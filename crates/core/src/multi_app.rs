@@ -85,7 +85,6 @@ pub fn allocate_until_failure_with(
                 alloc.claim_set().apply(&mut state);
                 allocations.push(alloc);
                 stats.push(s);
-                allocator.metric(|m| m.admission_admitted.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index,
                     app: app.graph().name().to_string(),
@@ -94,7 +93,6 @@ pub fn allocate_until_failure_with(
                 });
             }
             Err(e) => {
-                allocator.metric(|m| m.admission_rejected.inc());
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index,
                     app: app.graph().name().to_string(),

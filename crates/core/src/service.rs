@@ -69,7 +69,7 @@ use sdfrs_sdf::Rational;
 use crate::admission::AdmissionPolicy;
 use crate::allocator::Allocator;
 use crate::error::MapError;
-use crate::events::{json_escape, EventSink, FlowEvent, RecordingSink};
+use crate::events::{json_escape, EventSink, FlowEvent};
 use crate::flow::{Allocation, FlowConfig, FlowStats};
 use crate::ids::SessionId;
 use crate::metrics::Metrics;
@@ -495,7 +495,9 @@ impl AllocationService {
     pub fn with_metrics(mut self, metrics: impl Into<Metrics>) -> Self {
         self.allocator = self.allocator.with_metrics(metrics);
         let regions = self.region_map.region_count() as u64;
-        self.allocator.metric(|m| m.regions_configured.set(regions));
+        self.allocator
+            .metrics()
+            .record(|m| m.regions_configured.set(regions));
         self
     }
 
@@ -647,7 +649,7 @@ impl AllocationService {
     /// admission.
     fn record_regional_commit(&mut self, home: RegionId, depth: usize) {
         self.last_escalation_depth = Some(depth as u64);
-        self.allocator.metric(|m| {
+        self.allocator.metrics().record(|m| {
             m.region_admits_per_region.add(home.index(), 1);
             m.region_escalation_depth.observe(depth as u64);
             if depth == 0 {
@@ -681,10 +683,6 @@ impl AllocationService {
             },
         );
         let live = self.sessions.len();
-        self.allocator.metric(|m| {
-            m.sessions_admitted.inc();
-            m.sessions_live.set(live as u64);
-        });
         self.allocator.emit(|| FlowEvent::SessionAdmitted {
             session: session.raw(),
             app: app.graph().name().to_string(),
@@ -709,10 +707,6 @@ impl AllocationService {
         claim.revert(&mut self.residual);
         let reclaimed = claim.total();
         let live = self.sessions.len();
-        self.allocator.metric(|m| {
-            m.sessions_departed.inc();
-            m.sessions_live.set(live as u64);
-        });
         self.allocator.emit(|| FlowEvent::SessionDeparted {
             session: session.raw(),
             live,
@@ -776,7 +770,6 @@ impl AllocationService {
                 }
             }
         };
-        self.allocator.metric(|m| m.sessions_rebound.inc());
         self.allocator.emit(|| FlowEvent::SessionRebound {
             session: session.raw(),
             changed: outcome.changed,
@@ -808,7 +801,6 @@ impl AllocationService {
     pub fn enqueue(&mut self, request: ServiceRequest) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.allocator.metric(|m| m.service_requests.inc());
         let op = request.op();
         self.allocator
             .emit(|| FlowEvent::ServiceRequestQueued { seq, op });
@@ -838,8 +830,6 @@ impl AllocationService {
             .collect();
         let batch_no = self.batches_drained;
         self.batches_drained += 1;
-        self.allocator
-            .metric(|m| m.service_queue_depth.observe(requests as u64));
         self.allocator.emit(|| FlowEvent::ServiceBatchDrained {
             batch: batch_no,
             requests,
@@ -870,7 +860,7 @@ impl AllocationService {
             let failures = log.write_failures;
             log.append(&logged);
             let failed = log.write_failures > failures;
-            self.allocator.metric(|m| {
+            self.allocator.metrics().record(|m| {
                 m.net_commits_logged.inc();
                 if failed {
                     m.net_log_write_failures.inc();
@@ -881,14 +871,15 @@ impl AllocationService {
     }
 
     /// [`execute_logged`](Self::execute_logged) under a request trace:
-    /// installs an event tap on the allocator for the duration of the
-    /// request, then drains the captured flow events and the
+    /// opens an event tap on the allocator for the duration of the
+    /// request, then moves the captured flow events — stamped on the
+    /// request's clock, so they nest inside its `execute` span — and the
     /// escalation-depth / warm-cache-hit annotations into `trace`.
     ///
     /// Tracing is observational only — the response, the residual
     /// state, and the commit log are byte-identical with and without
-    /// it (the `trace_reconciliation` conformance oracle pins the
-    /// event trail against the metrics registry on top of that).
+    /// it (the `trace_reconciliation` conformance oracle pins that, and
+    /// the event trail against the cache's probe counts).
     pub fn execute_traced(
         &mut self,
         request: ServiceRequest,
@@ -896,10 +887,9 @@ impl AllocationService {
         trace: &mut crate::trace::RequestTrace,
     ) -> ServiceResponse {
         self.last_escalation_depth = None;
-        let tap = RecordingSink::new();
-        self.allocator.set_event_tap(Some(tap.clone()));
+        self.allocator.begin_event_tap(trace.started_at());
         let response = self.execute_logged(request, log);
-        self.allocator.set_event_tap(None);
+        let events = self.allocator.end_event_tap();
         trace.set_escalation_depth(self.last_escalation_depth);
         let committed_session = match &response {
             ServiceResponse::Admitted { session, .. }
@@ -909,7 +899,7 @@ impl AllocationService {
         if let Some(entry) = committed_session.and_then(|s| self.sessions.get(&s)) {
             trace.set_warm_cache_hit(entry.stats.cache_hits > 0);
         }
-        trace.attach_events(tap.take());
+        trace.attach_events(events);
         response
     }
 

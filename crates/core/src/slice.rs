@@ -28,7 +28,7 @@ use crate::binding_aware::BindingAwareGraph;
 use crate::constrained::TileSchedules;
 use crate::cost::{tile_loads_with, AppWork};
 use crate::error::MapError;
-use crate::events::{FlowEvent, FlowObserver, NullSink, SliceScope};
+use crate::events::{FlowEvent, FlowObserver, ProbeSlices, SliceScope};
 use crate::thru_cache::ThroughputCache;
 
 /// Configuration of the slice-allocation step.
@@ -71,6 +71,12 @@ pub struct SliceAllocation {
     pub achieved: ThroughputResult,
     /// Throughput evaluations performed (the count reported in Sec 10).
     pub throughput_checks: usize,
+    /// Probes of the global binary search (including the initial
+    /// full-wheel probe).
+    pub global_iterations: usize,
+    /// Refinement probes, commit re-validations and the final
+    /// re-evaluation.
+    pub refine_iterations: usize,
 }
 
 /// Evaluates the guaranteed throughput under `slices` (one per local
@@ -145,10 +151,16 @@ pub fn allocate_slices_cached(
     config: &SliceConfig,
     cache: &mut ThroughputCache,
 ) -> Result<SliceAllocation, MapError> {
-    let mut sink = NullSink;
-    let mut obs = FlowObserver::new(&mut sink);
     allocate_slices_observed(
-        ba, schedules, app, arch, state, binding, config, cache, &mut obs,
+        ba,
+        schedules,
+        app,
+        arch,
+        state,
+        binding,
+        config,
+        cache,
+        &mut FlowObserver::null(),
     )
 }
 
@@ -183,12 +195,20 @@ pub fn allocate_slices_observed(
 ) -> Result<SliceAllocation, MapError> {
     let lambda = app.throughput_constraint();
     let ceiling = lambda * (Rational::ONE + config.tolerance);
-    let mut checks = 0usize;
+    let (mut checks, mut global_iterations, mut refine_iterations) = (0usize, 0usize, 0usize);
 
     // The search works on one slice per local tile of `ba`; probe events
-    // and the result expand to global tile indices.
+    // name the global tiles, and the result expands to global indices.
     let tiles = ba.tiles().to_vec();
     let tile_count = arch.tile_count();
+    let probe_slices = |local: &[u64]| ProbeSlices {
+        used: tiles
+            .iter()
+            .map(|t| t.index())
+            .zip(local.iter().copied())
+            .collect(),
+        tile_count,
+    };
     let remaining: Vec<u64> = tiles
         .iter()
         .map(|&t| state.available_wheel(arch, t))
@@ -218,15 +238,14 @@ pub fn allocate_slices_observed(
         cache,
         None,
     )?;
-    obs.counters.global_slice_iterations += 1;
-    obs.metrics().record(|m| m.global_slice_iterations.inc());
+    global_iterations += 1;
     let full_feasible = thr_full.iteration_throughput >= lambda;
     obs.emit(|| FlowEvent::SliceProbe {
         scope: SliceScope::Global {
             k: big_k,
             of: big_k,
         },
-        slices: ba.to_global(&full, tile_count),
+        slices: probe_slices(&full),
         throughput: thr_full.iteration_throughput,
         feasible: full_feasible,
         cache_hit: full_hit,
@@ -255,11 +274,10 @@ pub fn allocate_slices_observed(
             cache,
             None,
         )?;
-        obs.counters.global_slice_iterations += 1;
-        obs.metrics().record(|m| m.global_slice_iterations.inc());
+        global_iterations += 1;
         obs.emit(|| FlowEvent::SliceProbe {
             scope: SliceScope::Global { k: mid, of: big_k },
-            slices: ba.to_global(&candidate, tile_count),
+            slices: probe_slices(&candidate),
             throughput: thr.iteration_throughput,
             feasible: thr.iteration_throughput >= lambda,
             cache_hit: hit,
@@ -351,23 +369,22 @@ pub fn allocate_slices_observed(
             for (l, proposal) in proposals.into_iter().enumerate() {
                 let (proposed, local_checks, local_cache, probes) = proposal?;
                 checks += local_checks;
-                obs.counters.refine_slice_iterations += local_checks;
-                // Recorded in the (sequential) join so counter totals and
-                // bucket counts never depend on thread interleaving.
-                obs.metrics().record(|m| {
-                    m.refine_slice_iterations.add(local_checks as u64);
+                refine_iterations += local_checks;
+                // Recorded in the (sequential) join so bucket counts never
+                // depend on thread interleaving.
+                if let Some(m) = obs.registry() {
                     m.refine_search_iters.observe(local_checks as u64);
-                });
+                }
                 cache.absorb(local_cache);
                 let tile = tiles[l].index();
-                for (tried, probe_slices, thr, feasible, hit) in probes {
+                for (tried, tried_slices, thr, feasible, hit) in probes {
                     obs.emit(|| FlowEvent::SliceProbe {
                         scope: SliceScope::Refine {
                             pass,
                             tile,
                             slice: tried,
                         },
-                        slices: ba.to_global(&probe_slices, tile_count),
+                        slices: probe_slices(&tried_slices),
                         throughput: thr,
                         feasible,
                         cache_hit: hit,
@@ -388,8 +405,7 @@ pub fn allocate_slices_observed(
                     cache,
                     None,
                 )?;
-                obs.counters.refine_slice_iterations += 1;
-                obs.metrics().record(|m| m.refine_slice_iterations.inc());
+                refine_iterations += 1;
                 let feasible = thr.iteration_throughput >= lambda;
                 obs.emit(|| FlowEvent::SliceProbe {
                     scope: SliceScope::Commit {
@@ -397,7 +413,7 @@ pub fn allocate_slices_observed(
                         tile,
                         slice: proposed,
                     },
-                    slices: ba.to_global(&candidate, tile_count),
+                    slices: probe_slices(&candidate),
                     throughput: thr.iteration_throughput,
                     feasible,
                     cache_hit: hit,
@@ -422,12 +438,11 @@ pub fn allocate_slices_observed(
             cache,
             None,
         )?;
-        obs.counters.refine_slice_iterations += 1;
-        obs.metrics().record(|m| m.refine_slice_iterations.inc());
+        refine_iterations += 1;
         best_thr = final_thr;
         obs.emit(|| FlowEvent::SliceProbe {
             scope: SliceScope::Final,
-            slices: ba.to_global(&slices, tile_count),
+            slices: probe_slices(&slices),
             throughput: best_thr.iteration_throughput,
             feasible: best_thr.iteration_throughput >= lambda,
             cache_hit: final_hit,
@@ -445,6 +460,8 @@ pub fn allocate_slices_observed(
         slices: ba.to_global(&slices, tile_count),
         achieved: best_thr,
         throughput_checks: checks,
+        global_iterations,
+        refine_iterations,
     })
 }
 

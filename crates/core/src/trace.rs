@@ -207,6 +207,13 @@ impl RequestTrace {
         self.id
     }
 
+    /// The instant the request arrived: time zero of every span and
+    /// event timestamp in this trace.
+    #[must_use]
+    pub fn started_at(&self) -> Instant {
+        self.started
+    }
+
     /// Names the operation once parsing has identified it.
     pub fn set_op(&mut self, op: &'static str) {
         self.op = op;
@@ -243,8 +250,9 @@ impl RequestTrace {
     }
 
     /// Attaches the flow events the allocator's tap captured while
-    /// executing this request. Event timestamps stay on the
-    /// allocator's epoch clock (`t_us` in the dump).
+    /// executing this request, stamped on this trace's clock (time since
+    /// [`started_at`](Self::started_at), `t_us` in the dump) like the
+    /// spans they nest under.
     pub fn attach_events(&mut self, events: Vec<(Duration, FlowEvent)>) {
         self.events = events;
     }
@@ -295,7 +303,7 @@ pub struct CompletedTrace {
     /// Whether the throughput cache served at least one hit.
     pub warm_cache_hit: Option<bool>,
     /// The flow events emitted while executing this request, on the
-    /// allocator's epoch clock.
+    /// request's clock (inside the `execute` span).
     pub events: Vec<(Duration, FlowEvent)>,
 }
 

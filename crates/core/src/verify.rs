@@ -56,7 +56,8 @@ pub enum Violation {
 ///
 /// Returns the list of violations — empty for a valid allocation. The
 /// throughput is re-computed by rebuilding the binding-aware graph at the
-/// allocation's slices and running the constrained analysis anew.
+/// allocation's slices, under the connection model the allocation was
+/// made with, and running the constrained analysis anew.
 ///
 /// # Errors
 ///
@@ -133,7 +134,13 @@ pub fn verify_allocation(
     }
 
     // Recompute the guarantee from scratch.
-    let ba = BindingAwareGraph::build(app, arch, &allocation.binding, &allocation.slices)?;
+    let ba = BindingAwareGraph::build_with_model(
+        app,
+        arch,
+        &allocation.binding,
+        &allocation.slices,
+        allocation.connection_model,
+    )?;
     let reference = ba.ba_actor(app.output_actor());
     let recomputed = ConstrainedExecutor::new(&ba, &allocation.schedules)
         .throughput(reference)

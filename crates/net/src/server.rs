@@ -526,6 +526,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                reap_finished(&mut readers);
                 let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
                 let conn_shared = Arc::clone(&shared);
                 readers.push(std::thread::spawn(move || {
@@ -541,6 +542,20 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
         }
     }
     readers
+}
+
+/// Joins the readers whose connections have closed, so a long-lived
+/// acceptor holds one handle per live connection rather than one per
+/// connection it ever served.
+fn reap_finished(readers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < readers.len() {
+        if readers[i].is_finished() {
+            let _ = readers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
 }
 
 fn read_connection(mut stream: TcpStream, conn: u64, shared: &Shared) {
@@ -860,6 +875,32 @@ fn service_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Readers of closed connections are joined as new ones arrive; a
+    /// reader still serving its connection is kept.
+    #[test]
+    fn finished_readers_are_reaped() {
+        let (release, blocked) = std::sync::mpsc::channel::<()>();
+        let mut readers = vec![std::thread::spawn(move || {
+            let _ = blocked.recv();
+        })];
+        // Sequential connect/close cycles: each reader ends at once.
+        for _ in 0..3 {
+            let reader = std::thread::spawn(|| {});
+            while !reader.is_finished() {
+                std::thread::yield_now();
+            }
+            readers.push(reader);
+            reap_finished(&mut readers);
+            assert_eq!(readers.len(), 1, "only the live reader is held");
+        }
+        release.send(()).unwrap();
+        while !readers[0].is_finished() {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut readers);
+        assert!(readers.is_empty());
+    }
 
     /// A panicked lock holder must not take the queue down with it:
     /// the poison-recovering lock hands later threads the (still

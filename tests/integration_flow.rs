@@ -220,3 +220,31 @@ fn sequences_fill_the_platform_monotonically() {
     }
     assert_eq!(result.total_usage().wheel, expected);
 }
+
+/// An allocation made under the pipelined connection model verifies
+/// clean: the verifier rebuilds the binding-aware graph with the model
+/// the allocation records, not the simple one. These generated scenarios
+/// all used to fail with `ThroughputMismatch` (some also `ThroughputMiss`)
+/// because the recomputed throughput came from the simple model.
+#[test]
+fn pipelined_allocations_verify_under_their_own_model() {
+    use sdfrs_core::binding_aware::ConnectionModel;
+    use sdfrs_core::verify::verify_allocation;
+    use sdfrs_gen::Scenario;
+
+    let config = FlowConfig::builder()
+        .schedule_state_budget(300_000)
+        .slice_state_budget(300_000)
+        .connection_model(ConnectionModel::PipelinedHops)
+        .build()
+        .unwrap();
+    for seed in [5, 17, 24, 36, 93, 100, 111, 117] {
+        let s = Scenario::sample(seed);
+        let state = PlatformState::new(&s.arch);
+        let (alloc, _) = allocate(&s.app, &s.arch, &state, &config)
+            .unwrap_or_else(|e| panic!("seed {seed} allocates: {e}"));
+        assert_eq!(alloc.connection_model, ConnectionModel::PipelinedHops);
+        let violations = verify_allocation(&s.app, &s.arch, &state, &alloc).unwrap();
+        assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+    }
+}

@@ -9,7 +9,7 @@ use std::time::Duration;
 use sdfrs_appmodel::apps::{example_platform, paper_example};
 use sdfrs_core::admission::AdmissionPolicy;
 use sdfrs_core::flow::{Allocation, FlowStats};
-use sdfrs_core::{Allocator, FlowEvent, RecordingSink};
+use sdfrs_core::{Allocator, FlowEvent, Metrics, RecordingSink};
 use sdfrs_platform::PlatformState;
 
 fn run_recorded() -> (Allocation, FlowStats, Vec<(Duration, FlowEvent)>) {
@@ -154,6 +154,40 @@ fn emitted_events_reconcile_with_flow_stats() {
         stats.throughput_checks,
         stats.cache_hits + stats.cache_misses
     );
+}
+
+/// One emission path: each event is built once and delivered to the
+/// sink, the registry and an open request tap alike.
+#[test]
+fn the_sink_the_registry_and_the_tap_receive_the_same_events() {
+    let app = paper_example();
+    let arch = example_platform();
+    let state = PlatformState::new(&arch);
+    let sink = RecordingSink::new();
+    let metrics = Metrics::collecting();
+    let mut allocator = Allocator::new()
+        .with_sink(sink.clone())
+        .with_metrics(metrics.clone());
+    allocator.begin_event_tap(std::time::Instant::now());
+    allocator.allocate(&app, &arch, &state).unwrap();
+    let tapped = allocator.end_event_tap();
+    let recorded = sink.events();
+    assert!(!recorded.is_empty());
+    assert!(tapped
+        .iter()
+        .map(|(_, e)| e)
+        .eq(recorded.iter().map(|(_, e)| e)));
+    let attempts = recorded
+        .iter()
+        .filter(|(_, e)| e.kind() == "bind_attempt")
+        .count() as u64;
+    assert_eq!(
+        metrics.snapshot().unwrap().counter("bind_attempts"),
+        attempts
+    );
+    // A closed tap captures nothing more.
+    allocator.allocate(&app, &arch, &state).unwrap();
+    assert!(allocator.end_event_tap().is_empty());
 }
 
 #[test]

@@ -148,3 +148,42 @@ fn service_emits_events_and_metrics() {
     assert_eq!(snapshot.sessions_live, 0);
     assert_eq!(snapshot.counter("flows_started"), 1);
 }
+
+/// A traced request's flow events are stamped on the request's clock:
+/// however long the service existed before the request arrived, every
+/// event's `t_us` lies inside the trace's `execute` span
+/// (`[dispatch_us, total_us]` of the span tree).
+#[test]
+fn traced_events_nest_inside_the_execute_span() {
+    use sdfrs_core::service::CommitLog;
+    use sdfrs_core::trace::{RequestTrace, TraceId, TraceOutcome};
+
+    let mut s = service();
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    let mut trace = RequestTrace::begin(TraceId::from_raw(7), "admit");
+    trace.mark_parsed();
+    trace.mark_dequeued(0);
+    let request = ServiceRequest::Admit {
+        app: Box::new(paper_example()),
+    };
+    let response = s.execute_traced(request, &mut CommitLog::new(), &mut trace);
+    let completed = trace.finish(TraceOutcome::from_response(&response));
+    let start = completed
+        .dispatch_us
+        .expect("dequeued trace has an execute span");
+    let end = completed.total_us;
+    assert!(!completed.events.is_empty());
+    for (at, event) in &completed.events {
+        let t_us = at.as_micros() as u64;
+        assert!(
+            (start..=end).contains(&t_us),
+            "{} at t_us {t_us} lies outside execute [{start}, {end}]",
+            event.kind()
+        );
+    }
+    // The rendered span tree carries the same numbers.
+    let json = completed.to_json();
+    assert!(json.contains(&format!(
+        "\"name\":\"execute\",\"start_us\":{start},\"end_us\":{end}"
+    )));
+}
