@@ -62,9 +62,11 @@ fn run(args: &Args) -> Result<usize, String> {
     let mut log = open_writer(args.log.as_ref())?;
     let mut trace = open_writer(args.trace.as_ref())?;
     let mut failing = 0usize;
+    let mut bound_answered_errors = 0usize;
 
     for seed in args.seeds.0..args.seeds.1 {
         let report = run_seed(seed, &config);
+        bound_answered_errors += report.bound_answered_errors;
         println!(
             "seed {seed:>6}  {}  allocated={}  failures={}  skipped={}",
             if report.passed() { "ok  " } else { "FAIL" },
@@ -108,6 +110,10 @@ fn run(args: &Args) -> Result<usize, String> {
             }
         }
     }
+    eprintln!(
+        "sdfrs-conform: {bound_answered_errors} executor-oracle setting(s) where the \
+         processing bound is below the constraint but the exploration errs"
+    );
     Ok(failing)
 }
 

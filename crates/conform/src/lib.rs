@@ -57,11 +57,14 @@
 //!     throughput constraint λ whenever they admit;
 //! 11. **executor equivalence** — the event-driven
 //!     [`ConstrainedExecutor`](sdfrs_core::ConstrainedExecutor) must return
-//!     exactly the `Result<ThroughputResult, SdfError>` of a reference
-//!     scan executor that keeps the textbook state (remaining in-slice
-//!     work per firing, every actor scanned each round), on the
+//!     the `Result<ThroughputResult, SdfError>` of a reference scan
+//!     executor that keeps the textbook state (remaining in-slice work per
+//!     firing, every actor scanned each round, every state stored), on the
 //!     scenario's binding-aware graph and static orders at the allocated
-//!     slices, at full wheels and at 1-unit slices.
+//!     slices, at full wheels and at 1-unit slices — equal in every field
+//!     but `states_explored` and `transient_time`, which move with the
+//!     core's iteration-end storage — and never exceed the
+//!     [`ProcessingBound`](sdfrs_core::slice::ProcessingBound).
 //!
 //! A failing scenario is [`shrink`](shrink::shrink)-able to a minimal
 //! reproduction and persisted as a `.ron` [`corpus`] file, which the
@@ -163,7 +166,9 @@ pub enum OracleId {
     /// (never worse, both constraint-satisfying).
     ExactOptimality,
     /// Event-driven constrained executor vs. the reference scan executor
-    /// (identical throughput results or errors at three slice settings).
+    /// (equal throughput results or errors at three slice settings, but
+    /// for states explored and transient time) and vs. the processing
+    /// bound.
     ExecutorEquivalence,
 }
 
@@ -212,6 +217,10 @@ pub struct ScenarioReport {
     /// Oracles that could not run, with the reason (e.g. the HSDF
     /// conversion exceeding [`HarnessConfig::hsdf_limit`]).
     pub skipped: Vec<(OracleId, String)>,
+    /// Oracle 11's slice settings where the processing bound lies below
+    /// λ but the exploration errs: a slice search answers such a probe
+    /// "infeasible" from the bound instead of failing with the error.
+    pub bound_answered_errors: usize,
     /// The base run's event stream (only with
     /// [`HarnessConfig::keep_events`]).
     pub events: Vec<(Duration, FlowEvent)>,
@@ -259,6 +268,10 @@ impl ScenarioReport {
             out.push_str(&format!("\"{}\"", o.as_str()));
         }
         out.push(']');
+        out.push_str(&format!(
+            ",\"bound_answered_errors\":{}",
+            self.bound_answered_errors
+        ));
         if let Some(m) = &self.metrics {
             // Counters only: a full snapshot (histograms, per-tile
             // vectors) would dwarf the result line.

@@ -9,6 +9,7 @@ use sdfrs_core::dse::{self, DseResult};
 use sdfrs_core::exact::enumerate_exhaustive;
 use sdfrs_core::flow::{Allocation, FlowStats};
 use sdfrs_core::list_sched::construct_schedules;
+use sdfrs_core::slice::ProcessingBound;
 use sdfrs_core::verify::verify_allocation;
 use sdfrs_core::{
     Allocator, Binding, BindingAwareGraph, ConstrainedExecutor, FlowEvent, MapError, Metrics,
@@ -16,7 +17,7 @@ use sdfrs_core::{
 };
 use sdfrs_gen::Scenario;
 use sdfrs_platform::PlatformState;
-use sdfrs_sdf::analysis::selftimed::SelfTimedExecutor;
+use sdfrs_sdf::analysis::selftimed::{SelfTimedExecutor, ThroughputResult};
 use sdfrs_sdf::error::SdfError;
 use sdfrs_sdf::hsdf::{hsdf_reference_throughput, hsdf_size};
 use sdfrs_sdf::rational::Rational;
@@ -132,8 +133,17 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
     exact_optimality_oracle(scenario, config, &base, &mut failures, &mut skipped);
 
     // Oracle 11 — executor equivalence: the event-driven constrained
-    // executor must return exactly what the reference scan returns.
-    executor_oracle(scenario, config, &base, &mut failures, &mut skipped);
+    // executor must return what the reference scan returns (up to where
+    // it detects the recurrence) and stay within the processing bound.
+    let mut bound_answered_errors = 0;
+    executor_oracle(
+        scenario,
+        config,
+        &base,
+        &mut failures,
+        &mut skipped,
+        &mut bound_answered_errors,
+    );
 
     ScenarioReport {
         seed: None,
@@ -142,6 +152,7 @@ pub(crate) fn run_panel(scenario: &Scenario, config: &HarnessConfig) -> Scenario
         error: base.as_ref().err().map(|e| e.to_string()),
         failures,
         skipped,
+        bound_answered_errors,
         events: if config.keep_events {
             events
         } else {
@@ -253,8 +264,8 @@ fn compare_dse(seq: &DseResult, par: &DseResult, failures: &mut Vec<OracleFailur
 
 /// Oracle 5: the event stream and the [`FlowStats`] the steps return are
 /// counted independently, and the metrics registry folds the events
-/// beside the cache's own check/hit/miss counters; any drift means one of
-/// them lies.
+/// beside the cache's own check/hit/miss/bound counters; any drift means
+/// one of them lies.
 fn reconcile_events(
     events: &[(std::time::Duration, FlowEvent)],
     stats: &FlowStats,
@@ -295,12 +306,27 @@ fn reconcile_events(
             stats.throughput_checks
         )));
     }
-    if stats.throughput_checks != stats.cache_hits + stats.cache_misses {
+    // throughput_checks = cache_hits + cache_misses + bound_answers, with
+    // each term matched against the probe events' flags.
+    let answered = stats.cache_hits + stats.cache_misses + stats.bound_answers;
+    if stats.throughput_checks != answered {
         failures.push(fail(format!(
-            "stats.throughput_checks = {} but cache hits + misses = {}",
+            "stats.throughput_checks = {} but cache hits + misses + bound answers = {answered}",
             stats.throughput_checks,
-            stats.cache_hits + stats.cache_misses
         )));
+    }
+    let (hit_probes, bound_probes) = probe_flags(events.iter().map(|(_, e)| e));
+    let explored_probes = probes.saturating_sub(hit_probes + bound_probes);
+    for (what, from_events, from_stats) in [
+        ("cache-hit", hit_probes, stats.cache_hits),
+        ("bound-answered", bound_probes, stats.bound_answers),
+        ("explored", explored_probes, stats.cache_misses),
+    ] {
+        if from_events != from_stats {
+            failures.push(fail(format!(
+                "{from_events} {what} slice_probe events but stats say {from_stats}"
+            )));
+        }
     }
 
     let recurrence_states: usize = events
@@ -321,13 +347,14 @@ fn reconcile_events(
     // A fresh single-run allocator's registry — the fold of its events
     // and the cache's counters — must agree exactly with the step counts.
     if let Some(m) = snapshot {
-        let pairs: [(&str, usize); 7] = [
+        let pairs: [(&str, usize); 8] = [
             ("bind_attempts", stats.bind_attempts),
             ("throughput_checks", stats.throughput_checks),
             ("global_slice_iterations", stats.global_slice_iterations),
             ("refine_slice_iterations", stats.refine_slice_iterations),
             ("cache_hits", stats.cache_hits),
             ("cache_misses", stats.cache_misses),
+            ("bound_answers", stats.bound_answers),
             ("schedule_states", stats.schedule_states),
         ];
         for (name, expected) in pairs {
@@ -346,6 +373,17 @@ fn reconcile_events(
             )));
         }
     }
+}
+
+/// How many slice probes among `events` the cache answered, and how many
+/// the processing bound answered.
+fn probe_flags<'a>(events: impl Iterator<Item = &'a FlowEvent>) -> (usize, usize) {
+    events.fold((0, 0), |(hits, bounds), e| match e {
+        FlowEvent::SliceProbe {
+            cache_hit, bound, ..
+        } => (hits + usize::from(*cache_hit), bounds + usize::from(*bound)),
+        _ => (hits, bounds),
+    })
 }
 
 /// Oracle 6: exact reclamation of the admission service.
@@ -1007,14 +1045,24 @@ fn fallback_binding(scenario: &Scenario) -> Option<(Binding, Vec<u64>)> {
 /// graph and static orders — the base allocation's, or for an infeasible
 /// scenario the first-fit fallback binding with list-scheduled orders —
 /// at the allocated slices, at full wheels and at 1-unit slices. The
-/// full results (throughput, period, transient, states explored) or the
-/// errors must be equal.
+/// results or the errors must be equal in every field but
+/// `states_explored` and `transient_time`: the core stores only
+/// iteration-end states, so it may close the recurrence up to one period
+/// later than the scan, which stores every state. Those two may only
+/// grow, and the transient by at most one period.
+///
+/// At each setting an `Ok` exploration's iteration throughput must also
+/// be at most the [`ProcessingBound`]. A setting whose bound lies below λ
+/// while the exploration errs is counted into `bound_answered_errors`:
+/// the slice search answers such a probe "infeasible" from the bound
+/// instead of failing with the error.
 fn executor_oracle(
     scenario: &Scenario,
     config: &HarnessConfig,
     base: &FlowOutcome,
     failures: &mut Vec<OracleFailure>,
     skipped: &mut Vec<(OracleId, String)>,
+    bound_answered_errors: &mut usize,
 ) {
     let app = &scenario.app;
     let arch = &scenario.arch;
@@ -1065,6 +1113,17 @@ fn executor_oracle(
         }
     };
     let reference = ba.ba_actor(app.output_actor());
+    let bound = match ProcessingBound::new(&ba, reference) {
+        Ok(bound) => bound,
+        Err(e) => {
+            failures.push(OracleFailure {
+                oracle,
+                detail: format!("no processing bound on the binding-aware graph: {e}"),
+            });
+            return;
+        }
+    };
+    let lambda = app.throughput_constraint();
     let budget = config.flow.slice.state_budget;
     let wheels: Vec<u64> = arch.tiles().map(|(_, t)| t.wheel_size()).collect();
     for (label, setting) in [
@@ -1077,7 +1136,9 @@ fn executor_oracle(
             .with_state_budget(budget)
             .throughput(reference);
         let scan = ScanExecutor::new(&ba, &schedules, budget).throughput(reference);
-        if core != scan {
+        if storage_independent(&core) != storage_independent(&scan)
+            || detection_out_of_range(&core, &scan)
+        {
             failures.push(OracleFailure {
                 oracle,
                 detail: format!(
@@ -1085,7 +1146,52 @@ fn executor_oracle(
                 ),
             });
         }
+        let Some(cap) = bound.at(&ba) else {
+            continue;
+        };
+        match &core {
+            Ok(r) if r.iteration_throughput > cap => failures.push(OracleFailure {
+                oracle,
+                detail: format!(
+                    "{label} slices {setting:?}: iteration throughput {} exceeds the \
+                     processing bound {cap}",
+                    r.iteration_throughput
+                ),
+            }),
+            Err(_) if cap < lambda => *bound_answered_errors += 1,
+            _ => {}
+        }
     }
+}
+
+/// Whether the core's detection lies outside what storing fewer states
+/// allows: it closes the recurrence no earlier than the scan, and its
+/// first stored periodic state lies at most one period after the scan's
+/// entry into the periodic phase.
+fn detection_out_of_range(
+    core: &Result<ThroughputResult, SdfError>,
+    scan: &Result<ThroughputResult, SdfError>,
+) -> bool {
+    match (core, scan) {
+        (Ok(c), Ok(s)) => {
+            c.states_explored < s.states_explored
+                || c.transient_time < s.transient_time
+                || c.transient_time > s.transient_time + s.period
+        }
+        _ => false,
+    }
+}
+
+/// `r` with the fields that depend on which states an explorer stores
+/// (`states_explored`, `transient_time`) zeroed.
+fn storage_independent(
+    r: &Result<ThroughputResult, SdfError>,
+) -> Result<ThroughputResult, SdfError> {
+    r.clone().map(|t| ThroughputResult {
+        states_explored: 0,
+        transient_time: 0,
+        ..t
+    })
 }
 
 /// Oracle 9 — trace reconciliation.
@@ -1094,7 +1200,9 @@ fn executor_oracle(
 ///
 /// * the per-request event capture (the span tree's `execute` events)
 ///   holds one `slice_probe` per throughput check the cache counted
-///   into the service's registry, and one `cache_hit` per cache hit —
+///   into the service's registry, one `cache_hit` per cache hit and one
+///   `bound` per processing-bound answer, so that `throughput_checks =
+///   cache_hits + cache_misses + bound_answers` holds on both sides —
 ///   the cache is the only writer of those counters, so this compares
 ///   two independent tallies (the registry's other flow counters are a
 ///   fold of the same events and are not compared with themselves);
@@ -1192,15 +1300,18 @@ fn trace_reconciliation_oracle(
         });
         return;
     };
-    let probes = completed.events.iter().filter_map(|(_, e)| match e {
-        FlowEvent::SliceProbe { cache_hit, .. } => Some(*cache_hit),
-        _ => None,
-    });
-    let (checks, hits) = probes.fold((0u64, 0u64), |(c, h), hit| (c + 1, h + u64::from(hit)));
+    let probes = completed
+        .events
+        .iter()
+        .filter(|(_, e)| e.kind() == "slice_probe")
+        .count() as u64;
+    let (hits, bounds) = probe_flags(completed.events.iter().map(|(_, e)| e));
+    let (hits, bounds) = (hits as u64, bounds as u64);
     for (name, got) in [
-        ("throughput_checks", checks),
+        ("throughput_checks", probes),
         ("cache_hits", hits),
-        ("cache_misses", checks - hits),
+        ("bound_answers", bounds),
+        ("cache_misses", probes.saturating_sub(hits + bounds)),
     ] {
         let want = direct.counter(name);
         if want != got {

@@ -411,6 +411,46 @@ mod tests {
         assert!(matches!(err, MapError::InvalidConfig { .. }));
     }
 
+    /// Two components on two tiles: x (τ 1 on t1) and z (τ 100 on t2),
+    /// each with a one-token self-edge and no channel between them. The
+    /// processing bound counts only the output's component, so z's load
+    /// on t2 (which would cap t2 at 1/100) does not reject x.
+    #[test]
+    fn split_application_is_bounded_by_the_output_component_only() {
+        use sdfrs_appmodel::{ActorRequirements, ApplicationGraph, ChannelRequirements};
+        use sdfrs_platform::ProcessorType;
+        use sdfrs_sdf::SdfGraph;
+        let mut g = SdfGraph::new("split");
+        let x = g.add_actor("x", 0);
+        let z = g.add_actor("z", 0);
+        let xx = g.add_channel("xx", x, 1, x, 1, 1);
+        let zz = g.add_channel("zz", z, 1, z, 1, 1);
+        let app = ApplicationGraph::builder(g, Rational::new(1, 10))
+            .actor(
+                x,
+                ActorRequirements::new().on(ProcessorType::new("p1"), 1, 1),
+            )
+            .actor(
+                z,
+                ActorRequirements::new().on(ProcessorType::new("p2"), 100, 1),
+            )
+            .channel(xx, ChannelRequirements::new(1, 1, 0, 0, 0))
+            .channel(zz, ChannelRequirements::new(1, 1, 0, 0, 0))
+            .output_actor(x)
+            .build()
+            .unwrap();
+        let arch = example_platform();
+        let (alloc, stats) = Allocator::new()
+            .allocate(&app, &arch, &PlatformState::new(&arch))
+            .unwrap();
+        assert_eq!(alloc.slices, vec![1, 1]);
+        assert_eq!(alloc.guaranteed_throughput(), Rational::new(1, 10));
+        assert_eq!(
+            stats.throughput_checks,
+            stats.cache_hits + stats.cache_misses + stats.bound_answers
+        );
+    }
+
     #[test]
     fn into_cache_seeds_another_allocator() {
         let app = paper_example();

@@ -49,6 +49,28 @@
 //! startable. These candidates are swept in ascending actor index, and a
 //! candidate marked below the sweep position waits for the next sweep:
 //! exactly the order in which repeated scans over all actors start them.
+//!
+//! # Recurrence on iteration ends
+//!
+//! [`throughput`](ConstrainedExecutor::throughput) steps through every
+//! state but stores only the initial one and those reached by a step in
+//! which a *designated* actor completes an iteration of its weakly
+//! connected component (every γ(d)-th completion). Each component has one
+//! designated actor; the reference is its own component's. The execution
+//! is deterministic and whether a step stores is a function of the firing
+//! counts, so once the run is periodic with period p the stored steps
+//! recur with p. Every period holds one: it fires some component a
+//! positive multiple of its γ. So the first two equal stored states are
+//! exactly p steps apart: the period, the reference's firings in it and
+//! the throughput are those of storing every state. Only the detection
+//! moves, by at most one period (see [`ThroughputResult`]'s
+//! `states_explored` and `transient_time`). A single designated actor
+//! would not do: a component whose tile order stalls it never ends an
+//! iteration, while another component keeps the execution periodic.
+//! [`explore_state_space`] and [`trace`] keep every state.
+//!
+//! [`explore_state_space`]: ConstrainedExecutor::explore_state_space
+//! [`trace`]: ConstrainedExecutor::trace
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -57,7 +79,7 @@ use sdfrs_platform::TileId;
 use sdfrs_sdf::analysis::interner::StateInterner;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::analysis::statespace::{StateSpaceGraph, StateTransition};
-use sdfrs_sdf::{ActorId, Rational, SdfError};
+use sdfrs_sdf::{ActorId, Rational, RepetitionVector, SdfError};
 
 use crate::binding_aware::BindingAwareGraph;
 use crate::schedule::StaticOrderSchedule;
@@ -135,8 +157,8 @@ impl TileSchedules {
 
 /// Buffers one throughput exploration leaves to the next: the interner's
 /// arena words and offsets, and the `(time, firings)` payload of every
-/// state. Each exploration truncates them and interns behind a fresh
-/// default-size slot table (see [`StateInterner::reusing`]).
+/// stored state. Each exploration truncates them and interns behind a
+/// fresh default-size slot table (see [`StateInterner::reusing`]).
 #[derive(Default)]
 pub(crate) struct ProbeScratch {
     arena: Vec<u64>,
@@ -262,6 +284,12 @@ pub struct ConstrainedExecutor<'a> {
     /// The actor whose completions `reference_firings` counts.
     reference: u32,
     reference_firings: u64,
+    /// `(completions left to its iteration end, γ)` per designated actor,
+    /// `(0, 0)` for every other one (see the module docs).
+    countdown: Vec<(u64, u64)>,
+    /// Whether a designated actor ended an iteration since the last
+    /// stored state.
+    iteration_ended: bool,
     /// This round's starts and completions, when an explorer reports them.
     log: Option<Vec<Fired>>,
     state_budget: usize,
@@ -386,6 +414,8 @@ impl<'a> ConstrainedExecutor<'a> {
             time: 0,
             reference: NONE,
             reference_firings: 0,
+            countdown: vec![(0, 0); n],
+            iteration_ended: false,
             log: None,
             state_budget: DEFAULT_STATE_BUDGET,
         }
@@ -478,8 +508,34 @@ impl<'a> ConstrainedExecutor<'a> {
         if a as u32 == self.reference {
             self.reference_firings += 1;
         }
+        let (left, gamma) = &mut self.countdown[a];
+        if *left > 0 {
+            *left -= 1;
+            if *left == 0 {
+                *left = *gamma;
+                self.iteration_ended = true;
+            }
+        }
         if let Some(log) = &mut self.log {
             log.push(Fired::Done(a as u32));
+        }
+    }
+
+    /// Designates one actor per weakly connected component, `reference`
+    /// for its own and the lowest-index actor for every other, and starts
+    /// each one's iteration countdown at γ.
+    fn designate(&mut self, reference: ActorId, gamma: &RepetitionVector) {
+        let (component, count) = self.ba.graph().weak_components();
+        let mut designated = vec![NONE; count];
+        designated[component[reference.index()]] = reference.index() as u32;
+        for (a, &c) in component.iter().enumerate() {
+            if designated[c] == NONE {
+                designated[c] = a as u32;
+            }
+        }
+        for d in designated {
+            let gamma = gamma.as_slice()[d as usize];
+            self.countdown[d as usize] = (gamma, gamma);
         }
     }
 
@@ -623,13 +679,16 @@ impl<'a> ConstrainedExecutor<'a> {
     }
 
     /// Runs until a recurrent state and returns the guaranteed throughput
-    /// of `reference` (a binding-aware actor id).
+    /// of `reference` (a binding-aware actor id). Recurrence is detected
+    /// on iteration ends (see the [module docs](self)); the state budget
+    /// counts every stepped round.
     ///
     /// # Errors
     ///
     /// * [`SdfError::Deadlock`] if the constrained execution stalls (e.g. a
     ///   schedule incompatible with the token flow);
-    /// * [`SdfError::BudgetExceeded`] if no recurrence is found in budget.
+    /// * [`SdfError::BudgetExceeded`] if no recurrence is found in budget;
+    /// * [`SdfError::Inconsistent`] if the graph has no repetition vector.
     pub fn throughput(self, reference: ActorId) -> Result<ThroughputResult, SdfError> {
         self.throughput_in(reference, &mut ProbeScratch::default())
     }
@@ -652,14 +711,17 @@ impl<'a> ConstrainedExecutor<'a> {
     }
 
     /// The exploration behind [`throughput`](Self::throughput):
-    /// `at_state[id]` is the `(time, reference firings)` of state `id`.
+    /// `at_state[id]` is the `(time, reference firings)` of stored state
+    /// `id`.
     fn run_to_recurrence(
         &mut self,
         reference: ActorId,
         seen: &mut StateInterner,
         at_state: &mut Vec<(u64, u64)>,
     ) -> Result<ThroughputResult, SdfError> {
+        let gamma = self.ba.graph().repetition_vector()?;
         self.reference = reference.index() as u32;
+        self.designate(reference, &gamma);
         seen.intern(&self.state);
         at_state.push((0, 0));
         let mut states = 0usize;
@@ -676,6 +738,9 @@ impl<'a> ConstrainedExecutor<'a> {
             if let Transition::Deadlock { .. } = step {
                 return Err(SdfError::Deadlock { actor: reference });
             }
+            if !std::mem::take(&mut self.iteration_ended) {
+                continue;
+            }
             let (id, fresh) = seen.intern(&self.state);
             if fresh {
                 at_state.push((self.time, self.reference_firings));
@@ -691,7 +756,6 @@ impl<'a> ConstrainedExecutor<'a> {
                 });
             }
             let actor_throughput = Rational::new(firings as i128, period as i128);
-            let gamma = self.ba.graph().repetition_vector()?;
             let iteration_throughput =
                 actor_throughput / Rational::from_integer(gamma[reference] as i128);
             return Ok(ThroughputResult {
@@ -976,6 +1040,54 @@ mod tests {
             constrained_throughput(&ba, &schedules, a3),
             Err(SdfError::Deadlock { .. })
         ));
+    }
+
+    /// The hand-written order `(y x)*` stalls the reference x on t1 (y
+    /// waits for a token only x produces), while z keeps firing on t2.
+    /// The run is periodic with the wheel and x's throughput is 0. Storing
+    /// only at x's iteration ends would never store a state and run out
+    /// of budget; z's component stores at z's.
+    #[test]
+    fn stalled_reference_component_recurs_through_another_component() {
+        use sdfrs_appmodel::{ActorRequirements, ApplicationGraph, ChannelRequirements};
+        use sdfrs_platform::ProcessorType;
+        use sdfrs_sdf::SdfGraph;
+        let (p1, p2) = (ProcessorType::new("p1"), ProcessorType::new("p2"));
+        let mut g = SdfGraph::new("stalled");
+        let x = g.add_actor("x", 0);
+        let y = g.add_actor("y", 0);
+        let z = g.add_actor("z", 0);
+        let xy = g.add_channel("xy", x, 1, y, 1, 0);
+        let yx = g.add_channel("yx", y, 1, x, 1, 1);
+        let zz = g.add_channel("zz", z, 1, z, 1, 1);
+        let app = ApplicationGraph::builder(g, Rational::new(1, 100))
+            .actor(x, ActorRequirements::new().on(p1.clone(), 1, 1))
+            .actor(y, ActorRequirements::new().on(p1, 1, 1))
+            .actor(z, ActorRequirements::new().on(p2, 1, 1))
+            .channel(xy, ChannelRequirements::new(1, 1, 0, 0, 0))
+            .channel(yx, ChannelRequirements::new(1, 1, 0, 0, 0))
+            .channel(zz, ChannelRequirements::new(1, 1, 0, 0, 0))
+            .output_actor(x)
+            .build()
+            .unwrap();
+        let arch = example_platform();
+        let (t1, t2) = (TileId::from_index(0), TileId::from_index(1));
+        let mut binding = Binding::new(3);
+        binding.bind(x, t1);
+        binding.bind(y, t1);
+        binding.bind(z, t2);
+        let ba = BindingAwareGraph::build(&app, &arch, &binding, &[10, 10]).unwrap();
+        let ba_of = |a| ba.ba_actor(a);
+        let mut schedules = TileSchedules::new(2);
+        schedules.set(
+            t1,
+            StaticOrderSchedule::new(vec![], vec![ba_of(y), ba_of(x)]),
+        );
+        schedules.set(t2, StaticOrderSchedule::new(vec![], vec![ba_of(z)]));
+        let thr = constrained_throughput(&ba, &schedules, ba_of(x)).unwrap();
+        assert_eq!(thr.iteration_throughput, Rational::ZERO);
+        assert_eq!(thr.period, 10);
+        assert_eq!(thr.firings_in_period, 0);
     }
 
     #[test]

@@ -211,20 +211,26 @@ pub enum FlowEvent {
         /// Length of the periodic part.
         period_len: usize,
     },
-    /// One slice-search throughput evaluation: the tested slice vector,
-    /// the measured throughput, and whether the evaluation cache answered.
+    /// One slice-search throughput check: the tested slice vector, the
+    /// measured throughput, and whether the evaluation cache or the
+    /// processing bound answered.
     SliceProbe {
         /// Which search probed.
         scope: SliceScope,
         /// The tested slice of each tile the application uses.
         slices: ProbeSlices,
-        /// Measured guaranteed throughput under those slices.
+        /// Measured guaranteed throughput under those slices, or the
+        /// processing bound when `bound` is set.
         throughput: Rational,
         /// `throughput ≥ λ`.
         feasible: bool,
         /// Whether the [`ThroughputCache`](crate::ThroughputCache)
         /// answered without running the exploration.
         cache_hit: bool,
+        /// Whether the processing bound
+        /// ([`ProcessingBound`](crate::slice::ProcessingBound)) answered
+        /// "infeasible" before the cache or the exploration was consulted.
+        bound: bool,
     },
     /// An allocation run finished.
     FlowFinished {
@@ -451,6 +457,7 @@ impl FlowEvent {
                 throughput,
                 feasible,
                 cache_hit,
+                bound,
             } => {
                 match scope {
                     SliceScope::Global { k, of } => {
@@ -481,6 +488,9 @@ impl FlowEvent {
                     s,
                     "],\"throughput\":\"{throughput}\",\"feasible\":{feasible},\"cache_hit\":{cache_hit}"
                 );
+                if *bound {
+                    s.push_str(",\"bound\":true");
+                }
             }
             FlowEvent::FlowFinished { ok, duration } => {
                 let _ = write!(s, ",\"ok\":{ok},\"duration_us\":{}", duration.as_micros());
@@ -631,6 +641,7 @@ impl FlowEvent {
                 throughput,
                 feasible,
                 cache_hit,
+                bound,
             } => {
                 match scope {
                     SliceScope::Global { k, of } => {
@@ -655,6 +666,9 @@ impl FlowEvent {
                     },
                     if *cache_hit { " [cache hit]" } else { "" }
                 );
+                if *bound {
+                    s.push_str(" [processing bound]");
+                }
             }
             FlowEvent::FlowFinished { ok, duration } => {
                 let _ = write!(
@@ -1196,6 +1210,7 @@ mod tests {
                 throughput: Rational::new(1, 30),
                 feasible: true,
                 cache_hit: false,
+                bound: false,
             },
             FlowEvent::SliceProbe {
                 scope: SliceScope::Refine {
@@ -1210,6 +1225,7 @@ mod tests {
                 throughput: Rational::new(1, 40),
                 feasible: false,
                 cache_hit: true,
+                bound: false,
             },
             FlowEvent::FlowFinished {
                 ok: true,

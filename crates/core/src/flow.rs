@@ -250,6 +250,10 @@ pub struct FlowStats {
     pub cache_hits: usize,
     /// Throughput checks that ran the constrained state-space exploration.
     pub cache_misses: usize,
+    /// Throughput checks the processing bound answered "infeasible"
+    /// without the cache or the exploration:
+    /// `throughput_checks = cache_hits + cache_misses + bound_answers`.
+    pub bound_answers: usize,
     /// Wall-clock time of the binding step.
     pub binding_time: Duration,
     /// Wall-clock time of the schedule construction.
@@ -362,7 +366,7 @@ fn allocate_steps(
     cache: &mut ThroughputCache,
     obs: &mut FlowObserver<'_>,
 ) -> Result<(Allocation, FlowStats), MapError> {
-    let (hits0, misses0) = (cache.hits(), cache.misses());
+    let (hits0, misses0, bounds0) = (cache.hits(), cache.misses(), cache.bound_answers());
 
     // Step 1: resource binding.
     let ((binding, bind_attempts), binding_time) = run_phase(obs, FlowPhase::Binding, |obs| {
@@ -410,6 +414,7 @@ fn allocate_steps(
         throughput_checks: slice_alloc.throughput_checks,
         cache_hits: cache.hits() - hits0,
         cache_misses: cache.misses() - misses0,
+        bound_answers: cache.bound_answers() - bounds0,
         binding_time,
         scheduling_time,
         slice_time,

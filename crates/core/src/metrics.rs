@@ -15,8 +15,9 @@
 //! (see [`FlowObserver::emit`](crate::events::FlowObserver::emit)).
 //! Facts no event carries keep exactly one direct writer each: the
 //! throughput cache (`throughput_checks`, `cache_hits`, `cache_misses`,
-//! `cache_evictions`, `states_explored`, the `cache_entries` gauge, the
-//! `probe_states` histogram and the `probe` span), the slice search
+//! `bound_answers`, `cache_evictions`, `states_explored`, the
+//! `cache_entries` gauge, the `probe_states` histogram and the `probe`
+//! span), the slice search
 //! (`refine_search_iters`), regional admission (`region_*`,
 //! `regions_configured`), the commit log (`net_commits_logged`,
 //! `net_log_write_failures`) and the network front-end (`net_*`,
@@ -52,7 +53,9 @@
 //! let (_, stats) = allocator.allocate(&app, &arch, &PlatformState::new(&arch))?;
 //! let snapshot = metrics.snapshot().expect("collecting handle");
 //! assert_eq!(
-//!     snapshot.counter("cache_hits") + snapshot.counter("cache_misses"),
+//!     snapshot.counter("cache_hits")
+//!         + snapshot.counter("cache_misses")
+//!         + snapshot.counter("bound_answers"),
 //!     stats.throughput_checks as u64,
 //! );
 //! # Ok(())
@@ -358,6 +361,10 @@ const COUNTERS: &[(&str, &str)] = &[
         "Evaluations that ran the state-space exploration.",
     ),
     (
+        "bound_answers",
+        "Slice probes the processing bound answered infeasible without exploring.",
+    ),
+    (
         "cache_evictions",
         "Memoized evaluations dropped by cache clears and the entry cap.",
     ),
@@ -507,6 +514,9 @@ pub struct MetricsRegistry {
     pub cache_hits: Counter,
     /// Evaluations that ran the state-space exploration.
     pub cache_misses: Counter,
+    /// Slice probes the processing bound answered infeasible without
+    /// consulting the cache or exploring.
+    pub bound_answers: Counter,
     /// Memoized evaluations dropped by cache clears and the entry cap.
     pub cache_evictions: Counter,
     /// Constrained state-space states explored across all probes.
@@ -622,6 +632,7 @@ impl MetricsRegistry {
             throughput_checks: Counter::default(),
             cache_hits: Counter::default(),
             cache_misses: Counter::default(),
+            bound_answers: Counter::default(),
             cache_evictions: Counter::default(),
             states_explored: Counter::default(),
             admission_admitted: Counter::default(),
@@ -681,6 +692,7 @@ impl MetricsRegistry {
             "throughput_checks" => self.throughput_checks.get(),
             "cache_hits" => self.cache_hits.get(),
             "cache_misses" => self.cache_misses.get(),
+            "bound_answers" => self.bound_answers.get(),
             "cache_evictions" => self.cache_evictions.get(),
             "states_explored" => self.states_explored.get(),
             "admission_admitted" => self.admission_admitted.get(),
@@ -745,9 +757,9 @@ impl MetricsRegistry {
                 self.schedule_states.add(*states as u64);
             }
             FlowEvent::ScheduleConstructed { .. } => self.schedules_constructed.inc(),
-            // Checks, hits and misses are the cache's to count: it also
-            // sees the evaluations no probe event reports (exact-solver
-            // leaves, probes that fail).
+            // Checks, hits, misses and bound answers are the cache's to
+            // count: it also sees the evaluations no probe event reports
+            // (exact-solver leaves, probes that fail).
             FlowEvent::SliceProbe { scope, .. } => match scope {
                 SliceScope::Global { .. } => self.global_slice_iterations.inc(),
                 SliceScope::Refine { .. } | SliceScope::Commit { .. } | SliceScope::Final => {
@@ -1272,6 +1284,7 @@ mod tests {
             throughput: Rational::new(1, 30),
             feasible: true,
             cache_hit: false,
+            bound: false,
         });
         registry.record_event(&FlowEvent::SliceProbe {
             scope: SliceScope::Final,
@@ -1279,6 +1292,7 @@ mod tests {
             throughput: Rational::new(1, 30),
             feasible: true,
             cache_hit: true,
+            bound: false,
         });
         let s = registry.snapshot();
         assert_eq!(s.counter("bind_attempts"), 1);

@@ -12,16 +12,20 @@
 //!    lower bound — imperfectly balanced load means lightly loaded tiles
 //!    need less wheel time.
 //!
-//! Every probe goes through the [`ThroughputCache`]. Refinement tasks
-//! read the pass-start cache by shared reference and memoize into a
-//! task-local delta, absorbed in tile order once the pass joins.
+//! Every probe first asks the exact [`ProcessingBound`]; a probe the
+//! bound does not prove infeasible goes through the [`ThroughputCache`].
+//! The bound only answers probes the exploration would find infeasible,
+//! so both searches take the same steps as with every probe explored.
+//! Refinement tasks read the pass-start cache by shared reference and
+//! memoize into a task-local delta, absorbed in tile order once the pass
+//! joins.
 
 use sdfrs_appmodel::ApplicationGraph;
 #[cfg(test)]
 use sdfrs_platform::TileId;
 use sdfrs_platform::{ArchitectureGraph, PlatformState};
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
-use sdfrs_sdf::Rational;
+use sdfrs_sdf::{ActorId, Rational, SdfError};
 
 use crate::binding::Binding;
 use crate::binding_aware::BindingAwareGraph;
@@ -79,14 +83,175 @@ pub struct SliceAllocation {
     pub refine_iterations: usize,
 }
 
-/// Evaluates the guaranteed throughput under `slices` (one per local
-/// tile of `ba`), at the output actor, through `cache` — consulting
-/// `shared` first when a refinement task probes through its pass-start
-/// cache.
+/// An exact upper bound on the iteration throughput of a binding-aware
+/// graph under its current slices, from processing load alone:
+/// `min_l ω_l / (w_l·W_l)` over the local tiles `l`, where
+/// `W_l = Σ γ(a)·τ(a)` over the actors of the reference's weakly connected
+/// component bound to `l`.
 ///
-/// Counted as a throughput check even when the cache answers: the paper's
-/// metric is how often the search *consults* the analysis. The second
-/// return value reports whether the cache answered.
+/// A recurrent state of the constrained execution includes the wheels'
+/// hyper-period phase, so a period `P` is a multiple of every wheel and
+/// tile `l` offers exactly `P·ω_l/w_l` slice time in it. A tile runs one
+/// firing at a time, a tile-bound firing progresses only inside the
+/// slice, and in one period every actor of the reference's component
+/// fires `k·γ(a)` times. So `k·W_l ≤ P·ω_l/w_l`, and the iteration
+/// throughput `k/P` is at most `ω_l/(w_l·W_l)`. Other components are left
+/// out: their load does not limit the reference.
+///
+/// # Examples
+///
+/// ```
+/// use sdfrs_appmodel::apps::{example_platform, paper_example};
+/// use sdfrs_core::slice::ProcessingBound;
+/// use sdfrs_core::{Binding, BindingAwareGraph};
+/// use sdfrs_platform::TileId;
+/// use sdfrs_sdf::Rational;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let (app, arch) = (paper_example(), example_platform());
+/// let g = app.graph();
+/// let mut binding = Binding::new(g.actor_count());
+/// binding.bind(g.actor_by_name("a1").unwrap(), TileId::from_index(0));
+/// binding.bind(g.actor_by_name("a2").unwrap(), TileId::from_index(0));
+/// binding.bind(g.actor_by_name("a3").unwrap(), TileId::from_index(1));
+/// let ba = BindingAwareGraph::build(&app, &arch, &binding, &[5, 5])?;
+/// let bound = ProcessingBound::new(&ba, ba.ba_actor(app.output_actor()))?;
+/// // t1 runs a1 twice and a2 twice per iteration (W = 4), half the time.
+/// assert_eq!(bound.at(&ba), Some(Rational::new(1, 8)));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ProcessingBound {
+    /// `W_l` per local tile; `None` where the sum overflows, and that
+    /// tile then bounds nothing.
+    work: Vec<Option<u128>>,
+}
+
+impl ProcessingBound {
+    /// The bound on `reference`'s component (a binding-aware actor), with
+    /// γ the graph's repetition vector: the one the constrained executor
+    /// divides by.
+    ///
+    /// # Errors
+    ///
+    /// [`SdfError::Inconsistent`] if the graph has no repetition vector.
+    pub fn new(ba: &BindingAwareGraph, reference: ActorId) -> Result<Self, SdfError> {
+        let g = ba.graph();
+        let gamma = g.repetition_vector()?;
+        let (component, _) = g.weak_components();
+        let mut work = vec![Some(0u128); ba.tiles().len()];
+        for a in g.actor_ids() {
+            if component[a.index()] != component[reference.index()] {
+                continue;
+            }
+            if let Some(l) = ba.local_tile_of(a) {
+                let firing = u128::from(gamma[a]) * u128::from(g.actor(a).execution_time());
+                work[l] = work[l].and_then(|w| w.checked_add(firing));
+            }
+        }
+        Ok(ProcessingBound { work })
+    }
+
+    /// `(ω_l, w_l·W_l)` of the tile with the smallest bound under `ba`'s
+    /// current slices; `None` if no tile carries work. A comparison that
+    /// overflows keeps the tile found so far, whose bound still holds.
+    fn tightest(&self, ba: &BindingAwareGraph) -> Option<(u128, u128)> {
+        let mut best: Option<(u128, u128)> = None;
+        for (l, work) in self.work.iter().enumerate() {
+            let Some(work) = work.filter(|&w| w > 0) else {
+                continue;
+            };
+            let tdma = ba.local_tdma(l);
+            let Some(den) = u128::from(tdma.wheel)
+                .checked_mul(work)
+                .filter(|&d| d <= i128::MAX as u128)
+            else {
+                continue;
+            };
+            let ratio = (u128::from(tdma.slice), den);
+            if best.is_none_or(|b| less(ratio, b) == Some(true)) {
+                best = Some(ratio);
+            }
+        }
+        best
+    }
+
+    /// The bound under `ba`'s current slices; `None` if no tile of the
+    /// reference's component carries work.
+    pub fn at(&self, ba: &BindingAwareGraph) -> Option<Rational> {
+        self.tightest(ba)
+            .map(|(num, den)| Rational::new(num as i128, den as i128))
+    }
+
+    /// The bound under `ba`'s current slices if it proves them
+    /// infeasible, i.e. lies below `lambda`. Compared by exact
+    /// cross-multiplication: `None` when a product overflows, and the
+    /// probe explores.
+    fn refutes(&self, ba: &BindingAwareGraph, lambda: Rational) -> Option<Rational> {
+        let bound = self.tightest(ba)?;
+        let lambda = (
+            u128::try_from(lambda.numer()).ok()?,
+            u128::try_from(lambda.denom()).ok()?,
+        );
+        less(bound, lambda)?.then(|| Rational::new(bound.0 as i128, bound.1 as i128))
+    }
+}
+
+/// `a.0 / a.1 < b.0 / b.1` for positive denominators; `None` when a
+/// product overflows.
+fn less(a: (u128, u128), b: (u128, u128)) -> Option<bool> {
+    Some(a.0.checked_mul(b.1)? < b.0.checked_mul(a.1)?)
+}
+
+/// What one throughput check of the slice search answered.
+#[derive(Debug, Clone)]
+enum Answer {
+    /// The throughput the exploration measured, and whether the cache
+    /// recalled it.
+    Measured(ThroughputResult, bool),
+    /// The processing bound, below λ: the slices are infeasible.
+    Bounded(Rational),
+}
+
+impl Answer {
+    /// The measured iteration throughput, or the bound.
+    fn throughput(&self) -> Rational {
+        match self {
+            Answer::Measured(r, _) => r.iteration_throughput,
+            Answer::Bounded(bound) => *bound,
+        }
+    }
+
+    /// The measured result, if it meets `lambda`.
+    fn meeting(self, lambda: Rational) -> Option<ThroughputResult> {
+        match self {
+            Answer::Measured(r, _) if r.iteration_throughput >= lambda => Some(r),
+            _ => None,
+        }
+    }
+
+    /// The probe event reporting this answer.
+    fn event(&self, scope: SliceScope, slices: ProbeSlices, lambda: Rational) -> FlowEvent {
+        let throughput = self.throughput();
+        FlowEvent::SliceProbe {
+            scope,
+            slices,
+            throughput,
+            feasible: throughput >= lambda,
+            cache_hit: matches!(self, Answer::Measured(_, true)),
+            bound: matches!(self, Answer::Bounded(_)),
+        }
+    }
+}
+
+/// Answers one throughput check under `slices` (one per local tile of
+/// `ba`), at the output actor: from `bound` when it proves the slices
+/// infeasible, otherwise through `cache`, consulting `shared` first when
+/// a refinement task probes through its pass-start cache.
+///
+/// Counted as a throughput check whoever answers: the paper's metric is
+/// how often the search *consults* the analysis.
 #[allow(clippy::too_many_arguments)]
 fn evaluate(
     ba: &mut BindingAwareGraph,
@@ -94,18 +259,23 @@ fn evaluate(
     app: &ApplicationGraph,
     slices: &[u64],
     budget: usize,
+    bound: Option<&ProcessingBound>,
     checks: &mut usize,
     cache: &mut ThroughputCache,
     shared: Option<&ThroughputCache>,
-) -> Result<(ThroughputResult, bool), MapError> {
+) -> Result<Answer, MapError> {
     *checks += 1;
     ba.set_local_slices(slices);
+    if let Some(bound) = bound.and_then(|b| b.refutes(ba, app.throughput_constraint())) {
+        cache.count_bound_answer();
+        return Ok(Answer::Bounded(bound));
+    }
     let reference = ba.ba_actor(app.output_actor());
     let hits_before = cache.hits();
     let thr = cache
         .throughput_via(shared, ba, schedules, reference, budget)
         .map_err(MapError::from)?;
-    Ok((thr, cache.hits() > hits_before))
+    Ok(Answer::Measured(thr, cache.hits() > hits_before))
 }
 
 /// Allocates TDMA slices meeting the application's throughput constraint
@@ -167,12 +337,12 @@ pub fn allocate_slices_cached(
 /// A probe recorded inside a (possibly parallel) refinement task, replayed
 /// through the observer in tile order after the tasks join so the event
 /// stream stays deterministic.
-type RefineProbe = (u64, Vec<u64>, Rational, bool, bool);
+type RefineProbe = (u64, Vec<u64>, Answer);
 
-/// [`allocate_slices_cached`] reporting every throughput evaluation of
-/// both binary searches as a
-/// [`SliceProbe`](FlowEvent::SliceProbe) — the tested slice vector, the
-/// measured throughput, feasibility, and whether the cache answered.
+/// [`allocate_slices_cached`] reporting every throughput check of both
+/// binary searches as a [`SliceProbe`](FlowEvent::SliceProbe): the
+/// tested slice vector, the measured throughput (or the processing bound
+/// that answered), feasibility, and whether the cache answered.
 ///
 /// Probes from parallel refinement tasks are buffered per task and
 /// emitted in tile order once the pass joins, so the event stream is
@@ -227,32 +397,35 @@ pub fn allocate_slices_observed(
     if big_k == 0 {
         return Err(MapError::ConstraintUnsatisfiable);
     }
+    // W_l once per search: execution times of tile-bound actors do not
+    // depend on the slices.
+    let bound = ProcessingBound::new(ba, ba.ba_actor(app.output_actor()))?;
     let full = slice_for(big_k, big_k);
-    let (thr_full, full_hit) = evaluate(
+    let answer = evaluate(
         ba,
         schedules,
         app,
         &full,
         config.state_budget,
+        Some(&bound),
         &mut checks,
         cache,
         None,
     )?;
     global_iterations += 1;
-    let full_feasible = thr_full.iteration_throughput >= lambda;
-    obs.emit(|| FlowEvent::SliceProbe {
-        scope: SliceScope::Global {
-            k: big_k,
-            of: big_k,
-        },
-        slices: probe_slices(&full),
-        throughput: thr_full.iteration_throughput,
-        feasible: full_feasible,
-        cache_hit: full_hit,
+    obs.emit(|| {
+        answer.event(
+            SliceScope::Global {
+                k: big_k,
+                of: big_k,
+            },
+            probe_slices(&full),
+            lambda,
+        )
     });
-    if !full_feasible {
+    let Some(thr_full) = answer.meeting(lambda) else {
         return Err(MapError::ConstraintUnsatisfiable);
-    }
+    };
 
     let mut lo = 1u64;
     let mut hi = big_k;
@@ -264,25 +437,26 @@ pub fn allocate_slices_observed(
         if candidate == best && hi == mid {
             break;
         }
-        let (thr, hit) = evaluate(
+        let answer = evaluate(
             ba,
             schedules,
             app,
             &candidate,
             config.state_budget,
+            Some(&bound),
             &mut checks,
             cache,
             None,
         )?;
         global_iterations += 1;
-        obs.emit(|| FlowEvent::SliceProbe {
-            scope: SliceScope::Global { k: mid, of: big_k },
-            slices: probe_slices(&candidate),
-            throughput: thr.iteration_throughput,
-            feasible: thr.iteration_throughput >= lambda,
-            cache_hit: hit,
+        obs.emit(|| {
+            answer.event(
+                SliceScope::Global { k: mid, of: big_k },
+                probe_slices(&candidate),
+                lambda,
+            )
         });
-        if thr.iteration_throughput >= lambda {
+        if let Some(thr) = answer.meeting(lambda) {
             let within_tolerance = thr.iteration_throughput <= ceiling;
             hi = mid;
             best = candidate;
@@ -342,19 +516,20 @@ pub fn allocate_slices_observed(
                         let mid = lo + (hi - lo) / 2;
                         let mut candidate = pass_start.clone();
                         candidate[l] = mid;
-                        let (thr, hit) = evaluate(
+                        let answer = evaluate(
                             &mut local_ba,
                             schedules,
                             app,
                             &candidate,
                             config.state_budget,
+                            Some(&bound),
                             &mut local_checks,
                             &mut local_cache,
                             Some(shared),
                         )?;
-                        let feasible = thr.iteration_throughput >= lambda;
+                        let feasible = answer.throughput() >= lambda;
                         if record {
-                            probes.push((mid, candidate, thr.iteration_throughput, feasible, hit));
+                            probes.push((mid, candidate, answer));
                         }
                         if feasible {
                             hi = mid;
@@ -377,17 +552,17 @@ pub fn allocate_slices_observed(
                 }
                 cache.absorb(local_cache);
                 let tile = tiles[l].index();
-                for (tried, tried_slices, thr, feasible, hit) in probes {
-                    obs.emit(|| FlowEvent::SliceProbe {
-                        scope: SliceScope::Refine {
-                            pass,
-                            tile,
-                            slice: tried,
-                        },
-                        slices: probe_slices(&tried_slices),
-                        throughput: thr,
-                        feasible,
-                        cache_hit: hit,
+                for (tried, tried_slices, answer) in probes {
+                    obs.emit(|| {
+                        answer.event(
+                            SliceScope::Refine {
+                                pass,
+                                tile,
+                                slice: tried,
+                            },
+                            probe_slices(&tried_slices),
+                            lambda,
+                        )
                     });
                 }
                 if proposed >= slices[l] {
@@ -395,30 +570,30 @@ pub fn allocate_slices_observed(
                 }
                 let mut candidate = slices.clone();
                 candidate[l] = proposed;
-                let (thr, hit) = evaluate(
+                let answer = evaluate(
                     ba,
                     schedules,
                     app,
                     &candidate,
                     config.state_budget,
+                    Some(&bound),
                     &mut checks,
                     cache,
                     None,
                 )?;
                 refine_iterations += 1;
-                let feasible = thr.iteration_throughput >= lambda;
-                obs.emit(|| FlowEvent::SliceProbe {
-                    scope: SliceScope::Commit {
-                        pass,
-                        tile,
-                        slice: proposed,
-                    },
-                    slices: probe_slices(&candidate),
-                    throughput: thr.iteration_throughput,
-                    feasible,
-                    cache_hit: hit,
+                obs.emit(|| {
+                    answer.event(
+                        SliceScope::Commit {
+                            pass,
+                            tile,
+                            slice: proposed,
+                        },
+                        probe_slices(&candidate),
+                        lambda,
+                    )
                 });
-                if feasible {
+                if answer.throughput() >= lambda {
                     slices = candidate;
                     changed = true;
                 }
@@ -427,31 +602,26 @@ pub fn allocate_slices_observed(
                 break;
             }
         }
-        // Re-evaluate at the final allocation so `achieved` matches it.
-        let (final_thr, final_hit) = evaluate(
+        // Re-evaluate at the final allocation so `achieved` matches it,
+        // always by exploring: no bound answer becomes a result.
+        let answer = evaluate(
             ba,
             schedules,
             app,
             &slices,
             config.state_budget,
+            None,
             &mut checks,
             cache,
             None,
         )?;
         refine_iterations += 1;
-        best_thr = final_thr;
-        obs.emit(|| FlowEvent::SliceProbe {
-            scope: SliceScope::Final,
-            slices: probe_slices(&slices),
-            throughput: best_thr.iteration_throughput,
-            feasible: best_thr.iteration_throughput >= lambda,
-            cache_hit: final_hit,
-        });
-        if best_thr.iteration_throughput < lambda {
-            // Defensive: refinement never commits an infeasible slice, but
-            // re-check because `best_thr` may come from a larger slice.
-            return Err(MapError::ConstraintUnsatisfiable);
-        }
+        obs.emit(|| answer.event(SliceScope::Final, probe_slices(&slices), lambda));
+        // Defensive: refinement never commits an infeasible slice, but
+        // re-check because `best_thr` may come from a larger slice.
+        best_thr = answer
+            .meeting(lambda)
+            .ok_or(MapError::ConstraintUnsatisfiable)?;
     } else {
         ba.set_local_slices(&slices);
     }

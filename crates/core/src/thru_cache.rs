@@ -23,10 +23,19 @@
 //! reference and memoizes into a task-local cache that is absorbed after
 //! the pass. The cache holds at most [`MAX_ENTRIES`] evaluations.
 //!
-//! Every exploration a cache runs interns its states into the cache's
-//! one probe arena, reset but not freed between probes. A task cache
-//! borrows the arena of the cache it probes through while no other task
-//! holds it, so a sequential flow interns every probe into one arena.
+//! Every exploration a cache runs interns its stored states (the
+//! iteration ends, see [`constrained`](crate::constrained)) into the
+//! cache's one probe arena, reset but not freed between probes. A task
+//! cache borrows the arena of the cache it probes through while no other
+//! task holds it, so a sequential flow interns every probe into one
+//! arena. Storing iteration ends only keeps that arena at a few thousand
+//! states where it held every stepped state, so a fresh allocator no
+//! longer pays for regrowing it; reusing it still beats a fresh arena per
+//! probe (DESIGN.md §9).
+//!
+//! The cache also counts the slice search's processing-bound answers
+//! ([`bound_answers`](ThroughputCache::bound_answers)), so one writer
+//! keeps `throughput_checks = cache_hits + cache_misses + bound_answers`.
 
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -146,6 +155,7 @@ pub struct ThroughputCache {
     memo: Memo,
     hits: usize,
     misses: usize,
+    bound_answers: usize,
     scratch: Vec<u64>,
     bypass: bool,
     metrics: Metrics,
@@ -182,6 +192,26 @@ impl ThroughputCache {
     /// Evaluations that ran the state-space exploration.
     pub fn misses(&self) -> usize {
         self.misses
+    }
+
+    /// Slice-search checks the processing bound
+    /// ([`ProcessingBound`](crate::slice::ProcessingBound)) answered before
+    /// the cache was consulted.
+    pub fn bound_answers(&self) -> usize {
+        self.bound_answers
+    }
+
+    /// Counts a throughput check that the slice search answered from the
+    /// processing bound ([`ProcessingBound`](crate::slice::ProcessingBound))
+    /// without a lookup: the cache is the one writer of the check
+    /// counters, so `throughput_checks = cache_hits + cache_misses +
+    /// bound_answers`.
+    pub(crate) fn count_bound_answer(&mut self) {
+        self.bound_answers += 1;
+        self.metrics.record(|m| {
+            m.throughput_checks.inc();
+            m.bound_answers.inc();
+        });
     }
 
     /// Distinct configurations memoized.
@@ -230,7 +260,7 @@ impl ThroughputCache {
 
     /// Merges another cache into this one: memoized evaluations are
     /// adopted (first writer wins on duplicates — both sides computed the
-    /// same result) and hit/miss counters accumulate. Folds the caches of
+    /// same result) and the check counters accumulate. Folds the caches of
     /// search tasks back into the shared cache. Returns how many entries
     /// were newly adopted.
     ///
@@ -241,6 +271,7 @@ impl ThroughputCache {
     pub fn absorb(&mut self, other: ThroughputCache) -> usize {
         self.hits += other.hits;
         self.misses += other.misses;
+        self.bound_answers += other.bound_answers;
         let mut adopted = 0;
         for (key, value) in other.memo {
             adopted += usize::from(self.adopt(key, value));

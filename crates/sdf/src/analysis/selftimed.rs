@@ -93,9 +93,14 @@ pub struct ThroughputResult {
     pub period: u64,
     /// Completions of the reference actor within one period.
     pub firings_in_period: u64,
-    /// Number of clock-transition states explored before recurrence.
+    /// Number of clock-transition states explored before recurrence. An
+    /// explorer that stores only some states (the constrained executor of
+    /// `sdfrs-core` stores iteration ends) closes the recurrence up to one
+    /// period of states later.
     pub states_explored: usize,
-    /// Time at which the periodic phase was first entered.
+    /// Time at which the periodic phase was first entered; for an
+    /// explorer that stores only some states, the time of the first
+    /// stored state inside it, up to one `period` later.
     pub transient_time: u64,
 }
 

@@ -129,30 +129,7 @@ impl SdfGraph {
         // lcm of denominators clears fractions; dividing by the gcd of the
         // numerators yields the smallest non-trivial solution.
         let fracs: Vec<Rational> = ratio.into_iter().map(|r| r.expect("all visited")).collect();
-        // Identify components again to scale independently.
-        let mut component = vec![usize::MAX; n];
-        let mut comp_count = 0;
-        for root in 0..n {
-            if component[root] != usize::MAX {
-                continue;
-            }
-            let id = comp_count;
-            comp_count += 1;
-            component[root] = id;
-            let mut stack = vec![root];
-            while let Some(u) = stack.pop() {
-                let actor = ActorId::from_index(u);
-                for &ch in self.outgoing(actor).iter().chain(self.incoming(actor)) {
-                    let c = self.channel(ch);
-                    for v in [c.src().index(), c.dst().index()] {
-                        if component[v] == usize::MAX {
-                            component[v] = id;
-                            stack.push(v);
-                        }
-                    }
-                }
-            }
-        }
+        let (component, comp_count) = self.weak_components();
 
         let mut comp_lcm = vec![1u128; comp_count];
         for (i, f) in fracs.iter().enumerate() {
@@ -178,6 +155,48 @@ impl SdfGraph {
     /// `true` iff the graph has a non-trivial repetition vector.
     pub fn is_consistent(&self) -> bool {
         self.repetition_vector().is_ok()
+    }
+
+    /// The weakly connected component of every actor, and how many there
+    /// are. Components are numbered in order of their lowest actor index,
+    /// so component 0 holds actor 0.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sdfrs_sdf::SdfGraph;
+    /// let mut g = SdfGraph::new("two");
+    /// let a = g.add_actor("a", 1);
+    /// g.add_actor("b", 1);
+    /// let c = g.add_actor("c", 1);
+    /// g.add_channel("ac", a, 1, c, 1, 0);
+    /// assert_eq!(g.weak_components(), (vec![0, 1, 0], 2));
+    /// ```
+    pub fn weak_components(&self) -> (Vec<usize>, usize) {
+        let n = self.actor_count();
+        let mut component = vec![usize::MAX; n];
+        let mut count = 0;
+        for root in 0..n {
+            if component[root] != usize::MAX {
+                continue;
+            }
+            component[root] = count;
+            let mut stack = vec![root];
+            while let Some(u) = stack.pop() {
+                let actor = ActorId::from_index(u);
+                for &ch in self.outgoing(actor).iter().chain(self.incoming(actor)) {
+                    let c = self.channel(ch);
+                    for v in [c.src().index(), c.dst().index()] {
+                        if component[v] == usize::MAX {
+                            component[v] = count;
+                            stack.push(v);
+                        }
+                    }
+                }
+            }
+            count += 1;
+        }
+        (component, count)
     }
 }
 

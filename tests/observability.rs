@@ -134,10 +134,13 @@ fn emitted_events_reconcile_with_flow_stats() {
         probes.len(),
         stats.global_slice_iterations + stats.refine_slice_iterations
     );
-    let (mut global, mut cache_hits) = (0, 0);
+    let (mut global, mut cache_hits, mut bound_answers) = (0, 0, 0);
     for p in &probes {
         if let FlowEvent::SliceProbe {
-            scope, cache_hit, ..
+            scope,
+            cache_hit,
+            bound,
+            ..
         } = p
         {
             if matches!(scope, sdfrs_core::events::SliceScope::Global { .. }) {
@@ -146,13 +149,17 @@ fn emitted_events_reconcile_with_flow_stats() {
             if *cache_hit {
                 cache_hits += 1;
             }
+            if *bound {
+                bound_answers += 1;
+            }
         }
     }
     assert_eq!(global, stats.global_slice_iterations);
     assert_eq!(cache_hits, stats.cache_hits);
+    assert_eq!(bound_answers, stats.bound_answers);
     assert_eq!(
         stats.throughput_checks,
-        stats.cache_hits + stats.cache_misses
+        stats.cache_hits + stats.cache_misses + stats.bound_answers
     );
 }
 
@@ -414,7 +421,9 @@ fn golden_jsonl_trace_of_a_second_admission() {
         r#"{"t_us":0,"event":"phase_started","phase":"slice_allocation"}"#,
         r#"{"t_us":0,"event":"slice_probe","scope":"global","k":5,"of":5,"slices":[5,0],"throughput":"1/14","feasible":true,"cache_hit":false}"#,
         r#"{"t_us":0,"event":"slice_probe","scope":"global","k":3,"of":5,"slices":[3,0],"throughput":"3/70","feasible":true,"cache_hit":false}"#,
-        r#"{"t_us":0,"event":"slice_probe","scope":"global","k":2,"of":5,"slices":[2,0],"throughput":"1/35","feasible":false,"cache_hit":false}"#,
+        // Answered by the processing bound, which here equals the
+        // measured throughput: t1 runs a1, a2 and a3 on 2 of its 10 units.
+        r#"{"t_us":0,"event":"slice_probe","scope":"global","k":2,"of":5,"slices":[2,0],"throughput":"1/35","feasible":false,"cache_hit":false,"bound":true}"#,
         r#"{"t_us":0,"event":"admission_decision","index":1,"app":"paper_example","admitted":true,"detail":""}"#,
     ];
     let got = &lines[second_flow..];
