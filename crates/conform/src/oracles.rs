@@ -6,9 +6,10 @@
 //! then require both routes to reject with the same error.
 
 use sdfrs_core::dse::{self, DseResult};
+use sdfrs_core::events::FlowObserver;
 use sdfrs_core::exact::enumerate_exhaustive;
 use sdfrs_core::flow::{Allocation, FlowStats};
-use sdfrs_core::list_sched::construct_schedules;
+use sdfrs_core::list_sched::{construct_schedules, ListScheduler};
 use sdfrs_core::slice::ProcessingBound;
 use sdfrs_core::verify::verify_allocation;
 use sdfrs_core::{
@@ -22,7 +23,7 @@ use sdfrs_sdf::error::SdfError;
 use sdfrs_sdf::hsdf::{hsdf_reference_throughput, hsdf_size};
 use sdfrs_sdf::rational::Rational;
 
-use crate::reference::ScanExecutor;
+use crate::reference::{ScanExecutor, ScanListScheduler};
 use crate::{FaultInjection, HarnessConfig, OracleFailure, OracleId, ScenarioReport};
 
 type FlowOutcome = Result<(Allocation, FlowStats), MapError>;
@@ -1040,16 +1041,22 @@ fn fallback_binding(scenario: &Scenario) -> Option<(Binding, Vec<u64>)> {
 
 /// Oracle 11 — executor equivalence.
 ///
-/// Runs the core's event-driven [`ConstrainedExecutor`] and the
-/// reference scan ([`ScanExecutor`]) on the scenario's binding-aware
-/// graph and static orders — the base allocation's, or for an infeasible
-/// scenario the first-fit fallback binding with list-scheduled orders —
-/// at the allocated slices, at full wheels and at 1-unit slices. The
-/// results or the errors must be equal in every field but
-/// `states_explored` and `transient_time`: the core stores only
-/// iteration-end states, so it may close the recurrence up to one period
-/// later than the scan, which stores every state. Those two may only
-/// grow, and the transient by at most one period.
+/// First the list scheduler: on the scenario's binding — the base
+/// allocation's, or for an infeasible scenario the first-fit fallback
+/// binding — the core's [`ListScheduler`] (the executor's FIFO rule) and
+/// the reference scan ([`ScanListScheduler`]) must return the same raw
+/// schedules and state count, or the same error, at half wheels (the
+/// flow's setting), at full wheels (the exact solver's, sync actors
+/// taking no time) and at 1-unit slices.
+///
+/// Then the throughput: the core's event-driven [`ConstrainedExecutor`]
+/// and the reference scan ([`ScanExecutor`]) run on the binding-aware
+/// graph and static orders — the base allocation's, or the fallback
+/// binding's list-scheduled orders — at the allocated slices, at full
+/// wheels and at 1-unit slices. The core's result or error must equal
+/// the scan's detection on iteration-end states exactly, and its period,
+/// reference firings and throughputs those of the scan's detection on
+/// every state: storing fewer states loses nothing.
 ///
 /// At each setting an `Ok` exploration's iteration throughput must also
 /// be at most the [`ProcessingBound`]. A setting whose bound lies below λ
@@ -1076,25 +1083,52 @@ fn executor_oracle(
             config.flow.connection_model,
         )
     };
-    let (binding, schedules, slices) = match base {
-        Ok((alloc, _)) => (
-            alloc.binding.clone(),
-            alloc.schedules.clone(),
-            alloc.slices.clone(),
-        ),
+    let wheels: Vec<u64> = arch.tiles().map(|(_, t)| t.wheel_size()).collect();
+    let base_binding = match base {
+        Ok((alloc, _)) => Some(alloc.binding.clone()),
+        Err(_) => fallback_binding(scenario).map(|(binding, _)| binding),
+    };
+    let Some(binding) = base_binding else {
+        skipped.push((oracle, "no type-feasible fallback binding".into()));
+        return;
+    };
+    if let Ok(mut ba) = build(&binding, &wheels) {
+        let budget = config.flow.schedule_state_budget;
+        for (label, setting) in [
+            (
+                "half-wheel",
+                wheels.iter().map(|w| (w / 2).max(1)).collect(),
+            ),
+            ("full-wheel", wheels.clone()),
+            ("1-unit", vec![1; wheels.len()]),
+        ] {
+            ba.set_slices(&setting);
+            let core = ListScheduler::new(&ba)
+                .with_state_budget(budget)
+                .construct_raw_observed(&mut FlowObserver::null());
+            let scan = ScanListScheduler::new(&ba, budget).construct_raw();
+            if core != scan {
+                failures.push(OracleFailure {
+                    oracle,
+                    detail: format!(
+                        "{label} slices {setting:?}: core list scheduler {core:?}, \
+                         reference scan {scan:?}"
+                    ),
+                });
+            }
+        }
+    }
+    let (schedules, slices) = match base {
+        Ok((alloc, _)) => (alloc.schedules.clone(), alloc.slices.clone()),
         // List-schedule the fallback binding at half wheels, the
         // assumption of Sec 9.2.
         Err(_) => {
-            let Some((binding, wheels)) = fallback_binding(scenario) else {
-                skipped.push((oracle, "no type-feasible fallback binding".into()));
-                return;
-            };
             let half: Vec<u64> = wheels.iter().map(|w| w.div_ceil(2)).collect();
             let schedules = build(&binding, &half)
                 .map_err(|e| e.to_string())
                 .and_then(|ba| construct_schedules(&ba).map_err(|e| e.to_string()));
             match schedules {
-                Ok(schedules) => (binding, schedules, half),
+                Ok(schedules) => (schedules, half),
                 Err(e) => {
                     skipped.push((oracle, format!("no static orders: {e}")));
                     return;
@@ -1125,7 +1159,16 @@ fn executor_oracle(
     };
     let lambda = app.throughput_constraint();
     let budget = config.flow.slice.state_budget;
-    let wheels: Vec<u64> = arch.tiles().map(|(_, t)| t.wheel_size()).collect();
+    let cycle = |r: &Result<ThroughputResult, SdfError>| {
+        r.as_ref().ok().map(|t| {
+            (
+                t.period,
+                t.firings_in_period,
+                t.actor_throughput,
+                t.iteration_throughput,
+            )
+        })
+    };
     for (label, setting) in [
         ("allocated", slices),
         ("full-wheel", wheels.clone()),
@@ -1136,13 +1179,14 @@ fn executor_oracle(
             .with_state_budget(budget)
             .throughput(reference);
         let scan = ScanExecutor::new(&ba, &schedules, budget).throughput(reference);
-        if storage_independent(&core) != storage_independent(&scan)
-            || detection_out_of_range(&core, &scan)
+        if core != scan.iteration_ends || (core.is_ok() && cycle(&core) != cycle(&scan.every_state))
         {
             failures.push(OracleFailure {
                 oracle,
                 detail: format!(
-                    "{label} slices {setting:?}: core executor {core:?}, reference scan {scan:?}"
+                    "{label} slices {setting:?}: core executor {core:?}, reference scan \
+                     {:?} (every state: {:?})",
+                    scan.iteration_ends, scan.every_state
                 ),
             });
         }
@@ -1162,36 +1206,6 @@ fn executor_oracle(
             _ => {}
         }
     }
-}
-
-/// Whether the core's detection lies outside what storing fewer states
-/// allows: it closes the recurrence no earlier than the scan, and its
-/// first stored periodic state lies at most one period after the scan's
-/// entry into the periodic phase.
-fn detection_out_of_range(
-    core: &Result<ThroughputResult, SdfError>,
-    scan: &Result<ThroughputResult, SdfError>,
-) -> bool {
-    match (core, scan) {
-        (Ok(c), Ok(s)) => {
-            c.states_explored < s.states_explored
-                || c.transient_time < s.transient_time
-                || c.transient_time > s.transient_time + s.period
-        }
-        _ => false,
-    }
-}
-
-/// `r` with the fields that depend on which states an explorer stores
-/// (`states_explored`, `transient_time`) zeroed.
-fn storage_independent(
-    r: &Result<ThroughputResult, SdfError>,
-) -> Result<ThroughputResult, SdfError> {
-    r.clone().map(|t| ThroughputResult {
-        states_explored: 0,
-        transient_time: 0,
-        ..t
-    })
 }
 
 /// Oracle 9 — trace reconciliation.

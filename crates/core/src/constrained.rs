@@ -50,6 +50,24 @@
 //! candidate marked below the sweep position waits for the next sweep:
 //! exactly the order in which repeated scans over all actors start them.
 //!
+//! # Order rules
+//!
+//! How a tile picks its next firing is the one part that varies:
+//!
+//! * **static** (Sec 8.2, [`new`](ConstrainedExecutor::new)): the actor
+//!   at the tile's schedule position, which the position word records;
+//! * **FIFO** (Sec 9.2, the [list scheduler](crate::list_sched)): the
+//!   head of the tile's ready list, recorded into the tile's firing
+//!   sequence. The position words stay 0; the recurrence key appends
+//!   each ready list's contents in order.
+//!
+//! A FIFO pass is the list scheduler's scan, event driven: one ascending
+//! sweep of the unbound candidates; then an ascending refresh that
+//! queues the firings the tokens now allow of every tile-bound
+//! candidate; then each idle tile, ascending, starts its ready-list head,
+//! a zero-time firing completing at once and refreshing before the next
+//! start. Passes repeat while anything starts.
+//!
 //! # Recurrence on iteration ends
 //!
 //! [`throughput`](ConstrainedExecutor::throughput) steps through every
@@ -200,13 +218,14 @@ impl ActorSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Removes and returns the smallest member `≥ from`.
-    fn pop_from(&mut self, from: usize) -> Option<usize> {
+    /// Removes and returns the smallest member `≥ from` whose bit is set
+    /// in `within(word index)`.
+    fn pop_from(&mut self, from: usize, within: impl Fn(usize) -> u64) -> Option<usize> {
         let mut i = from / 64;
-        let mut word = self.words.get(i)? & (u64::MAX << (from % 64));
+        let mut word = self.words.get(i)? & within(i) & (u64::MAX << (from % 64));
         while word == 0 {
             i += 1;
-            word = *self.words.get(i)?;
+            word = self.words.get(i)? & within(i);
         }
         let bit = word.trailing_zeros() as usize;
         self.words[i] &= !(1 << bit);
@@ -223,6 +242,28 @@ impl ActorSet {
 enum Fired {
     Start(u32),
     Done(u32),
+}
+
+/// How a tile picks its next firing (see the [module docs](self)).
+#[derive(Debug)]
+enum OrderRule {
+    /// Static orders per local tile: `order[order_at[l]..order_at[l + 1]]`
+    /// is tile `l`'s prefix followed by its period, whose first
+    /// `prefix_len[l]` entries are the prefix; `scheduled[l]` is the actor
+    /// at tile `l`'s current position.
+    Static {
+        order: Vec<u32>,
+        order_at: Vec<u32>,
+        prefix_len: Vec<u32>,
+        scheduled: Vec<u32>,
+    },
+    /// FIFO ready lists per local tile, oldest first, and the firings
+    /// each local tile started, in order: a tile runs the last one until
+    /// it completes.
+    Fifo {
+        ready: Vec<VecDeque<u32>>,
+        sequences: Vec<Vec<ActorId>>,
+    },
 }
 
 /// Executes a binding-aware SDFG under a scheduling function and computes
@@ -255,12 +296,7 @@ pub struct ConstrainedExecutor<'a> {
     overlapping: Vec<u32>,
     /// Membership in `overlapping`, per actor.
     overlaps: Vec<bool>,
-    /// Static orders per local tile: `order[order_at[l]..order_at[l + 1]]`
-    /// is tile `l`'s prefix followed by its period, whose first
-    /// `prefix_len[l]` entries are the prefix.
-    order: Vec<u32>,
-    order_at: Vec<u32>,
-    prefix_len: Vec<u32>,
+    rule: OrderRule,
     /// TDMA configuration per local tile.
     tdma: Vec<TdmaSlice>,
     hyperperiod: u64,
@@ -270,14 +306,16 @@ pub struct ConstrainedExecutor<'a> {
     slot0: usize,
     pos0: usize,
     phase_at: usize,
-    /// The actor at the current schedule position, per local tile.
-    scheduled: Vec<u32>,
     /// Wheel phase per local tile.
     wheel_phase: Vec<u64>,
     /// Actors with a one-at-a-time firing that has time left.
     active: Vec<u32>,
     /// Actors that may have become startable.
     candidates: ActorSet,
+    /// The candidates a sweep starts: every actor under static orders,
+    /// only the unbound ones under ready lists (the refresh queues the
+    /// tile-bound ones).
+    sweepable: ActorSet,
     /// Actors with a firing that ended at the last advance.
     finishing: ActorSet,
     time: u64,
@@ -300,11 +338,18 @@ pub struct ConstrainedExecutor<'a> {
 /// complete/start/advance passes the transition consumed — each pass
 /// counts against the state budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transition {
+pub(crate) enum Transition {
     /// The clock advanced: the executor sits in the successor state.
     Advanced { rounds: u32 },
     /// No firing is active and nothing can start: the execution stalls.
     Deadlock { rounds: u32 },
+}
+
+impl Transition {
+    pub(crate) fn rounds(self) -> usize {
+        let (Transition::Advanced { rounds } | Transition::Deadlock { rounds }) = self;
+        rounds as usize
+    }
 }
 
 impl<'a> ConstrainedExecutor<'a> {
@@ -314,8 +359,7 @@ impl<'a> ConstrainedExecutor<'a> {
     ///
     /// Panics if some tile hosts actors but has no schedule.
     pub fn new(ba: &'a BindingAwareGraph, schedules: &TileSchedules) -> Self {
-        let g = ba.graph();
-        let n = g.actor_count();
+        let n = ba.graph().actor_count();
         let mut order = Vec::new();
         let mut order_at = vec![0];
         let mut prefix_len = Vec::new();
@@ -333,6 +377,37 @@ impl<'a> ConstrainedExecutor<'a> {
             order_at.push(order.len() as u32);
             prefix_len.push(s.prefix().len() as u32);
         }
+        let scheduled = order_at[..prefix_len.len()]
+            .iter()
+            .map(|&at| order[at as usize])
+            .collect();
+        Self::with_rule(
+            ba,
+            OrderRule::Static {
+                order,
+                order_at,
+                prefix_len,
+                scheduled,
+            },
+        )
+    }
+
+    /// Creates an executor at the initial state whose tiles start the
+    /// heads of FIFO ready lists and record what they start (Sec 9.2).
+    pub(crate) fn with_ready_lists(ba: &'a BindingAwareGraph) -> Self {
+        let tiles = ba.tiles().len();
+        Self::with_rule(
+            ba,
+            OrderRule::Fifo {
+                ready: vec![VecDeque::new(); tiles],
+                sequences: vec![Vec::new(); tiles],
+            },
+        )
+    }
+
+    fn with_rule(ba: &'a BindingAwareGraph, rule: OrderRule) -> Self {
+        let g = ba.graph();
+        let n = g.actor_count();
         let tile_of: Vec<u32> = g
             .actor_ids()
             .map(|a| ba.local_tile_of(a).map_or(NONE, |l| l as u32))
@@ -371,6 +446,11 @@ impl<'a> ConstrainedExecutor<'a> {
         for &a in &overlapping {
             overlaps[a as usize] = true;
         }
+        let mut sweepable = ActorSet::new(n, false);
+        let fifo = matches!(rule, OrderRule::Fifo { .. });
+        (0..n)
+            .filter(|&a| !fifo || tile_of[a] == NONE)
+            .for_each(|a| sweepable.insert(a));
         let (tdma, hyperperiod) = ba.local_tdmas();
         let mut state: Vec<u64> = g
             .channel_ids()
@@ -394,13 +474,7 @@ impl<'a> ConstrainedExecutor<'a> {
                 .collect(),
             overlapping,
             overlaps,
-            scheduled: order_at[..tdma.len()]
-                .iter()
-                .map(|&at| order[at as usize])
-                .collect(),
-            order,
-            order_at,
-            prefix_len,
+            rule,
             wheel_phase: vec![0; tdma.len()],
             tdma,
             hyperperiod,
@@ -410,6 +484,7 @@ impl<'a> ConstrainedExecutor<'a> {
             phase_at,
             active: Vec::new(),
             candidates: ActorSet::new(n, true),
+            sweepable,
             finishing: ActorSet::new(n, false),
             time: 0,
             reference: NONE,
@@ -442,11 +517,16 @@ impl<'a> ConstrainedExecutor<'a> {
 
     fn can_start(&self, a: usize) -> bool {
         let l = self.tile_of[a];
-        // Only the firing at a tile's schedule position can be running on
-        // it, so the tile is idle exactly when the scheduled actor is.
-        if l != NONE && (self.scheduled[l as usize] != a as u32 || self.state[self.slot0 + a] != 0)
-        {
-            return false;
+        if l != NONE {
+            // Only the firing at a tile's schedule position can be running
+            // on it, so the tile is idle exactly when the scheduled actor
+            // is. Ready lists start their tiles' firings themselves.
+            let OrderRule::Static { scheduled, .. } = &self.rule else {
+                return false;
+            };
+            if scheduled[l as usize] != a as u32 || self.state[self.slot0 + a] != 0 {
+                return false;
+            }
         }
         self.inputs[self.in_at[a] as usize..self.in_at[a + 1] as usize]
             .iter()
@@ -483,7 +563,7 @@ impl<'a> ConstrainedExecutor<'a> {
     }
 
     /// Ends one firing of `a`: produces its outputs, marks their consumers
-    /// as candidates, and moves a tile-bound actor's schedule on.
+    /// as candidates, and moves a tile-bound actor's static order on.
     fn complete(&mut self, a: usize) {
         for i in self.out_at[a] as usize..self.out_at[a + 1] as usize {
             let (ch, rate) = self.outputs[i];
@@ -491,18 +571,26 @@ impl<'a> ConstrainedExecutor<'a> {
             self.candidates.insert(self.consumer[ch as usize] as usize);
         }
         let l = self.tile_of[a];
-        if l != NONE {
-            let l = l as usize;
-            let at = self.order_at[l] as usize;
-            let mut pos = self.state[self.pos0 + l] as usize + 1;
-            if at + pos == self.order_at[l + 1] as usize {
-                pos = self.prefix_len[l] as usize;
-            }
-            self.state[self.pos0 + l] = pos as u64;
-            let next = self.order[at + pos];
-            self.scheduled[l] = next;
-            if next != NONE {
-                self.candidates.insert(next as usize);
+        if let OrderRule::Static {
+            order,
+            order_at,
+            prefix_len,
+            scheduled,
+        } = &mut self.rule
+        {
+            if l != NONE {
+                let l = l as usize;
+                let at = order_at[l] as usize;
+                let mut pos = self.state[self.pos0 + l] as usize + 1;
+                if at + pos == order_at[l + 1] as usize {
+                    pos = prefix_len[l] as usize;
+                }
+                self.state[self.pos0 + l] = pos as u64;
+                let next = order[at + pos];
+                scheduled[l] = next;
+                if next != NONE {
+                    self.candidates.insert(next as usize);
+                }
             }
         }
         if a as u32 == self.reference {
@@ -543,7 +631,7 @@ impl<'a> ConstrainedExecutor<'a> {
     /// ascending actor order; `true` if there was one.
     fn complete_finishing(&mut self) -> bool {
         let mut any = false;
-        while let Some(a) = self.finishing.pop_from(0) {
+        while let Some(a) = self.finishing.pop_from(0, |_| u64::MAX) {
             any = true;
             if self.overlaps[a] {
                 let (run, count) = self.run_of(a);
@@ -565,21 +653,92 @@ impl<'a> ConstrainedExecutor<'a> {
     }
 
     /// Starts every startable candidate, sweeping in ascending actor
-    /// index until no candidate is left; `true` if anything started.
+    /// index until no candidate is left (under ready lists: passes until
+    /// nothing starts); `true` if anything started.
     fn start_candidates(&mut self) -> bool {
+        if let OrderRule::Fifo { .. } = self.rule {
+            return self.start_ready();
+        }
         let mut any = false;
         while !self.candidates.is_empty() {
-            let mut from = 0;
-            while let Some(a) = self.candidates.pop_from(from) {
-                from = a + 1;
-                // Zero-time firings complete at once and may re-enable `a`.
-                while self.can_start(a) {
-                    self.start(a);
-                    any = true;
-                }
+            any |= self.sweep();
+        }
+        any
+    }
+
+    /// One ascending sweep over the sweepable candidates, starting each
+    /// as often as it can; a candidate marked below the sweep position
+    /// waits for the next sweep. `true` if anything started.
+    fn sweep(&mut self) -> bool {
+        let mut any = false;
+        let mut from = 0;
+        while let Some(a) = self.candidates.pop_from(from, |i| self.sweepable.words[i]) {
+            from = a + 1;
+            // Zero-time firings complete at once and may re-enable `a`.
+            while self.can_start(a) {
+                self.start(a);
+                any = true;
             }
         }
         any
+    }
+
+    /// The FIFO passes (see the [module docs](self)); `true` if anything
+    /// started.
+    fn start_ready(&mut self) -> bool {
+        let mut any = false;
+        loop {
+            let mut progress = self.sweep();
+            self.refresh_ready();
+            for l in 0..self.tdma.len() {
+                while let Some(a) = self.pop_ready(l) {
+                    // A zero-time firing completes at once and frees the
+                    // tile again.
+                    self.start(a);
+                    progress = true;
+                    if self.exec[a] == 0 {
+                        self.refresh_ready();
+                    }
+                }
+            }
+            if !progress {
+                return any;
+            }
+            any = true;
+        }
+    }
+
+    /// Queues, ascending, every firing the tokens now allow of each
+    /// tile-bound candidate that is not queued yet.
+    fn refresh_ready(&mut self) {
+        let OrderRule::Fifo { ready, .. } = &mut self.rule else {
+            unreachable!("ready lists run the FIFO rule")
+        };
+        while let Some(a) = self.candidates.pop_from(0, |i| !self.sweepable.words[i]) {
+            let allowed = self.inputs[self.in_at[a] as usize..self.in_at[a + 1] as usize]
+                .iter()
+                .map(|&(ch, rate)| self.state[ch as usize] / rate)
+                .min()
+                .unwrap_or(1);
+            let ready = &mut ready[self.tile_of[a] as usize];
+            let queued = ready.iter().filter(|&&q| q == a as u32).count() as u64;
+            ready.extend((queued..allowed).map(|_| a as u32));
+        }
+    }
+
+    /// Takes the head of local tile `l`'s ready list if the tile is idle,
+    /// recording it in the tile's sequence.
+    fn pop_ready(&mut self, l: usize) -> Option<usize> {
+        let OrderRule::Fifo { ready, sequences } = &mut self.rule else {
+            unreachable!("ready lists run the FIFO rule")
+        };
+        let running = |a: &ActorId| self.state[self.slot0 + a.index()] != 0;
+        if sequences[l].last().is_some_and(running) {
+            return None;
+        }
+        let a = ready[l].pop_front()? as usize;
+        sequences[l].push(ActorId::from_index(a));
+        Some(a)
     }
 
     /// Advances the clock to the next firing end; `None` if no firing is
@@ -650,8 +809,9 @@ impl<'a> ConstrainedExecutor<'a> {
 
     /// Runs rounds until the clock advances to the successor state or the
     /// execution deadlocks — the per-state work of the
-    /// [`throughput`](Self::throughput) exploration loop.
-    fn transition(&mut self) -> Transition {
+    /// [`throughput`](Self::throughput) exploration loop and of the list
+    /// scheduler.
+    pub(crate) fn transition(&mut self) -> Transition {
         let mut rounds = 0u32;
         loop {
             rounds += 1;
@@ -665,17 +825,42 @@ impl<'a> ConstrainedExecutor<'a> {
         }
     }
 
-    /// The actor a deadlock of [`explore_state_space`] or [`trace`]
-    /// names.
+    /// The actor a deadlock of [`explore_state_space`], [`trace`] or the
+    /// list scheduler names.
     ///
     /// [`explore_state_space`]: Self::explore_state_space
     /// [`trace`]: Self::trace
-    fn first_actor(&self) -> ActorId {
+    pub(crate) fn first_actor(&self) -> ActorId {
         self.ba
             .graph()
             .actor_ids()
             .next()
             .expect("graphs have actors")
+    }
+
+    /// The firings each local tile started so far (empty under static
+    /// orders).
+    pub(crate) fn sequences(&self) -> &[Vec<ActorId>] {
+        match &self.rule {
+            OrderRule::Fifo { sequences, .. } => sequences,
+            OrderRule::Static { .. } => &[],
+        }
+    }
+
+    /// Writes the recurrence key of a ready-list execution into `out`
+    /// (cleared first): the state, then each ready list's length and
+    /// contents. Remaining wall time is strictly increasing in remaining
+    /// work at a fixed phase, so the key tells apart exactly the states
+    /// that keying by remaining work would.
+    pub(crate) fn ready_state_into(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.state);
+        if let OrderRule::Fifo { ready, .. } = &self.rule {
+            for ready in ready {
+                out.push(ready.len() as u64);
+                out.extend(ready.iter().map(|&a| u64::from(a)));
+            }
+        }
     }
 
     /// Runs until a recurrent state and returns the guaranteed throughput
@@ -727,8 +912,7 @@ impl<'a> ConstrainedExecutor<'a> {
         let mut states = 0usize;
         loop {
             let step = self.transition();
-            let (Transition::Advanced { rounds } | Transition::Deadlock { rounds }) = step;
-            states += rounds as usize;
+            states += step.rounds();
             if states > self.state_budget {
                 return Err(SdfError::BudgetExceeded {
                     analysis: "constrained state space",

@@ -53,7 +53,7 @@ impl Default for FlowConfig {
         FlowConfig {
             bind: BindConfig::default(),
             slice: SliceConfig::default(),
-            schedule_state_budget: crate::list_sched::DEFAULT_STATE_BUDGET,
+            schedule_state_budget: crate::constrained::DEFAULT_STATE_BUDGET,
             connection_model: ConnectionModel::Simple,
         }
     }

@@ -7,40 +7,24 @@
 //! appended to the tile's schedule. The execution runs until a recurrent
 //! state, yielding a finite `prefix (period)*` schedule per tile, which is
 //! then minimized.
-
-use std::collections::VecDeque;
+//!
+//! The execution is the [`ConstrainedExecutor`]'s under its FIFO order
+//! rule; this module interns its states with each tile's sequence length
+//! and splits every sequence into prefix and period at the recurrence.
 
 use sdfrs_sdf::analysis::interner::StateInterner;
-use sdfrs_sdf::{ActorId, SdfError};
+use sdfrs_sdf::SdfError;
 
 use crate::binding_aware::BindingAwareGraph;
-use crate::constrained::TileSchedules;
+use crate::constrained::{ConstrainedExecutor, TileSchedules, Transition, DEFAULT_STATE_BUDGET};
 use crate::events::{FlowEvent, FlowObserver};
 use crate::schedule::StaticOrderSchedule;
-use crate::tdma::TdmaSlice;
 
-/// Default state budget for the schedule-construction execution.
-pub const DEFAULT_STATE_BUDGET: usize = 4_000_000;
-
-/// List scheduler over a binding-aware SDFG.
+/// List scheduler over a binding-aware SDFG: the
+/// [`ConstrainedExecutor`] under its FIFO ready-list rule.
 #[derive(Debug)]
 pub struct ListScheduler<'a> {
     ba: &'a BindingAwareGraph,
-    /// TDMA configuration per local tile (see `BindingAwareGraph`).
-    tdma: Vec<TdmaSlice>,
-    hyperperiod: u64,
-    tokens: Vec<u64>,
-    active: Vec<Vec<u64>>,
-    /// FIFO ready list per local tile (actor indices).
-    ready: Vec<VecDeque<u32>>,
-    /// Queued-but-not-started entries per actor (to detect new enablings).
-    queued: Vec<u32>,
-    /// One active tile-bound firing at most; `true` while the local tile
-    /// is busy.
-    busy: Vec<bool>,
-    /// Recorded firing sequence per local tile.
-    sequences: Vec<Vec<ActorId>>,
-    time: u64,
     state_budget: usize,
 }
 
@@ -49,23 +33,8 @@ impl<'a> ListScheduler<'a> {
     /// graph should carry the 50%-of-available-wheel slice assumption
     /// (Sec 9.2); the scheduler reads its TDMA configuration from there.
     pub fn new(ba: &'a BindingAwareGraph) -> Self {
-        let g = ba.graph();
-        let tile_count = ba.tiles().len();
-        let (tdma, hyperperiod) = ba.local_tdmas();
         ListScheduler {
             ba,
-            tdma,
-            hyperperiod,
-            tokens: g
-                .channel_ids()
-                .map(|c| g.channel(c).initial_tokens())
-                .collect(),
-            active: vec![Vec::new(); g.actor_count()],
-            ready: vec![VecDeque::new(); tile_count],
-            queued: vec![0; g.actor_count()],
-            busy: vec![false; tile_count],
-            sequences: vec![Vec::new(); tile_count],
-            time: 0,
             state_budget: DEFAULT_STATE_BUDGET,
         }
     }
@@ -76,176 +45,14 @@ impl<'a> ListScheduler<'a> {
         self
     }
 
-    fn enabled_firings(&self, actor: ActorId) -> u64 {
-        let g = self.ba.graph();
-        let mut n = u64::MAX;
-        for &ch in g.incoming(actor) {
-            let q = g.channel(ch).consumption_rate();
-            n = n.min(self.tokens[ch.index()] / q);
-        }
-        if g.incoming(actor).is_empty() {
-            // Sources without inputs would fire unboundedly; binding-aware
-            // graphs give every bound actor a self-edge so this only
-            // happens for degenerate graphs. Treat as one firing at a time.
-            n = 1;
-        }
-        n
-    }
-
-    /// Adds newly enabled tile-bound firings to their ready lists.
-    fn refresh_ready_lists(&mut self) {
-        for actor in self.ba.graph().actor_ids() {
-            let Some(l) = self.ba.local_tile_of(actor) else {
-                continue;
-            };
-            let target = self.enabled_firings(actor);
-            while u64::from(self.queued[actor.index()]) < target {
-                self.queued[actor.index()] += 1;
-                self.ready[l].push_back(actor.index() as u32);
-            }
-        }
-    }
-
-    fn start_firing(&mut self, actor: ActorId) {
-        let g = self.ba.graph();
-        for &ch in g.incoming(actor) {
-            self.tokens[ch.index()] -= g.channel(ch).consumption_rate();
-        }
-        let work = g.actor(actor).execution_time();
-        let lane = &mut self.active[actor.index()];
-        let pos = lane.partition_point(|&t| t <= work);
-        lane.insert(pos, work);
-    }
-
-    /// Completes zero-remaining firings; returns how many completed.
-    fn complete_finished(&mut self) -> usize {
-        let g = self.ba.graph();
-        let mut completed = 0;
-        for idx in 0..self.active.len() {
-            while self.active[idx].first() == Some(&0) {
-                self.active[idx].remove(0);
-                let actor = ActorId::from_index(idx);
-                for &ch in g.outgoing(actor) {
-                    self.tokens[ch.index()] += g.channel(ch).production_rate();
-                }
-                if let Some(l) = self.ba.local_tile_of(actor) {
-                    self.busy[l] = false;
-                }
-                completed += 1;
-            }
-        }
-        completed
-    }
-
-    /// Starts unbound (connection/sync) actors self-timed and pops ready
-    /// lists of idle tiles. Returns how many firings started.
-    fn start_allowed(&mut self) -> usize {
-        let g = self.ba.graph();
-        let mut started = 0;
-        loop {
-            let mut progress = false;
-            // Unbound actors fire as soon as enabled.
-            for actor in g.actor_ids() {
-                if self.ba.local_tile_of(actor).is_some() {
-                    continue;
-                }
-                while self.enabled_firings(actor) > 0 {
-                    self.start_firing(actor);
-                    started += 1;
-                    progress = true;
-                    if g.actor(actor).execution_time() == 0 {
-                        self.complete_finished();
-                    } else if g.has_self_edge(actor) {
-                        break;
-                    }
-                }
-            }
-            self.refresh_ready_lists();
-            // Idle tiles pop their ready-list head.
-            for tile_idx in 0..self.ready.len() {
-                while !self.busy[tile_idx] {
-                    let Some(&head) = self.ready[tile_idx].front() else {
-                        break;
-                    };
-                    let actor = ActorId::from_index(head as usize);
-                    self.ready[tile_idx].pop_front();
-                    self.queued[head as usize] -= 1;
-                    self.start_firing(actor);
-                    self.sequences[tile_idx].push(actor);
-                    started += 1;
-                    progress = true;
-                    if g.actor(actor).execution_time() == 0 {
-                        self.complete_finished();
-                        self.refresh_ready_lists();
-                    } else {
-                        self.busy[tile_idx] = true;
-                    }
-                }
-            }
-            if !progress {
-                break;
-            }
-        }
-        started
-    }
-
-    fn advance_clock(&mut self) -> Option<u64> {
-        let mut delta: Option<u64> = None;
-        for idx in 0..self.active.len() {
-            if let Some(&work) = self.active[idx].first() {
-                let wall = match self.ba.local_tile_of(ActorId::from_index(idx)) {
-                    None => work,
-                    Some(l) => self.tdma[l].wall_time_for(self.time, work),
-                };
-                delta = Some(delta.map_or(wall, |d| d.min(wall)));
-            }
-        }
-        let delta = delta?;
-        for idx in 0..self.active.len() {
-            if self.active[idx].is_empty() {
-                continue;
-            }
-            let progress = match self.ba.local_tile_of(ActorId::from_index(idx)) {
-                None => delta,
-                Some(l) => self.tdma[l].slice_time_in(self.time, delta),
-            };
-            for w in self.active[idx].iter_mut() {
-                *w = w.saturating_sub(progress);
-            }
-        }
-        self.time += delta;
-        Some(delta)
-    }
-
-    /// Flat-encodes the recurrence-detection state into `out` (cleared
-    /// first): tokens, each lane as length + sorted entries, each ready
-    /// list as length + entries, wheel phase. Injective for a fixed graph,
-    /// so interner equality is state equality.
-    fn encode_state_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.tokens);
-        for lane in &self.active {
-            out.push(lane.len() as u64);
-            out.extend_from_slice(lane);
-        }
-        for queue in &self.ready {
-            out.push(queue.len() as u64);
-            out.extend(queue.iter().map(|&a| u64::from(a)));
-        }
-        out.push(self.time % self.hyperperiod);
-    }
-
-    /// Appends the recorded sequence length of every local tile to `out`.
-    fn push_sequence_lens(&self, out: &mut Vec<u32>) {
-        out.extend(self.sequences.iter().map(|s| s.len() as u32));
-    }
-
     /// Runs the construction until a recurrent state and returns the
     /// minimized static-order schedules.
     ///
     /// # Errors
     ///
-    /// * [`SdfError::Deadlock`] if the execution stalls;
+    /// * [`SdfError::Deadlock`] if the execution stalls, or if a tile's
+    ///   actors stop firing while another component keeps it going (the
+    ///   error then names that tile's lowest-index actor);
     /// * [`SdfError::BudgetExceeded`] if no recurrence is found in budget.
     pub fn construct(self) -> Result<TileSchedules, SdfError> {
         Ok(self.construct_raw()?.minimized())
@@ -298,69 +105,61 @@ impl<'a> ListScheduler<'a> {
     ///
     /// See [`construct`](Self::construct).
     pub fn construct_raw_observed(
-        mut self,
+        self,
         obs: &mut FlowObserver<'_>,
     ) -> Result<(TileSchedules, usize), SdfError> {
+        let mut exec = ConstrainedExecutor::with_ready_lists(self.ba);
         // States are interned with dense ids; state `id` was first seen
-        // when tile `l`'s sequence had `seq_lens[id * tiles + l]` entries.
-        let tiles = self.sequences.len();
+        // when local tile `l`'s sequence had `seq_lens[id * tiles + l]`
+        // entries.
+        let tiles = self.ba.tiles().len();
         let mut seen = StateInterner::new();
         let mut seq_lens: Vec<u32> = Vec::new();
-        let mut scratch = Vec::new();
-        self.encode_state_into(&mut scratch);
-        seen.intern(&scratch);
-        self.push_sequence_lens(&mut seq_lens);
+        let mut key = Vec::new();
         let mut states = 0usize;
-        loop {
-            states += 1;
+        let id = loop {
+            exec.ready_state_into(&mut key);
+            let (id, fresh) = seen.intern(&key);
+            if !fresh {
+                break id;
+            }
+            seq_lens.extend(exec.sequences().iter().map(|s| s.len() as u32));
+            let step = exec.transition();
+            states += step.rounds();
             if states > self.state_budget {
                 return Err(SdfError::BudgetExceeded {
                     analysis: "list-scheduler state space",
                     budget: self.state_budget,
                 });
             }
-            let completed = self.complete_finished();
-            let started = self.start_allowed();
-            if self.advance_clock().is_none() {
-                if completed == 0 && started == 0 {
-                    let stuck = self
-                        .ba
-                        .graph()
-                        .actor_ids()
-                        .next()
-                        .expect("graphs have actors");
-                    return Err(SdfError::Deadlock { actor: stuck });
-                }
-                continue;
+            if let Transition::Deadlock { .. } = step {
+                return Err(SdfError::Deadlock {
+                    actor: exec.first_actor(),
+                });
             }
-            self.encode_state_into(&mut scratch);
-            let (id, fresh) = seen.intern(&scratch);
-            if fresh {
-                self.push_sequence_lens(&mut seq_lens);
-                continue;
+        };
+        let first_lens = &seq_lens[id as usize * tiles..][..tiles];
+        let mut schedules = TileSchedules::new(tiles);
+        for (l, (seq, &first)) in exec.sequences().iter().zip(first_lens).enumerate() {
+            let (prefix, period) = seq.split_at(first as usize);
+            if period.is_empty() {
+                // The tile's actors stopped firing while another
+                // component kept the execution going.
+                let actor = self
+                    .ba
+                    .graph()
+                    .actor_ids()
+                    .find(|&a| self.ba.local_tile_of(a) == Some(l))
+                    .expect("used tiles host actors");
+                return Err(SdfError::Deadlock { actor });
             }
-            obs.emit(|| FlowEvent::ScheduleRecurrence { states });
-            let first_lens = &seq_lens[id as usize * tiles..][..tiles];
-            let mut schedules = TileSchedules::new(tiles);
-            for ((seq, &first), &tile) in self.sequences.iter().zip(first_lens).zip(self.ba.tiles())
-            {
-                if seq.is_empty() {
-                    continue;
-                }
-                let (prefix, period) = seq.split_at(first as usize);
-                if period.is_empty() {
-                    // An actor-less period cannot happen for tiles hosting
-                    // actors of a live graph; skip tiles that only saw
-                    // transient firings defensively.
-                    continue;
-                }
-                schedules.set(
-                    tile,
-                    StaticOrderSchedule::new(prefix.to_vec(), period.to_vec()),
-                );
-            }
-            return Ok((schedules, states));
+            schedules.set(
+                self.ba.tiles()[l],
+                StaticOrderSchedule::new(prefix.to_vec(), period.to_vec()),
+            );
         }
+        obs.emit(|| FlowEvent::ScheduleRecurrence { states });
+        Ok((schedules, states))
     }
 }
 

@@ -98,6 +98,28 @@ fn a_constraint_above_the_maximal_throughput_is_unsatisfiable() {
 }
 
 #[test]
+fn a_stalled_component_is_a_typed_deadlock_naming_its_tile() {
+    // x produces 2 tokens into a 1-token buffer, so x and y never fire on
+    // their tile while z keeps firing on its own: the list scheduler's
+    // recurrence leaves x's tile an empty period.
+    let app = sdfrs_appmodel::textio::parse_application(
+        "app stall lambda 1/100\n\
+         actor x pt p1 tau 1 mu 1\n\
+         actor y pt p1 tau 1 mu 1\n\
+         actor z pt p2 tau 1 mu 1\n\
+         channel xy x 2 y 1 tokens 0 sz 1 atile 1 asrc 1 adst 1 beta 1\n\
+         channel zz z 1 z 1 tokens 1 sz 1 atile 1 asrc 0 adst 0 beta 0\n\
+         output z\n",
+    )
+    .unwrap();
+    let arch = example_platform();
+    let state = PlatformState::new(&arch);
+    let err = Allocator::new().allocate(&app, &arch, &state).unwrap_err();
+    let x = app.graph().actor_by_name("x").unwrap();
+    assert_eq!(err, MapError::Sdf(SdfError::Deadlock { actor: x }));
+}
+
+#[test]
 fn a_platform_without_the_required_processor_type_rejects_that_actor() {
     // a2 only runs on p1/p2; a platform of "dsp" tiles supports nobody —
     // binding order puts the most critical actor first, but whichever
