@@ -27,8 +27,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use sdfrs_core::exact::enumerate_exhaustive;
-use sdfrs_core::solver::SolverBackend;
-use sdfrs_core::{Allocator, Exact, Greedy, SolveReport};
+use sdfrs_core::{AdmissionPolicy, Allocator, SolveReport};
 use sdfrs_gen::{Scenario, ScenarioConfig};
 use sdfrs_platform::PlatformState;
 use sdfrs_sdf::Rational;
@@ -92,26 +91,31 @@ fn run_sweep(seeds: u64) -> (Vec<Row>, u64) {
     for seed in 0..seeds {
         let scenario = Scenario::sample_with(&config, seed);
         let state = PlatformState::new(&scenario.arch);
-        let greedy = Greedy.solve(&mut Allocator::new(), &scenario.app, &scenario.arch, &state);
+        let greedy = Allocator::new().allocate(&scenario.app, &scenario.arch, &state);
         let started = Instant::now();
-        let exact =
-            Allocator::new().solve_with(&Exact::default(), &scenario.app, &scenario.arch, &state);
+        let exact = Allocator::new().solve(
+            AdmissionPolicy::exact(),
+            &scenario.app,
+            &scenario.arch,
+            &state,
+        );
         let elapsed_us = started.elapsed().as_micros();
-        let (Ok(greedy), Ok(exact)) = (greedy, exact) else {
+        let (Ok((greedy, _)), Ok(exact)) = (greedy, exact) else {
             infeasible += 1;
             continue;
         };
+        let report = exact.report.expect("exact solves carry a certificate");
         let enumeration_agrees =
             enumerate_exhaustive(&mut Allocator::new(), &scenario.app, &scenario.arch, &state)
                 .map(|x| {
                     x.allocation.binding == exact.allocation.binding
                         && x.allocation.schedules == exact.allocation.schedules
                         && x.allocation.slices == exact.allocation.slices
-                        && x.report.lower == exact.report.lower
+                        && x.report.is_some_and(|r| r.lower == report.lower)
                 })
                 .unwrap_or(false);
-        let optimal = exact.report.lower;
-        let achieved = greedy.report.lower;
+        let optimal = report.lower;
+        let achieved = greedy.guaranteed_throughput();
         let heuristic_gap = if optimal > Rational::ZERO {
             (optimal - achieved.min(optimal)) / optimal
         } else {
@@ -123,7 +127,7 @@ fn run_sweep(seeds: u64) -> (Vec<Row>, u64) {
             tiles: scenario.arch.tile_count(),
             lambda: scenario.app.throughput_constraint(),
             greedy: achieved,
-            exact: exact.report,
+            exact: report,
             heuristic_gap,
             enumeration_agrees,
             elapsed_us,

@@ -469,20 +469,7 @@ fn flow(
     let mut allocator = Allocator::from_config(config)
         .with_boxed_sink(sink)
         .with_metrics(metrics.clone());
-    let policy = policy.unwrap_or_default();
-    if policy.is_heuristic() {
-        let result = allocator.allocate(&app, &arch, &state);
-        allocator.flush();
-        let (alloc, stats) = result.map_err(|e| e.to_string())?;
-        outp!(
-            out,
-            "{}",
-            sdfrs_core::report::render_allocation(&app, &arch, &alloc, Some(&stats))
-        );
-        return Ok(());
-    }
-    let backend = policy.solver_backend();
-    let result = allocator.solve_with(backend.as_ref(), &app, &arch, &state);
+    let result = allocator.solve(policy.unwrap_or_default(), &app, &arch, &state);
     allocator.flush();
     let outcome = result.map_err(|e| e.to_string())?;
     outp!(
@@ -495,23 +482,24 @@ fn flow(
             Some(&outcome.stats)
         )
     );
-    let r = &outcome.report;
-    outln!(out, "solver {} certificate:", r.kind.name());
-    outln!(
-        out,
-        "  throughput bounds [{}, {}] gap {}",
-        r.lower,
-        r.upper,
-        r.gap
-    );
-    outln!(
-        out,
-        "  proven optimal: {} ({} nodes, {} LP pivots, {} leaves)",
-        r.proven_optimal,
-        r.nodes_expanded,
-        r.lp_pivots,
-        r.leaves_evaluated
-    );
+    if let Some(r) = &outcome.report {
+        outln!(out, "solver {} certificate:", r.kind.name());
+        outln!(
+            out,
+            "  throughput bounds [{}, {}] gap {}",
+            r.lower,
+            r.upper,
+            r.gap
+        );
+        outln!(
+            out,
+            "  proven optimal: {} ({} nodes, {} LP pivots, {} leaves)",
+            r.proven_optimal,
+            r.nodes_expanded,
+            r.lp_pivots,
+            r.leaves_evaluated
+        );
+    }
     Ok(())
 }
 

@@ -366,6 +366,60 @@ fn serve_matches_golden_transcript_online_and_batched() {
     let _ = std::fs::remove_file(platform);
 }
 
+/// Every policy goes through one solve dispatch, so the solver-backed
+/// transcripts are byte-exact too: `serve` under `exact` and `portfolio`,
+/// and `flow --policy exact` with its certificate. Best fit admits one
+/// application at a time like greedy and reproduces the greedy golden;
+/// regional admission stays greedy-only, so `exact --regions 2` runs
+/// globally and reproduces the exact golden.
+#[test]
+fn solver_policies_match_golden_transcripts() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let requests = fixtures.join("serve_requests.jsonl");
+    let golden = |name: &str| std::fs::read_to_string(fixtures.join(name)).unwrap();
+    let (platform_text, _, _) = sdfrs(&["example", "platform"]);
+    let (app_text, _, _) = sdfrs(&["example", "paper"]);
+    let platform = write_temp("sg_platform.sdfp", &platform_text);
+    let app = write_temp("sg_app.sdfa", &app_text);
+    let serve = |extra: &[&str]| {
+        let mut args = vec![
+            "serve",
+            platform.to_str().unwrap(),
+            "--input",
+            requests.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (out, err, ok) = sdfrs(&args);
+        assert!(ok, "serve {extra:?}: {err}");
+        out
+    };
+
+    let exact = golden("serve_exact_golden.jsonl");
+    assert_eq!(serve(&["--policy", "exact"]), exact);
+    assert_eq!(serve(&["--policy", "exact", "--regions", "2"]), exact);
+    assert_eq!(
+        serve(&["--policy", "portfolio"]),
+        golden("serve_portfolio_golden.jsonl")
+    );
+    assert_eq!(
+        serve(&["--policy", "best-fit"]),
+        golden("serve_golden.jsonl")
+    );
+
+    let (out, err, ok) = sdfrs(&[
+        "flow",
+        app.to_str().unwrap(),
+        platform.to_str().unwrap(),
+        "--policy",
+        "exact",
+    ]);
+    assert!(ok, "{err}");
+    assert_eq!(out, golden("flow_exact_golden.txt"));
+
+    let _ = std::fs::remove_file(platform);
+    let _ = std::fs::remove_file(app);
+}
+
 /// Replaces every `"nanos":N` (wall-clock phase time) with `"nanos":0`.
 fn zero_nanos(json: &str) -> String {
     let mut out = String::with_capacity(json.len());

@@ -7,9 +7,9 @@
 //!
 //! Runs every seed in the range through the oracle panel and exits
 //! non-zero when any oracle diverges. With `--shrink`, each failing
-//! scenario is reduced to a minimal reproduction and written to the
-//! corpus directory as a `.ron` file ready to be committed to
-//! `tests/corpus/`.
+//! scenario is reduced to a minimal reproduction that still fails one of
+//! the oracles it failed, and written to the corpus directory as a `.ron`
+//! file ready to be committed to `tests/corpus/`.
 
 use std::env;
 use std::fs::File;
@@ -17,7 +17,7 @@ use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sdfrs_conform::{check_scenario, corpus, run_seed, shrink, HarnessConfig};
+use sdfrs_conform::{corpus, run_seed, shrink, HarnessConfig};
 
 /// Evaluation budget for one shrink (each evaluation runs the panel).
 const SHRINK_EVALS: usize = 200;
@@ -96,7 +96,7 @@ fn run(args: &Args) -> Result<usize, String> {
                 quiet.keep_events = false;
                 let minimal = shrink::shrink(
                     &scenario,
-                    |s| !check_scenario(s, &quiet).passed(),
+                    shrink::still_fails(&report, &quiet),
                     SHRINK_EVALS,
                 );
                 let path = corpus::save(&args.corpus_dir, &minimal)

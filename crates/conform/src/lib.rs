@@ -15,7 +15,8 @@
 //!
 //! 1. **HSDF equivalence** — self-timed throughput of the binding-aware
 //!    graph vs. `γ/MCM` of its HSDF conversion
-//!    ([`sdfrs_sdf::hsdf::hsdf_reference_throughput`]);
+//!    ([`sdfrs_sdf::hsdf::hsdf_reference_throughput`]), per weakly
+//!    connected component;
 //! 2. **cache consistency** — a cached [`Allocator`](sdfrs_core::Allocator)
 //!    run vs. a cache-disabled run must produce the same allocation (or
 //!    error);
@@ -67,8 +68,9 @@
 //!     [`ProcessingBound`](sdfrs_core::slice::ProcessingBound).
 //!
 //! A failing scenario is [`shrink`](shrink::shrink)-able to a minimal
-//! reproduction and persisted as a `.ron` [`corpus`] file, which the
-//! `conformance` test suite replays forever after.
+//! reproduction that still fails one of the oracles it failed
+//! ([`shrink::still_fails`]) and persisted as a `.ron` [`corpus`] file,
+//! which the `conformance` test suite replays forever after.
 
 pub mod corpus;
 mod oracles;

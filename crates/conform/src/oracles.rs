@@ -13,8 +13,8 @@ use sdfrs_core::list_sched::{construct_schedules, ListScheduler};
 use sdfrs_core::slice::ProcessingBound;
 use sdfrs_core::verify::verify_allocation;
 use sdfrs_core::{
-    Allocator, Binding, BindingAwareGraph, ConstrainedExecutor, FlowEvent, MapError, Metrics,
-    MetricsSnapshot, RecordingSink,
+    AdmissionPolicy, Allocator, Binding, BindingAwareGraph, ConstrainedExecutor, FlowEvent,
+    MapError, Metrics, MetricsSnapshot, RecordingSink, SolveOutcome, SolveReport,
 };
 use sdfrs_gen::Scenario;
 use sdfrs_platform::PlatformState;
@@ -22,6 +22,8 @@ use sdfrs_sdf::analysis::selftimed::{SelfTimedExecutor, ThroughputResult};
 use sdfrs_sdf::error::SdfError;
 use sdfrs_sdf::hsdf::{hsdf_reference_throughput, hsdf_size};
 use sdfrs_sdf::rational::Rational;
+use sdfrs_sdf::transform::weak_component;
+use sdfrs_sdf::{ActorId, SdfGraph};
 
 use crate::reference::{ScanExecutor, ScanListScheduler};
 use crate::{FaultInjection, HarnessConfig, OracleFailure, OracleId, ScenarioReport};
@@ -751,6 +753,11 @@ fn net_replay_oracle(
 /// scenario), the self-timed state-space throughput must equal `γ(ref) /
 /// MCM` of the HSDF conversion — Theorem-level equivalence the whole
 /// fast path rests on.
+///
+/// Each weakly connected component runs at its own rate, and the MCM of
+/// a whole multi-component graph is its slowest component's, so the two
+/// sides are compared per component: at the reference in its own, and
+/// at the lowest-index actor of every other.
 fn hsdf_oracle(
     scenario: &Scenario,
     config: &HarnessConfig,
@@ -811,11 +818,33 @@ fn hsdf_oracle(
             return;
         }
     }
+    let reference = ba.ba_actor(app.output_actor());
+    let (component, count) = g.weak_components();
+    let mut designated = vec![None; count];
+    designated[component[reference.index()]] = Some(reference);
+    for a in g.actor_ids() {
+        designated[component[a.index()]].get_or_insert(a);
+    }
+    for actor in designated.into_iter().flatten() {
+        let (sub, sub_actor) = weak_component(g, actor);
+        hsdf_component_oracle(&sub, sub_actor, config, failures, skipped);
+    }
+}
+
+/// Oracle 1 on one weakly connected component `g`, at `reference`.
+fn hsdf_component_oracle(
+    g: &SdfGraph,
+    reference: ActorId,
+    config: &HarnessConfig,
+    failures: &mut Vec<OracleFailure>,
+    skipped: &mut Vec<(OracleId, String)>,
+) {
+    let oracle = OracleId::HsdfEquivalence;
+    let mut skip = |reason: String| skipped.push((oracle, reason));
     // Sync actors carry no self-edge, but their auto-concurrency is still
     // bounded: every binding-aware channel sits on a buffer cycle, so the
     // state space stays finite and the budget skip below catches any
     // scenario where it does not stay *small*.
-    let reference = ba.ba_actor(app.output_actor());
     let selftimed = SelfTimedExecutor::new(g)
         .with_state_budget(config.selftimed_budget)
         .throughput(reference);
@@ -924,33 +953,35 @@ fn exact_optimality_oracle(
         failures.push(OracleFailure { oracle, detail });
     };
 
-    let exact = Allocator::from_config(config.flow).solve_with(
-        &sdfrs_core::Exact::default(),
-        app,
-        arch,
-        &state,
-    );
+    let certified = |o: SolveOutcome| -> (Allocation, SolveReport) {
+        let report = o.report.expect("both searches attach their certificate");
+        (o.allocation, report)
+    };
+    let exact = Allocator::from_config(config.flow)
+        .solve(AdmissionPolicy::exact(), app, arch, &state)
+        .map(certified);
     let exhaustive =
-        enumerate_exhaustive(&mut Allocator::from_config(config.flow), app, arch, &state);
+        enumerate_exhaustive(&mut Allocator::from_config(config.flow), app, arch, &state)
+            .map(certified);
 
     match (&exact, &exhaustive) {
-        (Ok(e), Ok(x)) => {
-            if let Some(diff) = diff_allocations(&e.allocation, &x.allocation) {
+        (Ok((e_alloc, e)), Ok((x_alloc, x))) => {
+            if let Some(diff) = diff_allocations(e_alloc, x_alloc) {
                 fail(
                     failures,
                     format!("exact vs exhaustive allocations diverge: {diff}"),
                 );
             }
-            if e.report.lower != x.report.lower {
+            if e.lower != x.lower {
                 fail(
                     failures,
                     format!(
                         "exact lower bound {} but the exhaustive optimum is {}",
-                        e.report.lower, x.report.lower
+                        e.lower, x.lower
                     ),
                 );
             }
-            if !e.report.proven_optimal {
+            if !e.proven_optimal {
                 fail(
                     failures,
                     "exact search left a gap on an enumerable instance".into(),
@@ -986,13 +1017,13 @@ fn exact_optimality_oracle(
             );
         }
         match &exact {
-            Ok(e) => {
-                if e.report.lower < greedy_achieved {
+            Ok((_, e)) => {
+                if e.lower < greedy_achieved {
                     fail(
                         failures,
                         format!(
                             "exact lower bound {} trails greedy's achieved {}",
-                            e.report.lower, greedy_achieved
+                            e.lower, greedy_achieved
                         ),
                     );
                 }
@@ -1003,20 +1034,17 @@ fn exact_optimality_oracle(
             ),
         }
     }
-    if let Ok(e) = &exact {
-        if e.report.lower < lambda {
+    if let Ok((_, e)) = &exact {
+        if e.lower < lambda {
             fail(
                 failures,
-                format!("exact admitted below λ: {} < {lambda}", e.report.lower),
+                format!("exact admitted below λ: {} < {lambda}", e.lower),
             );
         }
-        if e.report.upper < e.report.lower {
+        if e.upper < e.lower {
             fail(
                 failures,
-                format!(
-                    "exact bound pair is inverted: [{}, {}]",
-                    e.report.lower, e.report.upper
-                ),
+                format!("exact bound pair is inverted: [{}, {}]", e.lower, e.upper),
             );
         }
     }

@@ -5,14 +5,35 @@
 //! to a minimal failing case by repeatedly trying structural
 //! simplifications — drop an actor, drop a tile, drop a channel, set all
 //! rates to one, halve execution times — and keeping any mutation on
-//! which the caller's predicate still fails. The result is what gets
-//! committed to the regression corpus.
+//! which the caller's predicate still fails — for the panel,
+//! [`still_fails`]: an oracle that failed on the original fails on the
+//! candidate too. The result is what gets committed to the regression
+//! corpus.
 
 use sdfrs_appmodel::requirements::ActorRequirements;
 use sdfrs_appmodel::ApplicationGraph;
 use sdfrs_gen::Scenario;
 use sdfrs_platform::{ArchitectureGraph, TileId};
 use sdfrs_sdf::{ActorId, ChannelId, SdfGraph};
+
+use crate::{check_scenario, HarnessConfig, OracleId, ScenarioReport};
+
+/// The panel's shrink predicate: a candidate still fails when one of the
+/// oracles that failed in `original` fails on it under `config`. A
+/// candidate that fails only other oracles is a different defect, and
+/// the shrink must not drift onto it.
+pub fn still_fails<'a>(
+    original: &ScenarioReport,
+    config: &'a HarnessConfig,
+) -> impl FnMut(&Scenario) -> bool + 'a {
+    let failed: Vec<OracleId> = original.failures.iter().map(|f| f.oracle).collect();
+    move |candidate| {
+        check_scenario(candidate, config)
+            .failures
+            .iter()
+            .any(|f| failed.contains(&f.oracle))
+    }
+}
 
 /// Greedily shrinks `scenario` while `still_fails` keeps returning `true`
 /// on the candidate, evaluating the predicate at most `max_evals` times.

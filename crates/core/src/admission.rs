@@ -3,7 +3,7 @@
 //! * "a design-time preprocessing step that orders the applications to
 //!   optimize the order in which they are handled" — [`order_applications`];
 //! * "a (run-time) mechanism that rejects an application and continues
-//!   with the next one" — [`allocate_skipping_failures`];
+//!   with the next one" — [`Allocator::admit_with`];
 //! * "a platform dimensioning step" — [`dimension_platform`], which grows
 //!   a mesh until a given application set fits.
 
@@ -18,7 +18,7 @@ use crate::events::FlowEvent;
 use crate::exact::ExactConfig;
 use crate::flow::{Allocation, FlowConfig, FlowStats};
 use crate::ids::AppId;
-use crate::solver::{Exact, Greedy, Portfolio, SolveReport, SolverBackend};
+use crate::solver::SolveReport;
 
 /// Strategies for ordering applications before allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,58 +36,33 @@ pub enum AdmissionOrder {
     TightestConstraintFirst,
 }
 
-/// How [`Allocator::admit_with`](crate::Allocator::admit_with) decides
-/// which applications to admit.
-///
-/// This enum is now a thin *constructor facade* over the open
-/// [`SolverBackend`] trait: build values with the constructors
-/// ([`greedy`](AdmissionPolicy::greedy), [`best_fit`](AdmissionPolicy::best_fit),
-/// [`exact`](AdmissionPolicy::exact), [`portfolio`](AdmissionPolicy::portfolio),
-/// …), parse them from CLI strings with [`FromStr`](std::str::FromStr),
-/// and dispatch through
-/// [`solver_backend`](AdmissionPolicy::solver_backend) /
-/// [`Allocator::admit_with`] rather than matching on the variants —
-/// direct variant access is deprecated and will become private once the
-/// migration window closes (see CHANGELOG.md).
+/// How an application is solved ([`Allocator::solve`], the one place
+/// the variants pick a solver) and how
+/// [`Allocator::admit_with`] decides which applications to admit.
+/// Parsed from CLI strings with [`FromStr`](std::str::FromStr).
 ///
 /// Marked `#[non_exhaustive]`: further protocols (e.g. utilization-aware
 /// or energy-aware fits) will grow more variants.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionPolicy {
-    /// Allocate in a static order ([`AdmissionOrder`]), skipping
-    /// applications that fail — the run-time mechanism of Sec 10.1.
-    #[deprecated(
-        since = "0.10.0",
-        note = "construct with AdmissionPolicy::greedy() / first_fit(order) and dispatch through solver_backend()"
-    )]
+    /// The paper's heuristic, admitting in a static order
+    /// ([`AdmissionOrder`]) and skipping applications that fail — the
+    /// run-time mechanism of Sec 10.1.
     FirstFit(AdmissionOrder),
-    /// Dynamic best-fit: each round speculatively allocates every
-    /// remaining application and admits the one claiming the least total
-    /// wheel time.
-    #[deprecated(
-        since = "0.10.0",
-        note = "construct with AdmissionPolicy::best_fit() and dispatch through solver_backend()"
-    )]
+    /// The paper's heuristic under a dynamic best fit: each round
+    /// speculatively allocates every remaining application and admits
+    /// the one claiming the least total wheel time.
     BestFit,
     /// Per-application branch-and-bound ([`crate::exact`]): admissions are
     /// proved optimal (or bounded within a certified gap) instead of
-    /// merely heuristic.
-    #[deprecated(
-        since = "0.10.0",
-        note = "construct with AdmissionPolicy::exact() / exact_with(config) and dispatch through solver_backend()"
-    )]
+    /// merely heuristic, and commit the search's full-wheel witness.
     Exact(ExactConfig),
-    /// Greedy-first with an exact-search-tightened bound pair per
-    /// admission ([`crate::solver::Portfolio`]).
-    #[deprecated(
-        since = "0.10.0",
-        note = "construct with AdmissionPolicy::portfolio() / portfolio_with(config) and dispatch through solver_backend()"
-    )]
+    /// The heuristic's allocation, with an exact-search-tightened bound
+    /// pair per admission.
     Portfolio(ExactConfig),
 }
 
-#[allow(deprecated)]
 impl AdmissionPolicy {
     /// The paper's heuristic in arrival order — the default policy.
     pub fn greedy() -> Self {
@@ -142,23 +117,7 @@ impl AdmissionPolicy {
     /// whose transcripts and metrics are bit-compatible with pre-solver
     /// releases.
     pub fn is_heuristic(&self) -> bool {
-        matches!(
-            self,
-            AdmissionPolicy::FirstFit(_) | AdmissionPolicy::BestFit
-        )
-    }
-
-    /// The [`SolverBackend`] this policy dispatches each admission
-    /// through. The heuristic policies resolve to [`Greedy`] (their
-    /// batch-level ordering/best-fit behavior lives in
-    /// [`Allocator::admit_with`], which special-cases them for
-    /// transcript compatibility).
-    pub fn solver_backend(&self) -> Box<dyn SolverBackend> {
-        match self {
-            AdmissionPolicy::FirstFit(_) | AdmissionPolicy::BestFit => Box::new(Greedy),
-            AdmissionPolicy::Exact(config) => Box::new(Exact::new(*config)),
-            AdmissionPolicy::Portfolio(config) => Box::new(Portfolio::new(*config)),
-        }
+        self.exact_config().is_none()
     }
 
     /// The branch-and-bound configuration, for the solver-backed
@@ -173,15 +132,10 @@ impl AdmissionPolicy {
     /// Overrides the branch-and-bound node budget on the solver-backed
     /// policies; a no-op on the heuristic ones.
     pub fn with_node_budget(self, node_budget: u64) -> Self {
+        let config = ExactConfig { node_budget };
         match self {
-            AdmissionPolicy::Exact(config) => AdmissionPolicy::Exact(ExactConfig {
-                node_budget,
-                ..config
-            }),
-            AdmissionPolicy::Portfolio(config) => AdmissionPolicy::Portfolio(ExactConfig {
-                node_budget,
-                ..config
-            }),
+            AdmissionPolicy::Exact(_) => AdmissionPolicy::Exact(config),
+            AdmissionPolicy::Portfolio(_) => AdmissionPolicy::Portfolio(config),
             other => other,
         }
     }
@@ -280,25 +234,13 @@ fn works(apps: &[ApplicationGraph]) -> Result<Vec<u128>, MapError> {
 /// TDMA wheel time; skip applications that fit nowhere. More expensive
 /// than a static order (it runs the flow speculatively), but it packs the
 /// platform tighter — the strongest form of the "ordering" improvement
-/// Sec 10.1 suggests.
-pub fn allocate_best_fit(
-    apps: &[ApplicationGraph],
-    arch: &ArchitectureGraph,
-    config: &FlowConfig,
-) -> AdmissionResult {
-    // Best-fit runs the flow speculatively: every round re-allocates each
-    // remaining application, and between the speculative run that wins a
-    // round and its commit nothing changes — one shared cache across the
-    // protocol answers those repeats from memory.
-    let mut allocator = Allocator::from_config(*config);
-    allocate_best_fit_with(&mut allocator, apps, arch)
-}
-
-/// [`allocate_best_fit`] through an existing [`Allocator`], sharing its
-/// cache and emitting one [`MultiAppRound`](FlowEvent::MultiAppRound) per
-/// round plus one [`AdmissionDecision`](FlowEvent::AdmissionDecision) per
-/// final accept/reject on its sink.
-pub fn allocate_best_fit_with(
+/// Sec 10.1 suggests. Between the speculative run that wins a round and
+/// its commit nothing changes, so the allocator's shared cache answers
+/// those repeats from memory. Emits one
+/// [`MultiAppRound`](FlowEvent::MultiAppRound) per round plus one
+/// [`AdmissionDecision`](FlowEvent::AdmissionDecision) per final
+/// accept/reject.
+pub(crate) fn allocate_best_fit_with(
     allocator: &mut Allocator,
     apps: &[ApplicationGraph],
     arch: &ArchitectureGraph,
@@ -397,41 +339,49 @@ impl AdmissionResult {
     }
 }
 
-/// Arrival-order admission through an arbitrary [`SolverBackend`]: each
-/// application is solved against the evolving platform state, admitted
-/// applications claim their allocation, failing applications are skipped
-/// (the run-time mechanism of Sec 10.1). Mirrors
-/// [`allocate_skipping_failures_with`] — same
-/// [`AdmissionDecision`](FlowEvent::AdmissionDecision) events, same
-/// admitted/rejected accounting — but additionally returns the
-/// [`SolveReport`] of every admission.
-pub fn allocate_solver_with(
+/// Solves the applications one after another against the evolving
+/// platform state, *skipping* the ones that fail instead of stopping (the
+/// run-time mechanism of Sec 10.1): in the [`AdmissionOrder`] of a first
+/// fit, in arrival order under the searching policies. Emits one
+/// [`AdmissionDecision`](FlowEvent::AdmissionDecision) per application and
+/// keeps the [`SolveReport`] of every admission that has one.
+pub(crate) fn allocate_skipping_failures_with(
     allocator: &mut Allocator,
     apps: &[ApplicationGraph],
     arch: &ArchitectureGraph,
-    backend: &dyn SolverBackend,
+    policy: AdmissionPolicy,
 ) -> AdmissionResult {
+    let order = match policy {
+        AdmissionPolicy::FirstFit(order) => order,
+        _ => AdmissionOrder::Arrival,
+    };
     let mut state = PlatformState::new(arch);
     let mut admitted = Vec::new();
     let mut rejected = Vec::new();
     let mut reports = Vec::new();
-    for (i, app) in apps.iter().enumerate() {
-        match backend.solve(allocator, app, arch, &state) {
+    // A broken application graph must not abort the whole sweep: fall back
+    // to arrival order and let the per-application solves report the
+    // offending graphs as rejections.
+    let ordered = order_applications(apps, order).unwrap_or_else(|_| (0..apps.len()).collect());
+    for i in ordered {
+        match allocator.solve(policy, &apps[i], arch, &state) {
             Ok(outcome) => {
                 outcome.allocation.claim_set().apply(&mut state);
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
-                    app: app.graph().name().to_string(),
+                    app: apps[i].graph().name().to_string(),
                     admitted: true,
                     detail: String::new(),
                 });
-                reports.push((AppId::from_index(i), outcome.report));
+                if let Some(report) = outcome.report {
+                    reports.push((AppId::from_index(i), report));
+                }
                 admitted.push((AppId::from_index(i), outcome.allocation, outcome.stats));
             }
             Err(e) => {
                 allocator.emit(|| FlowEvent::AdmissionDecision {
                     index: i,
-                    app: app.graph().name().to_string(),
+                    app: apps[i].graph().name().to_string(),
                     admitted: false,
                     detail: e.to_string(),
                 });
@@ -444,66 +394,6 @@ pub fn allocate_solver_with(
         rejected,
         final_state: state,
         reports,
-    }
-}
-
-/// Allocates applications in the given order, *skipping* applications that
-/// fail instead of stopping (the run-time mechanism of Sec 10.1).
-pub fn allocate_skipping_failures(
-    apps: &[ApplicationGraph],
-    arch: &ArchitectureGraph,
-    config: &FlowConfig,
-    order: AdmissionOrder,
-) -> AdmissionResult {
-    let mut allocator = Allocator::from_config(*config);
-    allocate_skipping_failures_with(&mut allocator, apps, arch, order)
-}
-
-/// [`allocate_skipping_failures`] through an existing [`Allocator`],
-/// sharing its cache and emitting one
-/// [`AdmissionDecision`](FlowEvent::AdmissionDecision) per application on
-/// its sink.
-pub fn allocate_skipping_failures_with(
-    allocator: &mut Allocator,
-    apps: &[ApplicationGraph],
-    arch: &ArchitectureGraph,
-    order: AdmissionOrder,
-) -> AdmissionResult {
-    let mut state = PlatformState::new(arch);
-    let mut admitted = Vec::new();
-    let mut rejected = Vec::new();
-    // A broken application graph must not abort the whole sweep: fall back
-    // to arrival order and let the per-application allocate calls report
-    // the offending graphs as rejections.
-    let ordered = order_applications(apps, order).unwrap_or_else(|_| (0..apps.len()).collect());
-    for i in ordered {
-        match allocator.allocate(&apps[i], arch, &state) {
-            Ok((alloc, stats)) => {
-                alloc.claim_set().apply(&mut state);
-                allocator.emit(|| FlowEvent::AdmissionDecision {
-                    index: i,
-                    app: apps[i].graph().name().to_string(),
-                    admitted: true,
-                    detail: String::new(),
-                });
-                admitted.push((AppId::from_index(i), alloc, stats));
-            }
-            Err(e) => {
-                allocator.emit(|| FlowEvent::AdmissionDecision {
-                    index: i,
-                    app: apps[i].graph().name().to_string(),
-                    admitted: false,
-                    detail: e.to_string(),
-                });
-                rejected.push((AppId::from_index(i), e));
-            }
-        }
-    }
-    AdmissionResult {
-        admitted,
-        rejected,
-        final_state: state,
-        reports: Vec::new(),
     }
 }
 
@@ -575,12 +465,7 @@ mod tests {
         // App 1 is impossible; the skipper admits apps 0 and 2 anyway.
         let apps = vec![scaled_example(60), scaled_example(2), scaled_example(60)];
         let arch = example_platform();
-        let result = allocate_skipping_failures(
-            &apps,
-            &arch,
-            &FlowConfig::default(),
-            AdmissionOrder::Arrival,
-        );
+        let result = Allocator::new().admit_with(&apps, &arch, AdmissionPolicy::greedy());
         assert_eq!(result.admitted_count(), 2);
         assert_eq!(result.rejected.len(), 1);
         assert_eq!(result.rejected[0].0, AppId::from_index(1));
@@ -599,13 +484,8 @@ mod tests {
             scaled_example(200),
         ];
         let arch = example_platform();
-        let arrival = allocate_skipping_failures(
-            &apps,
-            &arch,
-            &FlowConfig::default(),
-            AdmissionOrder::Arrival,
-        );
-        let best_fit = allocate_best_fit(&apps, &arch, &FlowConfig::default());
+        let arrival = Allocator::new().admit_with(&apps, &arch, AdmissionPolicy::greedy());
+        let best_fit = Allocator::new().admit_with(&apps, &arch, AdmissionPolicy::best_fit());
         assert!(
             best_fit.admitted_count() >= arrival.admitted_count(),
             "best-fit {} < arrival {}",

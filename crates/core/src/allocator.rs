@@ -44,9 +44,11 @@ use crate::cost::CostWeights;
 use crate::dse::DseResult;
 use crate::error::MapError;
 use crate::events::{EventSink, EventTap, FlowEvent, FlowObserver, NullSink};
+use crate::exact;
 use crate::flow::{Allocation, FlowConfig, FlowStats};
 use crate::metrics::Metrics;
 use crate::multi_app::MultiAppResult;
+use crate::solver::SolveOutcome;
 use crate::thru_cache::ThroughputCache;
 
 /// The redesigned entry point of the Section 9 strategy: a handle owning
@@ -270,49 +272,56 @@ impl Allocator {
         crate::multi_app::allocate_until_failure_with(self, apps, arch)
     }
 
-    /// Batch admission under the chosen [`AdmissionPolicy`]: a
-    /// static-order first fit that *skips* applications that fail (the
-    /// run-time mechanism of Sec 10.1), the dynamic best fit that each
-    /// round speculatively allocates every remaining application and
-    /// admits the one claiming the least wheel time, or a solver-backed
-    /// policy (exact / portfolio) that additionally certifies a bound
-    /// pair per admission (see
+    /// Batch admission under the chosen [`AdmissionPolicy`]: the dynamic
+    /// best fit, which each round speculatively allocates every
+    /// remaining application and admits the one claiming the least wheel
+    /// time, or a loop that [`solve`](Self::solve)s each application and
+    /// *skips* the ones that fail (the run-time mechanism of Sec 10.1):
+    /// in the first-fit order, or in arrival order under the searching
+    /// policies, which also keep one certified report per admission (see
     /// [`AdmissionResult::reports`](crate::admission::AdmissionResult)).
-    #[allow(deprecated)]
     pub fn admit_with(
         &mut self,
         apps: &[ApplicationGraph],
         arch: &ArchitectureGraph,
         policy: AdmissionPolicy,
     ) -> AdmissionResult {
-        match policy {
-            AdmissionPolicy::FirstFit(order) => {
-                crate::admission::allocate_skipping_failures_with(self, apps, arch, order)
-            }
-            AdmissionPolicy::BestFit => crate::admission::allocate_best_fit_with(self, apps, arch),
-            AdmissionPolicy::Exact(_) | AdmissionPolicy::Portfolio(_) => {
-                let backend = policy.solver_backend();
-                crate::admission::allocate_solver_with(self, apps, arch, backend.as_ref())
-            }
+        if policy == AdmissionPolicy::BestFit {
+            crate::admission::allocate_best_fit_with(self, apps, arch)
+        } else {
+            crate::admission::allocate_skipping_failures_with(self, apps, arch, policy)
         }
     }
 
-    /// Solves one application through an arbitrary
-    /// [`SolverBackend`](crate::solver::SolverBackend), sharing this
-    /// allocator's cache, sink and metrics — the single-application
-    /// analogue of [`admit_with`](Allocator::admit_with).
+    /// Solves one application under `policy` against `state`, sharing
+    /// this allocator's cache, sink and metrics: the one place a policy
+    /// picks its solver. The heuristic policies run
+    /// [`allocate`](Self::allocate) and attach no report; `Exact` and
+    /// `Portfolio` run the [`exact`] search and attach its
+    /// certificate.
     ///
     /// # Errors
     ///
-    /// As [`SolverBackend::solve`](crate::solver::SolverBackend::solve).
-    pub fn solve_with(
+    /// As [`allocate`](Self::allocate); the searching policies report
+    /// [`MapError::ConstraintUnsatisfiable`] when no binding they find
+    /// meets the throughput constraint.
+    pub fn solve(
         &mut self,
-        backend: &dyn crate::solver::SolverBackend,
+        policy: AdmissionPolicy,
         app: &ApplicationGraph,
         arch: &ArchitectureGraph,
         state: &PlatformState,
-    ) -> Result<crate::solver::SolveOutcome, MapError> {
-        backend.solve(self, app, arch, state)
+    ) -> Result<SolveOutcome, MapError> {
+        match policy {
+            AdmissionPolicy::FirstFit(_) | AdmissionPolicy::BestFit => {
+                let (allocation, stats) = self.allocate(app, arch, state)?;
+                Ok(SolveOutcome::new(allocation, stats, None))
+            }
+            AdmissionPolicy::Exact(config) => exact::solve_exact(self, app, arch, state, config),
+            AdmissionPolicy::Portfolio(config) => {
+                exact::solve_portfolio(self, app, arch, state, config)
+            }
+        }
     }
 
     /// Sweeps the given Eqn 2 weight settings under both connection
@@ -449,6 +458,32 @@ mod tests {
             stats.throughput_checks,
             stats.cache_hits + stats.cache_misses + stats.bound_answers
         );
+    }
+
+    #[test]
+    fn solve_reports_only_under_the_searching_policies() {
+        use crate::solver::SolverKind;
+        let app = paper_example();
+        let arch = example_platform();
+        let state = PlatformState::new(&arch);
+        let mut allocator = Allocator::new();
+        let (greedy, _) = allocator.allocate(&app, &arch, &state).unwrap();
+        for policy in [AdmissionPolicy::greedy(), AdmissionPolicy::best_fit()] {
+            let outcome = allocator.solve(policy, &app, &arch, &state).unwrap();
+            assert!(outcome.report.is_none(), "{policy}");
+            assert_eq!(outcome.allocation.binding, greedy.binding);
+            assert_eq!(outcome.allocation.slices, greedy.slices);
+        }
+        for (policy, kind) in [
+            (AdmissionPolicy::exact(), SolverKind::Exact),
+            (AdmissionPolicy::portfolio(), SolverKind::Portfolio),
+        ] {
+            let outcome = allocator.solve(policy, &app, &arch, &state).unwrap();
+            let report = outcome.report.expect("a search certifies");
+            assert_eq!(report.kind, kind);
+            assert!(report.lower >= outcome.allocation.guaranteed_throughput());
+            assert!(report.lower <= report.upper);
+        }
     }
 
     #[test]

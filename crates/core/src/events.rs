@@ -307,8 +307,8 @@ pub enum FlowEvent {
         /// Whether the new allocation differs from the old one.
         changed: bool,
     },
-    /// A non-greedy [`SolverBackend`](crate::solver::SolverBackend)
-    /// started solving one application.
+    /// A searching policy ([`Allocator::solve`](crate::Allocator::solve)
+    /// under `Exact` or `Portfolio`) started solving one application.
     SolverStarted {
         /// Backend name (`exact`, `portfolio`).
         backend: &'static str,

@@ -15,16 +15,21 @@
 //! * **bounded** — every subtree is bounded above by an exact rational
 //!   LP: relax the 0/1 placement variables `x_{a,t}` of the unbound
 //!   actors to `[0,1]` and minimize the worst per-tile *weighted work*
-//!   `P = max_t (fixed_t + Σ_a γ_a·τ_a(t)·x_{a,t}) · W_t / rem_t`.
+//!   `P = max_t (fixed_t + Σ_a γ_a·τ_a(t)·x_{a,t}) · W_t / rem_t`, summed
+//!   over the actors of the output actor's weakly connected component.
 //!   An actor bound to tile `t` receives at most the asymptotic TDMA
 //!   service rate `rem_t / W_t` (the remaining wheel `rem_t` out of
-//!   every wheel rotation `W_t`), so one graph iteration — which must
-//!   execute `γ_a` firings of τ time units each — takes at least `P`
-//!   time units, and `1/P*` upper-bounds the iteration throughput of
-//!   every completion of the partial binding. The relaxation drops
-//!   token-dependency delays and memory/connection constraints, which
-//!   only weakens (never invalidates) the bound. The structural bounds
-//!   of [`sdfrs_sdf::analysis::bounds`] tighten it from the graph side;
+//!   every wheel rotation `W_t`), so one iteration of that component —
+//!   which must execute `γ_a` firings of τ time units each — takes at
+//!   least `P` time units, and `1/P*` upper-bounds the iteration
+//!   throughput of every completion of the partial binding. Other
+//!   components run at their own rates, so, as in
+//!   [`ProcessingBound`](crate::slice::ProcessingBound), their work is
+//!   left out; their actors still need a feasible tile. The relaxation
+//!   drops token-dependency delays and memory/connection constraints,
+//!   which only weakens (never invalidates) the bound. The structural
+//!   bounds of [`sdfrs_sdf::analysis::bounds`] on the output's component
+//!   tighten it from the graph side;
 //! * **deterministic** — actors are expanded in the Eqn 1 criticality
 //!   order, candidate tiles in ascending index, the LP pivots by
 //!   Bland's rule, and the incumbent only ever updates on a *strict*
@@ -49,6 +54,7 @@ use sdfrs_appmodel::ApplicationGraph;
 use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
 use sdfrs_sdf::analysis::bounds::throughput_bounds;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
+use sdfrs_sdf::transform::weak_component;
 use sdfrs_sdf::{ActorId, Rational};
 
 use crate::allocator::Allocator;
@@ -71,18 +77,12 @@ pub struct ExactConfig {
     /// incumbent with a residual gap. Exhaustion with an incumbent in
     /// hand is a result, not an error.
     pub node_budget: u64,
-    /// Stop early once the relative gap `(upper − lower)/upper` is ≤
-    /// this target. The default `0` demands a proof of optimality (and
-    /// then only skips the final drain of already-dominated frontier
-    /// nodes, so the incumbent is unaffected).
-    pub gap_target: Rational,
 }
 
 impl Default for ExactConfig {
     fn default() -> Self {
         ExactConfig {
             node_budget: 20_000,
-            gap_target: Rational::ZERO,
         }
     }
 }
@@ -95,12 +95,16 @@ struct Incumbent {
 }
 
 /// Raw outcome of one branch-and-bound (or exhaustive) run.
+#[derive(Default)]
 struct Search {
+    /// The heuristic's allocation that seeded the search, when it
+    /// succeeded (what `Portfolio` commits).
+    greedy: Option<(Allocation, FlowStats)>,
     incumbent: Option<Incumbent>,
     /// Certified upper bound on the optimal objective (`None` = nothing
     /// bounds it, which only happens on degenerate zero-work graphs).
     upper: Option<Rational>,
-    /// `true` when the search ran to completion (or hit the gap target);
+    /// `true` when the search ran to completion (or closed the gap);
     /// `false` on node-budget exhaustion.
     complete: bool,
     nodes_expanded: u64,
@@ -125,12 +129,12 @@ struct Ctx<'a> {
     /// Candidate tiles per branching position: processor type supported
     /// and at least one wheel unit remaining.
     cands: Vec<Vec<TileId>>,
-    /// `γ_a · τ_a(t)` per branching position and tile index (`None` =
-    /// unsupported).
+    /// `γ_a · τ_a(t)` per branching position and tile index, 0 outside
+    /// the output actor's component (`None` = unsupported).
     work: Vec<Vec<Option<u64>>>,
     /// The throughput constraint λ.
     lambda: Rational,
-    /// Structural throughput upper bound of the application graph.
+    /// Structural throughput upper bound of the output actor's component.
     structural: Option<Rational>,
 }
 
@@ -143,6 +147,8 @@ impl<'a> Ctx<'a> {
     ) -> Result<Self, MapError> {
         let order = binding_order(app, flow.bind.max_cycles)?;
         let gamma = app.graph().repetition_vector()?;
+        let (component, _) = app.graph().weak_components();
+        let output = component[app.output_actor().index()];
         let full: Vec<u64> = arch
             .tile_ids()
             .map(|t| state.available_wheel(arch, t))
@@ -159,13 +165,15 @@ impl<'a> Ctx<'a> {
                 }
                 if let Some(tau) = app.execution_time(a, tile.processor_type()) {
                     c.push(t);
-                    w[t.index()] = Some(gamma[a] * tau);
+                    let counted = component[a.index()] == output;
+                    w[t.index()] = Some(if counted { gamma[a] * tau } else { 0 });
                 }
             }
             cands.push(c);
             work.push(w);
         }
-        let structural = throughput_bounds(app.graph(), flow.bind.max_cycles)
+        let (output_component, _) = weak_component(app.graph(), app.output_actor());
+        let structural = throughput_bounds(&output_component, flow.bind.max_cycles)
             .ok()
             .and_then(|b| b.tightest());
         Ok(Ctx {
@@ -392,18 +400,18 @@ fn promising(bound: Option<Rational>, incumbent: Option<Rational>, lambda: Ratio
     }
 }
 
-/// The branch-and-bound search. Emits [`FlowEvent::SolverStarted`] /
-/// [`FlowEvent::ExactIncumbent`] / [`FlowEvent::SolverFinished`] and
-/// the `exact_*` metrics; the greedy seed run inside it reports through
-/// the ordinary flow instrumentation.
-fn search(
+/// The branch-and-bound search, and the context it ran in. Emits
+/// [`FlowEvent::SolverStarted`] / [`FlowEvent::ExactIncumbent`] /
+/// [`FlowEvent::SolverFinished`] and the `exact_*` metrics; the greedy
+/// seed run inside it reports through the ordinary flow instrumentation.
+fn search<'a>(
     allocator: &mut Allocator,
-    app: &ApplicationGraph,
-    arch: &ArchitectureGraph,
-    state: &PlatformState,
+    app: &'a ApplicationGraph,
+    arch: &'a ArchitectureGraph,
+    state: &'a PlatformState,
     config: ExactConfig,
     kind: SolverKind,
-) -> Result<(Option<(Allocation, FlowStats)>, Search), MapError> {
+) -> Result<(Search, Ctx<'a>), MapError> {
     let flow = *allocator.config();
     flow.validate()?;
     allocator.emit(|| FlowEvent::SolverStarted {
@@ -411,22 +419,14 @@ fn search(
     });
 
     let ctx = Ctx::build(app, arch, state, flow)?;
-    let mut out = Search {
-        incumbent: None,
-        upper: None,
-        complete: false,
-        nodes_expanded: 0,
-        lp_pivots: 0,
-        pruned_bound: 0,
-        pruned_infeasible: 0,
-        leaves_evaluated: 0,
-    };
-
     // Seed: the paper's heuristic answer, evaluated at full wheel, is
     // the starting incumbent. Feasibility failures are simply "no seed";
     // configuration errors were caught above.
-    let greedy = allocator.allocate(app, arch, state).ok();
-    if let Some((alloc, _)) = &greedy {
+    let mut out = Search {
+        greedy: allocator.allocate(app, arch, state).ok(),
+        ..Search::default()
+    };
+    if let Some((alloc, _)) = &out.greedy {
         out.leaves_evaluated += 1;
         if let Some((schedules, achieved)) = evaluate_leaf(allocator, &ctx, &alloc.binding)? {
             if offer_leaf(
@@ -477,21 +477,19 @@ fn search(
     };
 
     while let Some(node) = stack.pop() {
-        // Gap-target early stop (the default target 0 only triggers once
-        // the whole frontier is dominated, leaving the incumbent final).
+        // Early stop at gap 0: once no open node can beat the incumbent,
+        // the incumbent is final and only the drain of dominated nodes
+        // is skipped.
         if let Some(lower) = incumbent_obj(&out.incumbent) {
             let frontier = match frontier_max(&stack) {
                 None => node.bound,
                 Some(None) => None,
                 Some(Some(f)) => node.bound.map(|b| b.max(f)),
             };
-            if let Some(f) = frontier {
-                let upper = f.max(lower);
-                if SolveReport::gap_between(lower, upper) <= config.gap_target {
-                    out.complete = true;
-                    out.upper = Some(upper);
-                    break;
-                }
+            if frontier.is_some_and(|f| f <= lower) {
+                out.complete = true;
+                out.upper = Some(lower);
+                break;
             }
         }
         if out.nodes_expanded >= config.node_budget {
@@ -575,30 +573,20 @@ fn search(
         };
     }
 
-    let lower = incumbent_obj(&out.incumbent).unwrap_or(Rational::ZERO);
-    let upper = out.upper.unwrap_or(lower).max(lower);
-    let gap = SolveReport::gap_between(lower, upper);
-    let proven = out.complete && out.incumbent.is_some() && gap == Rational::ZERO;
-    let (nodes, pivots, pb, pi, leaves) = (
-        out.nodes_expanded,
-        out.lp_pivots,
-        out.pruned_bound,
-        out.pruned_infeasible,
-        out.leaves_evaluated,
-    );
+    let r = report_of(kind, &out);
     allocator.emit(|| FlowEvent::SolverFinished {
         backend: kind.name(),
-        lower,
-        upper,
-        gap,
-        proven_optimal: proven,
-        nodes,
-        lp_pivots: pivots,
-        pruned_bound: pb,
-        pruned_infeasible: pi,
-        leaves,
+        lower: r.lower,
+        upper: r.upper,
+        gap: r.gap,
+        proven_optimal: r.proven_optimal,
+        nodes: r.nodes_expanded,
+        lp_pivots: r.lp_pivots,
+        pruned_bound: r.pruned_bound,
+        pruned_infeasible: r.pruned_infeasible,
+        leaves: r.leaves_evaluated,
     });
-    Ok((greedy, out))
+    Ok((out, ctx))
 }
 
 /// Builds the report of a finished search.
@@ -624,32 +612,31 @@ fn report_of(kind: SolverKind, out: &Search) -> SolveReport {
     }
 }
 
-/// Materializes the incumbent as a full-remaining-wheel witness
-/// [`Allocation`].
-fn witness_allocation(ctx: &Ctx<'_>, incumbent: Incumbent) -> Allocation {
+/// The outcome committing the search's incumbent as a
+/// full-remaining-wheel witness [`Allocation`], whose flow statistics
+/// count one throughput check per leaf evaluation.
+fn witness_outcome(ctx: &Ctx<'_>, out: Search, kind: SolverKind) -> Result<SolveOutcome, MapError> {
+    let report = report_of(kind, &out);
+    let incumbent = out.incumbent.ok_or(MapError::ConstraintUnsatisfiable)?;
     let slices = ctx.witness_slices(&incumbent.binding);
     let usage = allocation_usage(ctx.app, ctx.arch, &incumbent.binding, &slices);
-    Allocation {
+    let allocation = Allocation {
         binding: incumbent.binding,
         schedules: incumbent.schedules,
         slices,
         usage,
         achieved: incumbent.achieved,
         connection_model: ctx.flow.connection_model,
-    }
-}
-
-/// Flow statistics of a search-produced outcome: every leaf evaluation
-/// is one throughput check.
-fn search_stats(out: &Search) -> FlowStats {
-    FlowStats {
+    };
+    let stats = FlowStats {
         throughput_checks: out.leaves_evaluated as usize,
         ..FlowStats::default()
-    }
+    };
+    Ok(SolveOutcome::new(allocation, stats, Some(report)))
 }
 
-/// The [`Exact`](crate::solver::Exact) backend body: branch-and-bound,
-/// witness allocation, certified report.
+/// [`Allocator::solve`] under `Exact`: branch-and-bound, witness
+/// allocation, certified report.
 pub(crate) fn solve_exact(
     allocator: &mut Allocator,
     app: &ApplicationGraph,
@@ -657,24 +644,14 @@ pub(crate) fn solve_exact(
     state: &PlatformState,
     config: ExactConfig,
 ) -> Result<SolveOutcome, MapError> {
-    let (_, out) = search(allocator, app, arch, state, config, SolverKind::Exact)?;
-    let report = report_of(SolverKind::Exact, &out);
-    let stats = search_stats(&out);
-    let ctx = Ctx::build(app, arch, state, *allocator.config())?;
-    match out.incumbent {
-        Some(inc) => Ok(SolveOutcome::new(
-            witness_allocation(&ctx, inc),
-            stats,
-            report,
-        )),
-        None => Err(MapError::ConstraintUnsatisfiable),
-    }
+    let (out, ctx) = search(allocator, app, arch, state, config, SolverKind::Exact)?;
+    witness_outcome(&ctx, out, SolverKind::Exact)
 }
 
-/// The [`Portfolio`](crate::solver::Portfolio) backend body: the greedy
-/// allocation (minimal slices) is what gets committed; the exact search
-/// tightens the bound pair around it. When greedy fails but the search
-/// finds a feasible binding, the witness is committed instead.
+/// [`Allocator::solve`] under `Portfolio`: the greedy allocation (minimal
+/// slices) is what gets committed; the exact search tightens the bound
+/// pair around it. When greedy fails but the search finds a feasible
+/// binding, the witness is committed instead.
 pub(crate) fn solve_portfolio(
     allocator: &mut Allocator,
     app: &ApplicationGraph,
@@ -682,20 +659,14 @@ pub(crate) fn solve_portfolio(
     state: &PlatformState,
     config: ExactConfig,
 ) -> Result<SolveOutcome, MapError> {
-    let (greedy, out) = search(allocator, app, arch, state, config, SolverKind::Portfolio)?;
-    let report = report_of(SolverKind::Portfolio, &out);
-    let search_only_stats = search_stats(&out);
-    match (greedy, out.incumbent) {
-        (Some((allocation, stats)), _) => Ok(SolveOutcome::new(allocation, stats, report)),
-        (None, Some(inc)) => {
-            let ctx = Ctx::build(app, arch, state, *allocator.config())?;
-            Ok(SolveOutcome::new(
-                witness_allocation(&ctx, inc),
-                search_only_stats,
-                report,
-            ))
+    let kind = SolverKind::Portfolio;
+    let (mut out, ctx) = search(allocator, app, arch, state, config, kind)?;
+    match out.greedy.take() {
+        Some((allocation, stats)) => {
+            let report = report_of(kind, &out);
+            Ok(SolveOutcome::new(allocation, stats, Some(report)))
         }
-        (None, None) => Err(MapError::ConstraintUnsatisfiable),
+        None => witness_outcome(&ctx, out, kind),
     }
 }
 
@@ -720,14 +691,8 @@ pub fn enumerate_exhaustive(
     flow.validate()?;
     let ctx = Ctx::build(app, arch, state, flow)?;
     let mut out = Search {
-        incumbent: None,
-        upper: None,
         complete: true,
-        nodes_expanded: 0,
-        lp_pivots: 0,
-        pruned_bound: 0,
-        pruned_infeasible: 0,
-        leaves_evaluated: 0,
+        ..Search::default()
     };
 
     // Identical greedy seeding: ties between the heuristic's binding and
@@ -772,16 +737,7 @@ pub fn enumerate_exhaustive(
         .incumbent
         .as_ref()
         .map(|i| i.achieved.iteration_throughput);
-    let report = report_of(SolverKind::Exact, &out);
-    let stats = search_stats(&out);
-    match out.incumbent {
-        Some(inc) => Ok(SolveOutcome::new(
-            witness_allocation(&ctx, inc),
-            stats,
-            report,
-        )),
-        None => Err(MapError::ConstraintUnsatisfiable),
-    }
+    witness_outcome(&ctx, out, SolverKind::Exact)
 }
 
 #[cfg(test)]
@@ -800,7 +756,7 @@ mod tests {
     #[test]
     fn exact_solves_the_paper_example_optimally() {
         let outcome = solve_default(ExactConfig::default()).unwrap();
-        let r = outcome.report;
+        let r = outcome.report.unwrap();
         assert_eq!(r.kind, SolverKind::Exact);
         assert!(r.proven_optimal, "tiny instance must be proved: {r:?}");
         assert_eq!(r.gap, Rational::ZERO);
@@ -848,18 +804,14 @@ mod tests {
         assert_eq!(exact.allocation.binding, brute.allocation.binding);
         assert_eq!(exact.allocation.slices, brute.allocation.slices);
         assert_eq!(exact.allocation.achieved, brute.allocation.achieved);
-        assert_eq!(exact.report.lower, brute.report.lower);
+        assert_eq!(exact.report.unwrap().lower, brute.report.unwrap().lower);
     }
 
     #[test]
     fn exhausted_budget_returns_incumbent_with_gap() {
         // One node is enough to seed greedy but not to finish the search.
-        let outcome = solve_default(ExactConfig {
-            node_budget: 1,
-            gap_target: Rational::ZERO,
-        })
-        .unwrap();
-        let r = outcome.report;
+        let outcome = solve_default(ExactConfig { node_budget: 1 }).unwrap();
+        let r = outcome.report.unwrap();
         assert!(!r.proven_optimal);
         assert!(r.gap > Rational::ZERO, "residual gap expected: {r:?}");
         assert!(r.lower <= r.upper);
@@ -894,11 +846,12 @@ mod tests {
         let (greedy, _) = allocator.allocate(&app, &arch, &state).unwrap();
         let outcome =
             solve_portfolio(&mut allocator, &app, &arch, &state, ExactConfig::default()).unwrap();
-        assert_eq!(outcome.report.kind, SolverKind::Portfolio);
+        let report = outcome.report.unwrap();
+        assert_eq!(report.kind, SolverKind::Portfolio);
         assert_eq!(outcome.allocation.binding, greedy.binding);
         assert_eq!(outcome.allocation.slices, greedy.slices);
         // The bound pair describes the optimum, which the (minimal)
         // greedy allocation may undershoot.
-        assert!(outcome.report.lower >= outcome.allocation.guaranteed_throughput());
+        assert!(report.lower >= outcome.allocation.guaranteed_throughput());
     }
 }

@@ -102,6 +102,6 @@ pub use service::{
     peek_request_meta, AllocationService, RequestMeta, ServiceConfig, ServiceError, ServiceRequest,
     ServiceResponse, ServiceStatus, MAX_ESCALATION_NEIGHBORS,
 };
-pub use solver::{Exact, Greedy, Portfolio, SolveOutcome, SolveReport, SolverBackend, SolverKind};
+pub use solver::{SolveOutcome, SolveReport, SolverKind};
 pub use thru_cache::ThroughputCache;
 pub use trace::{CompletedTrace, FlightEntry, FlightRecorder, RequestTrace, TraceId, TraceOutcome};

@@ -65,11 +65,11 @@ pub fn allocate_until_failure(
     allocate_until_failure_with(&mut allocator, apps, arch)
 }
 
-/// [`allocate_until_failure`] through an existing [`Allocator`], sharing
-/// its cache and emitting one
+/// [`allocate_until_failure`] through an existing [`Allocator`] (behind
+/// [`Allocator::allocate_sequence`]), sharing its cache and emitting one
 /// [`AdmissionDecision`](FlowEvent::AdmissionDecision) per application on
 /// its sink.
-pub fn allocate_until_failure_with(
+pub(crate) fn allocate_until_failure_with(
     allocator: &mut Allocator,
     apps: &[ApplicationGraph],
     arch: &ArchitectureGraph,

@@ -567,28 +567,20 @@ impl AllocationService {
     /// every escalation step failed); the service state is untouched on
     /// failure.
     pub fn admit(&mut self, app: &ApplicationGraph) -> Result<SessionId, MapError> {
-        if !self.policy.is_heuristic() {
-            // Solver-backed admission always runs the global flow: its
-            // certified bounds cover the whole residual platform, which
-            // a region mask would narrow.
-            let backend = self.policy.solver_backend();
-            let outcome = backend.solve(&mut self.allocator, app, &self.arch, &self.residual)?;
-            return Ok(self.commit_admission(
-                app,
-                outcome.allocation,
-                outcome.stats,
-                Some(outcome.report),
-            ));
+        // Solver-backed admission always runs globally: its certified
+        // bounds cover the whole residual platform, which a region mask
+        // would narrow.
+        if self.policy.is_heuristic() && self.region_map.region_count() > 1 {
+            let session = self.admit_regional(app, self.home_region())?;
+            // A rejected admit never enters the commit log, so only a
+            // commit may move the home of the next admit.
+            self.region_rr += 1;
+            return Ok(session);
         }
-        if self.region_map.region_count() <= 1 {
-            let (allocation, stats) = self.allocator.allocate(app, &self.arch, &self.residual)?;
-            return Ok(self.commit_admission(app, allocation, stats, None));
-        }
-        let session = self.admit_regional(app, self.home_region())?;
-        // A rejected admit never enters the commit log, so only a commit
-        // may move the home of the next admit.
-        self.region_rr += 1;
-        Ok(session)
+        let outcome = self
+            .allocator
+            .solve(self.policy, app, &self.arch, &self.residual)?;
+        Ok(self.commit_admission(app, outcome.allocation, outcome.stats, outcome.report))
     }
 
     /// The home region of the next regional admission.
@@ -735,25 +727,19 @@ impl AllocationService {
         // *anywhere* by departures, so masking it to a region would
         // defeat it.
         old.claim_set().revert(&mut self.residual);
-        let attempt = if self.policy.is_heuristic() {
-            self.allocator
-                .allocate(&app, &self.arch, &self.residual)
-                .map(|(allocation, stats)| (allocation, stats, None))
-        } else {
-            let backend = self.policy.solver_backend();
-            backend
-                .solve(&mut self.allocator, &app, &self.arch, &self.residual)
-                .map(|outcome| (outcome.allocation, outcome.stats, Some(outcome.report)))
-        };
-        let outcome = match attempt {
-            Ok((new_alloc, stats, report)) => {
+        let outcome = match self
+            .allocator
+            .solve(self.policy, &app, &self.arch, &self.residual)
+        {
+            Ok(solved) => {
+                let new_alloc = solved.allocation;
                 new_alloc.claim_set().apply(&mut self.residual);
                 let changed = new_alloc.binding != old.binding || new_alloc.slices != old.slices;
                 let throughput = new_alloc.guaranteed_throughput();
                 let entry = self.sessions.get_mut(&session).expect("session is live");
                 entry.allocation = new_alloc;
-                entry.stats = stats;
-                entry.report = report;
+                entry.stats = solved.stats;
+                entry.report = solved.report;
                 RebindOutcome {
                     throughput,
                     changed,

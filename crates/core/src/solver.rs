@@ -1,25 +1,13 @@
-//! The pluggable solver interface behind admission: [`SolverBackend`]
-//! implementations produce a typed [`SolveOutcome`] — the allocation
-//! plus a certified lower/upper throughput bound pair, the optimality
-//! gap between them, and proof-of-work statistics.
+//! What one solve returns: the allocation to commit, its statistics, and
+//! — under the searching policies — a certified [`SolveReport`].
 //!
-//! This replaces the closed `AdmissionPolicy` enum dispatch: the enum
-//! survives as a thin constructor facade
-//! ([`AdmissionPolicy::greedy`](crate::AdmissionPolicy::greedy),
-//! [`AdmissionPolicy::exact`](crate::AdmissionPolicy::exact), …) whose
-//! [`solver_backend`](crate::AdmissionPolicy::solver_backend) method
-//! resolves to one of the backends here:
-//!
-//! * [`Greedy`] — the paper's three-step heuristic
-//!   ([`Allocator::allocate`]), wrapped with the cheap structural upper
-//!   bound of [`sdfrs_sdf::analysis::bounds`] so even the heuristic
-//!   reports a (loose) certified gap;
-//! * [`Exact`] — the [`exact`] branch-and-bound search:
-//!   certified bounds on the best *achievable* guaranteed throughput of
-//!   the platform state, with a full-remaining-wheel witness allocation;
-//! * [`Portfolio`] — races greedy first (its allocation is what gets
-//!   committed: minimal slices, admission-friendly), then spends the
-//!   exact search's node budget tightening the bound pair around it.
+//! [`Allocator::solve`](crate::Allocator::solve) is the one place an
+//! [`AdmissionPolicy`](crate::AdmissionPolicy) picks its solver: the
+//! heuristic policies run the paper's three-step flow and attach no
+//! report; `Exact` runs the [`exact`](crate::exact) branch-and-bound
+//! search and commits its full-remaining-wheel witness; `Portfolio`
+//! commits the heuristic's (minimal, admission-friendly) allocation and
+//! spends the search's node budget certifying a bound pair around it.
 //!
 //! The bounds in a [`SolveReport`] always refer to the *optimal
 //! achievable* guaranteed iteration throughput for this application on
@@ -27,23 +15,15 @@
 //! concrete allocation, `upper` is certified by the LP relaxation /
 //! structural bounds. The committed allocation's own
 //! [`guaranteed_throughput`](Allocation::guaranteed_throughput) may be
-//! smaller (greedy stops once the constraint λ is met).
+//! smaller (the heuristic stops once the constraint λ is met).
 
-use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, PlatformState};
-use sdfrs_sdf::analysis::bounds::throughput_bounds;
 use sdfrs_sdf::Rational;
 
-use crate::allocator::Allocator;
-use crate::error::MapError;
-use crate::exact::{self, ExactConfig};
 use crate::flow::{Allocation, FlowStats};
 
-/// Which backend produced a [`SolveReport`].
+/// Which searching policy produced a [`SolveReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
-    /// The paper's heuristic flow.
-    Greedy,
     /// Branch-and-bound with LP-relaxation pruning.
     Exact,
     /// Greedy allocation, exact-search-tightened bounds.
@@ -54,7 +34,6 @@ impl SolverKind {
     /// Stable lower-case label (CLI values, JSONL fields, event payloads).
     pub fn name(&self) -> &'static str {
         match self {
-            SolverKind::Greedy => "greedy",
             SolverKind::Exact => "exact",
             SolverKind::Portfolio => "portfolio",
         }
@@ -70,7 +49,7 @@ impl std::fmt::Display for SolverKind {
 /// Certified bounds and proof-of-work statistics of one solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveReport {
-    /// The backend that produced this report.
+    /// The policy that produced this report.
     pub kind: SolverKind,
     /// Certified lower bound: the guaranteed iteration throughput of the
     /// best allocation found (witnessed, not estimated).
@@ -86,7 +65,7 @@ pub struct SolveReport {
     /// completed enumeration, not merely a coincidentally tight bound
     /// pair — though both imply optimality).
     pub proven_optimal: bool,
-    /// Branch-and-bound nodes expanded (0 for pure greedy).
+    /// Branch-and-bound nodes expanded.
     pub nodes_expanded: u64,
     /// Simplex pivots across all LP-relaxation bound computations.
     pub lp_pivots: u64,
@@ -111,8 +90,9 @@ impl SolveReport {
     }
 }
 
-/// What a [`SolverBackend`] returns: the allocation to commit plus the
-/// run's statistics and certified-bound report.
+/// What [`Allocator::solve`](crate::Allocator::solve) returns: the
+/// allocation to commit plus the run's statistics and, under the
+/// searching policies, its certified-bound report.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
@@ -120,12 +100,17 @@ pub struct SolveOutcome {
     pub allocation: Allocation,
     /// Flow statistics of the run that produced the allocation.
     pub stats: FlowStats,
-    /// Certified bounds and proof-of-work statistics.
-    pub report: SolveReport,
+    /// Certified bounds and proof-of-work statistics; `None` under the
+    /// heuristic policies.
+    pub report: Option<SolveReport>,
 }
 
 impl SolveOutcome {
-    pub(crate) fn new(allocation: Allocation, stats: FlowStats, report: SolveReport) -> Self {
+    pub(crate) fn new(
+        allocation: Allocation,
+        stats: FlowStats,
+        report: Option<SolveReport>,
+    ) -> Self {
         SolveOutcome {
             allocation,
             stats,
@@ -134,152 +119,12 @@ impl SolveOutcome {
     }
 }
 
-/// An object-safe allocation solver: one application against one
-/// (partially occupied) platform state, through the shared
-/// [`Allocator`] (its cache, sink, and metrics).
-///
-/// Implementations must be deterministic: the same inputs (including
-/// allocator configuration) must produce bit-identical outcomes.
-pub trait SolverBackend: Send {
-    /// The kind tag reported in outcomes and events.
-    fn kind(&self) -> SolverKind;
-
-    /// Solves one application against `state`.
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::ConstraintUnsatisfiable`] when no allocation meeting
-    /// the throughput constraint exists (or none was found within the
-    /// budget); other [`MapError`]s as for [`Allocator::allocate`].
-    fn solve(
-        &self,
-        allocator: &mut Allocator,
-        app: &ApplicationGraph,
-        arch: &ArchitectureGraph,
-        state: &PlatformState,
-    ) -> Result<SolveOutcome, MapError>;
-}
-
-/// The structural throughput upper bound of the *application* graph —
-/// sound for any binding, since the binding-aware graph only adds
-/// constraints (connection actors, TDMA wait times, static orders).
-fn structural_upper(app: &ApplicationGraph, max_cycles: usize) -> Option<Rational> {
-    throughput_bounds(app.graph(), max_cycles)
-        .ok()
-        .and_then(|b| b.tightest())
-}
-
-/// The paper's heuristic flow as a [`SolverBackend`]: the allocation of
-/// [`Allocator::allocate`], bounded above by the structural bounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Greedy;
-
-impl SolverBackend for Greedy {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Greedy
-    }
-
-    fn solve(
-        &self,
-        allocator: &mut Allocator,
-        app: &ApplicationGraph,
-        arch: &ArchitectureGraph,
-        state: &PlatformState,
-    ) -> Result<SolveOutcome, MapError> {
-        let max_cycles = allocator.config().bind.max_cycles;
-        let (allocation, stats) = allocator.allocate(app, arch, state)?;
-        let lower = allocation.guaranteed_throughput();
-        let upper = structural_upper(app, max_cycles).map_or(lower, |s| s.max(lower));
-        let gap = SolveReport::gap_between(lower, upper);
-        let report = SolveReport {
-            kind: SolverKind::Greedy,
-            lower,
-            upper,
-            gap,
-            proven_optimal: gap == Rational::ZERO,
-            nodes_expanded: 0,
-            lp_pivots: 0,
-            pruned_bound: 0,
-            pruned_infeasible: 0,
-            leaves_evaluated: 0,
-        };
-        Ok(SolveOutcome::new(allocation, stats, report))
-    }
-}
-
-/// The branch-and-bound backend (see [`exact`]): certified
-/// bounds, a full-remaining-wheel witness allocation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Exact {
-    /// Search budget and early-stop gap target.
-    pub config: ExactConfig,
-}
-
-impl Exact {
-    /// A backend with the given search configuration.
-    pub fn new(config: ExactConfig) -> Self {
-        Exact { config }
-    }
-}
-
-impl SolverBackend for Exact {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Exact
-    }
-
-    fn solve(
-        &self,
-        allocator: &mut Allocator,
-        app: &ApplicationGraph,
-        arch: &ArchitectureGraph,
-        state: &PlatformState,
-    ) -> Result<SolveOutcome, MapError> {
-        exact::solve_exact(allocator, app, arch, state, self.config)
-    }
-}
-
-/// Greedy-first, exact-tightened: commits the heuristic's (minimal,
-/// admission-friendly) allocation, then spends the configured node
-/// budget tightening the bound pair around it. Falls back to the exact
-/// witness when the heuristic fails but the search finds a feasible
-/// binding.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Portfolio {
-    /// Budget for the bound-tightening exact search.
-    pub config: ExactConfig,
-}
-
-impl Portfolio {
-    /// A backend with the given search configuration.
-    pub fn new(config: ExactConfig) -> Self {
-        Portfolio { config }
-    }
-}
-
-impl SolverBackend for Portfolio {
-    fn kind(&self) -> SolverKind {
-        SolverKind::Portfolio
-    }
-
-    fn solve(
-        &self,
-        allocator: &mut Allocator,
-        app: &ApplicationGraph,
-        arch: &ArchitectureGraph,
-        state: &PlatformState,
-    ) -> Result<SolveOutcome, MapError> {
-        exact::solve_portfolio(allocator, app, arch, state, self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdfrs_appmodel::apps::{example_platform, paper_example};
 
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(SolverKind::Greedy.name(), "greedy");
         assert_eq!(SolverKind::Exact.name(), "exact");
         assert_eq!(SolverKind::Portfolio.name(), "portfolio");
         assert_eq!(SolverKind::Portfolio.to_string(), "portfolio");
@@ -295,25 +140,5 @@ mod tests {
             SolveReport::gap_between(Rational::new(1, 2), Rational::ONE),
             Rational::new(1, 2)
         );
-    }
-
-    #[test]
-    fn greedy_backend_reports_a_valid_bound_pair() {
-        let app = paper_example();
-        let arch = example_platform();
-        let state = PlatformState::new(&arch);
-        let mut allocator = Allocator::new();
-        let outcome = Greedy.solve(&mut allocator, &app, &arch, &state).unwrap();
-        assert_eq!(outcome.report.kind, SolverKind::Greedy);
-        assert!(outcome.report.lower <= outcome.report.upper);
-        assert_eq!(
-            outcome.report.lower,
-            outcome.allocation.guaranteed_throughput()
-        );
-        assert_eq!(
-            outcome.report.gap,
-            SolveReport::gap_between(outcome.report.lower, outcome.report.upper)
-        );
-        assert_eq!(outcome.report.nodes_expanded, 0);
     }
 }

@@ -40,7 +40,8 @@ pub enum Violation {
     },
     /// A used tile is missing a static-order schedule, the schedule fires
     /// foreign actors, or its periodic firing counts are not proportional
-    /// to the repetition vector (such a schedule cannot repeat).
+    /// to the repetition vector within one weakly connected component
+    /// (such a schedule cannot repeat).
     MalformedSchedule {
         /// Tile index.
         tile: usize,
@@ -98,8 +99,11 @@ pub fn verify_allocation(
     }
 
     // Schedules exist for used tiles, only fire that tile's actors, and
-    // fire them γ-proportionally within the period.
+    // fire them γ-proportionally within the period. Each weakly connected
+    // component runs at its own rate, so the common factor is per
+    // component.
     let gamma = app.graph().repetition_vector()?;
+    let (component, components) = app.graph().weak_components();
     for t in allocation.binding.used_tiles() {
         match allocation.schedules.get(t) {
             None => violations.push(Violation::MalformedSchedule { tile: t.index() }),
@@ -111,17 +115,14 @@ pub fn verify_allocation(
                     .chain(schedule.period())
                     .any(|a| !on_tile.contains(a));
                 let missing = on_tile.iter().any(|a| !schedule.period().contains(a));
-                // Counts in the period must be k·γ(a) for one common k.
-                let mut k: Option<sdfrs_sdf::Rational> = None;
+                // Counts in the period must be k·γ(a) for one k per
+                // component.
+                let mut k = vec![None; components];
                 let mut proportional = true;
                 for &a in &on_tile {
                     let count = schedule.period().iter().filter(|&&x| x == a).count();
                     let ratio = sdfrs_sdf::Rational::new(count as i128, gamma[a] as i128);
-                    match k {
-                        None => k = Some(ratio),
-                        Some(prev) if prev != ratio => proportional = false,
-                        Some(_) => {}
-                    }
+                    proportional &= *k[component[a.index()]].get_or_insert(ratio) == ratio;
                 }
                 if foreign || missing || !proportional {
                     violations.push(Violation::MalformedSchedule { tile: t.index() });

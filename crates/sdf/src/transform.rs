@@ -7,6 +7,7 @@
 
 use crate::error::SdfError;
 use crate::graph::SdfGraph;
+use crate::ids::ActorId;
 use crate::rational::Rational;
 
 /// Reverses every channel of the graph (tokens stay on their channels).
@@ -46,6 +47,57 @@ pub fn reverse(graph: &SdfGraph) -> SdfGraph {
         );
     }
     out
+}
+
+/// The subgraph induced by the weakly connected component of `actor`: the
+/// component's actors in ascending index order, the channels between them
+/// in channel order, and `actor`'s id in it. On a connected graph it
+/// equals the graph.
+///
+/// Components share no tokens, so each runs at its own rate: the
+/// component's repetition vector, cycles and throughput are those it has
+/// inside the whole graph.
+///
+/// # Examples
+///
+/// ```
+/// use sdfrs_sdf::{SdfGraph, transform::weak_component};
+/// let mut g = SdfGraph::new("split");
+/// let a = g.add_actor("a", 2);
+/// let b = g.add_actor("b", 3);
+/// let c = g.add_actor("c", 5);
+/// g.add_channel("bc", b, 1, c, 1, 0);
+/// let (sub, c_in_sub) = weak_component(&g, c);
+/// assert_eq!(sub.actor_count(), 2);
+/// assert_eq!(sub.actor(c_in_sub).name(), "c");
+/// assert_eq!(weak_component(&g, a).0.actor_count(), 1);
+/// ```
+pub fn weak_component(graph: &SdfGraph, actor: ActorId) -> (SdfGraph, ActorId) {
+    let (component, _) = graph.weak_components();
+    let mine = component[actor.index()];
+    let mut sub = SdfGraph::new(graph.name());
+    let mut ids = vec![None; graph.actor_count()];
+    for (a, act) in graph.actors() {
+        if component[a.index()] == mine {
+            ids[a.index()] = Some(sub.add_actor(act.name(), act.execution_time()));
+        }
+    }
+    for (_, ch) in graph.channels() {
+        if let (Some(src), Some(dst)) = (ids[ch.src().index()], ids[ch.dst().index()]) {
+            sub.add_channel(
+                ch.name(),
+                src,
+                ch.production_rate(),
+                dst,
+                ch.consumption_rate(),
+                ch.initial_tokens(),
+            );
+        }
+    }
+    (
+        sub,
+        ids[actor.index()].expect("an actor lies in its own component"),
+    )
 }
 
 /// Multiplies every execution time by `factor`.
@@ -140,6 +192,14 @@ mod tests {
         g.add_channel("bc", b, 1, c, 2, 0);
         g.add_channel("ca", c, 2, a, 2, 4);
         g
+    }
+
+    #[test]
+    fn weak_component_of_a_connected_graph_is_the_graph() {
+        let g = ring();
+        for a in g.actor_ids() {
+            assert_eq!(weak_component(&g, a), (g.clone(), a));
+        }
     }
 
     #[test]

@@ -138,9 +138,10 @@ fn injected_fault_is_caught_and_shrunk_to_a_corpus_case() {
         report.failures
     );
 
-    // Shrink to the minimal reproduction, as the CLI's --shrink would.
+    // Shrink to the minimal reproduction, as the CLI's --shrink would:
+    // every kept candidate still fails an oracle the original failed.
     let scenario = Scenario::sample(0);
-    let minimal = shrink::shrink(&scenario, |s| !check_scenario(s, &faulty).passed(), 200);
+    let minimal = shrink::shrink(&scenario, shrink::still_fails(&report, &faulty), 200);
     assert!(minimal.app.graph().actor_count() <= scenario.app.graph().actor_count());
     assert!(minimal.arch.tile_count() <= scenario.arch.tile_count());
     assert!(
@@ -148,7 +149,13 @@ fn injected_fault_is_caught_and_shrunk_to_a_corpus_case() {
         "expected a near-minimal scenario, got {} actors",
         minimal.app.graph().actor_count()
     );
-    assert!(!check_scenario(&minimal, &faulty).passed());
+    assert!(
+        check_scenario(&minimal, &faulty)
+            .failures
+            .iter()
+            .any(|f| f.oracle == OracleId::HsdfEquivalence),
+        "the minimal case must still fail the oracle the fault breaks"
+    );
 
     // Persist + reload through the corpus layer; the reproduction must
     // survive the .ron roundtrip byte-for-byte semantically: it still

@@ -12,8 +12,7 @@
 use sdfrs_appmodel::apps::{example_platform, paper_example};
 use sdfrs_core::exact::{enumerate_exhaustive, ExactConfig};
 use sdfrs_core::simplex::{is_feasible, solve, LpConstraint, LpError, LpProblem, LpRelation};
-use sdfrs_core::solver::SolverBackend;
-use sdfrs_core::{Allocator, Exact, Greedy, MapError};
+use sdfrs_core::{AdmissionPolicy, Allocator, MapError, SolveReport};
 use sdfrs_fastutil::SmallRng;
 use sdfrs_gen::{Scenario, ScenarioConfig};
 use sdfrs_platform::PlatformState;
@@ -180,27 +179,32 @@ fn exact_bounds_dominate_the_naive_enumerator() {
     let mut agreements = 0usize;
     for (i, scenario) in tiny_scenarios().enumerate() {
         let state = PlatformState::new(&scenario.arch);
-        let exact =
-            Allocator::new().solve_with(&Exact::default(), &scenario.app, &scenario.arch, &state);
+        let exact = Allocator::new().solve(
+            AdmissionPolicy::exact(),
+            &scenario.app,
+            &scenario.arch,
+            &state,
+        );
         let naive =
             enumerate_exhaustive(&mut Allocator::new(), &scenario.app, &scenario.arch, &state);
         match (&exact, &naive) {
             (Ok(e), Ok(x)) => {
                 agreements += 1;
+                let (er, xr) = (certificate(e), certificate(x));
                 // Bound soundness: pruning never removes the optimum,
                 // so the searched lower bound equals the enumerated one
                 // and the certified upper bound dominates it.
                 assert_eq!(
-                    e.report.lower, x.report.lower,
+                    er.lower, xr.lower,
                     "scenario {i}: search missed the enumerated optimum"
                 );
                 assert!(
-                    e.report.upper >= x.report.lower,
+                    er.upper >= xr.lower,
                     "scenario {i}: upper bound {} below the true optimum {}",
-                    e.report.upper,
-                    x.report.lower
+                    er.upper,
+                    xr.lower
                 );
-                assert!(e.report.proven_optimal, "scenario {i}: residual gap");
+                assert!(er.proven_optimal, "scenario {i}: residual gap");
                 // Bit-for-bit witness agreement (identical seeding and
                 // expansion order on both sides).
                 assert_eq!(e.allocation.binding, x.allocation.binding, "scenario {i}");
@@ -210,14 +214,13 @@ fn exact_bounds_dominate_the_naive_enumerator() {
                 );
                 assert_eq!(e.allocation.slices, x.allocation.slices, "scenario {i}");
                 // The heuristic can never beat a proven optimum.
-                if let Ok(g) =
-                    Greedy.solve(&mut Allocator::new(), &scenario.app, &scenario.arch, &state)
+                if let Ok((g, _)) = Allocator::new().allocate(&scenario.app, &scenario.arch, &state)
                 {
                     assert!(
-                        g.outcome_lower() <= e.report.lower,
+                        g.guaranteed_throughput() <= er.lower,
                         "scenario {i}: greedy {} beats the proven optimum {}",
-                        g.outcome_lower(),
-                        e.report.lower
+                        g.guaranteed_throughput(),
+                        er.lower
                     );
                 }
             }
@@ -236,15 +239,9 @@ fn exact_bounds_dominate_the_naive_enumerator() {
     );
 }
 
-/// Shorthand: the certified lower bound of an outcome.
-trait OutcomeLower {
-    fn outcome_lower(&self) -> Rational;
-}
-
-impl OutcomeLower for sdfrs_core::SolveOutcome {
-    fn outcome_lower(&self) -> Rational {
-        self.report.lower
-    }
+/// The certificate every search attaches to its outcome.
+fn certificate(outcome: &sdfrs_core::SolveOutcome) -> SolveReport {
+    outcome.report.expect("a search attaches its certificate")
 }
 
 #[test]
@@ -255,28 +252,26 @@ fn node_budget_exhaustion_returns_the_incumbent_with_a_gap() {
     // Budget 1: the greedy seed becomes the incumbent, the search dies
     // immediately — a *result* (with an honest residual gap), not an
     // error.
-    let backend = Exact::new(ExactConfig {
-        node_budget: 1,
-        ..ExactConfig::default()
-    });
+    let policy = AdmissionPolicy::exact_with(ExactConfig { node_budget: 1 });
     let outcome = Allocator::new()
-        .solve_with(&backend, &app, &arch, &state)
+        .solve(policy, &app, &arch, &state)
         .expect("exhausted budget with an incumbent still returns it");
-    assert!(!outcome.report.proven_optimal);
+    let report = certificate(&outcome);
+    assert!(!report.proven_optimal);
     assert!(
-        outcome.report.gap > Rational::ZERO,
+        report.gap > Rational::ZERO,
         "gap {} must be positive after exhaustion",
-        outcome.report.gap
+        report.gap
     );
-    assert!(outcome.report.lower >= app.throughput_constraint());
-    assert!(outcome.report.upper > outcome.report.lower);
-    assert!(outcome.report.nodes_expanded <= 1);
+    assert!(report.lower >= app.throughput_constraint());
+    assert!(report.upper > report.lower);
+    assert!(report.nodes_expanded <= 1);
 
     // No incumbent can exist under an unsatisfiable constraint: that is
     // the error path, budget or no budget.
     let impossible = paper_example().with_throughput_constraint(Rational::ONE);
     let err = Allocator::new()
-        .solve_with(&backend, &impossible, &arch, &state)
+        .solve(policy, &impossible, &arch, &state)
         .expect_err("λ = 1 is unsatisfiable");
     assert!(
         matches!(err, MapError::ConstraintUnsatisfiable),

@@ -248,3 +248,42 @@ fn pipelined_allocations_verify_under_their_own_model() {
         assert!(violations.is_empty(), "seed {seed}: {violations:?}");
     }
 }
+
+/// Each weakly connected component runs at its own rate: with x alone
+/// and the chain y → z, the flow binds x and y to t0 and z to t1, and
+/// t0's periodic schedule fires x and y at different rates. The
+/// verifier asks for one common γ-multiple per tile and component, so
+/// this valid allocation verifies clean.
+#[test]
+fn multi_component_allocations_verify_clean() {
+    use sdfrs_appmodel::textio::{parse_application, parse_platform};
+    use sdfrs_core::verify::verify_allocation;
+
+    let app = parse_application(
+        "app appv lambda 1/1000\n\
+         actor x pt risc tau 3 mu 1\n\
+         actor y pt risc tau 2 mu 1\n\
+         actor z pt risc tau 5 mu 1\n\
+         channel yz y 1 z 1 tokens 0 sz 2 atile 2 asrc 2 adst 2 beta 1\n\
+         output x\n",
+    )
+    .unwrap();
+    let arch = parse_platform(
+        "arch pltv\n\
+         tile t0 pt risc wheel 100 mem 100000 conn 20 bwin 10000 bwout 10000\n\
+         tile t1 pt risc wheel 100 mem 100000 conn 20 bwin 10000 bwout 10000\n\
+         connection t0 t1 latency 1\n\
+         connection t1 t0 latency 1\n",
+    )
+    .unwrap();
+    let state = PlatformState::new(&arch);
+    let (alloc, _) = allocate(&app, &arch, &state, &FlowConfig::default()).unwrap();
+    let g = app.graph();
+    let tile = |name: &str| alloc.binding.tile_of(g.actor_by_name(name).unwrap());
+    assert_eq!(tile("x"), tile("y"), "x and y share a tile");
+    assert_ne!(tile("y"), tile("z"));
+    assert_eq!(
+        verify_allocation(&app, &arch, &state, &alloc).unwrap(),
+        vec![]
+    );
+}
