@@ -124,8 +124,10 @@ fn bench_observer_overhead(c: &mut Criterion) {
         })
     });
 
-    // Metrics off: the `Metrics::null()` default — this is the ≤2%
-    // budget bench against `flow_null_sink`.
+    // Metrics off: the `Metrics::null()` default. Its legs spread by
+    // about ±10% on a 2-vCPU VM, too wide to resolve a 2% budget: judge
+    // observer cost by perfbench's `trace.overhead_ratio` and by exact
+    // counts.
     group.bench_function("flow_metrics_off", |b| {
         b.iter(|| {
             Allocator::new()

@@ -158,6 +158,7 @@ fn metrics_out_prometheus_reconciles_with_the_event_trace() {
     let hits = prom_value(&text, "sdfrs_cache_hits_total");
     let misses = prom_value(&text, "sdfrs_cache_misses_total");
     let bounds = prom_value(&text, "sdfrs_bound_answers_total");
+    let monotone = prom_value(&text, "sdfrs_monotone_answers_total");
     let probes = events
         .lines()
         .filter(|l| l.contains("\"event\":\"slice_probe\""))
@@ -168,9 +169,10 @@ fn metrics_out_prometheus_reconciles_with_the_event_trace() {
             .filter(|l| l.contains("\"event\":\"slice_probe\"") && l.contains(flag))
             .count() as u64
     };
-    assert_eq!(hits + misses + bounds, probes, "{text}");
+    assert_eq!(hits + misses + bounds + monotone, probes, "{text}");
     assert_eq!(hits, flagged("\"cache_hit\":true"), "{text}");
     assert_eq!(bounds, flagged("\"bound\":true"), "{text}");
+    assert_eq!(monotone, flagged("\"monotone\":true"), "{text}");
     assert_eq!(prom_value(&text, "sdfrs_throughput_checks_total"), probes);
     assert_eq!(
         prom_value(&text, "sdfrs_global_slice_iterations_total")

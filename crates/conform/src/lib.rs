@@ -65,7 +65,12 @@
 //!     slices, at full wheels and at 1-unit slices — equal in every field
 //!     but `states_explored` and `transient_time`, which move with the
 //!     core's iteration-end storage — and never exceed the
-//!     [`ProcessingBound`](sdfrs_core::slice::ProcessingBound).
+//!     [`ProcessingBound`](sdfrs_core::slice::ProcessingBound); the
+//!     throughput must not fall as slices grow under the scenario's static
+//!     orders; and the slice search, which answers probes by monotonicity
+//!     and speculates, must return the allocation, counts and sequence of
+//!     checks of the exact search that explores every probe the bound
+//!     leaves.
 //!
 //! A failing scenario is [`shrink`](shrink::shrink)-able to a minimal
 //! reproduction that still fails one of the oracles it failed
@@ -169,8 +174,9 @@ pub enum OracleId {
     ExactOptimality,
     /// Event-driven constrained executor vs. the reference scan executor
     /// (equal throughput results or errors at three slice settings, but
-    /// for states explored and transient time) and vs. the processing
-    /// bound.
+    /// for states explored and transient time), vs. the processing bound
+    /// and vs. monotonicity in the slices; the slice search vs. the exact
+    /// reference search.
     ExecutorEquivalence,
 }
 

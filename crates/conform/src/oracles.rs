@@ -25,7 +25,7 @@ use sdfrs_sdf::rational::Rational;
 use sdfrs_sdf::transform::weak_component;
 use sdfrs_sdf::{ActorId, SdfGraph};
 
-use crate::reference::{ScanExecutor, ScanListScheduler};
+use crate::reference::{reference_slice_search, ReferenceProbe, ScanExecutor, ScanListScheduler};
 use crate::{FaultInjection, HarnessConfig, OracleFailure, OracleId, ScenarioReport};
 
 type FlowOutcome = Result<(Allocation, FlowStats), MapError>;
@@ -309,20 +309,24 @@ fn reconcile_events(
             stats.throughput_checks
         )));
     }
-    // throughput_checks = cache_hits + cache_misses + bound_answers, with
-    // each term matched against the probe events' flags.
-    let answered = stats.cache_hits + stats.cache_misses + stats.bound_answers;
+    // throughput_checks = cache_hits + cache_misses + bound_answers +
+    // monotone_answers, with each term matched against the probe events'
+    // flags.
+    let answered =
+        stats.cache_hits + stats.cache_misses + stats.bound_answers + stats.monotone_answers;
     if stats.throughput_checks != answered {
         failures.push(fail(format!(
-            "stats.throughput_checks = {} but cache hits + misses + bound answers = {answered}",
+            "stats.throughput_checks = {} but cache hits + misses + bound and monotone \
+             answers = {answered}",
             stats.throughput_checks,
         )));
     }
-    let (hit_probes, bound_probes) = probe_flags(events.iter().map(|(_, e)| e));
-    let explored_probes = probes.saturating_sub(hit_probes + bound_probes);
+    let flags = probe_flags(events.iter().map(|(_, e)| e));
+    let explored_probes = probes.saturating_sub(flags.hits + flags.bounds + flags.monotone);
     for (what, from_events, from_stats) in [
-        ("cache-hit", hit_probes, stats.cache_hits),
-        ("bound-answered", bound_probes, stats.bound_answers),
+        ("cache-hit", flags.hits, stats.cache_hits),
+        ("bound-answered", flags.bounds, stats.bound_answers),
+        ("monotone-answered", flags.monotone, stats.monotone_answers),
         ("explored", explored_probes, stats.cache_misses),
     ] {
         if from_events != from_stats {
@@ -350,7 +354,7 @@ fn reconcile_events(
     // A fresh single-run allocator's registry — the fold of its events
     // and the cache's counters — must agree exactly with the step counts.
     if let Some(m) = snapshot {
-        let pairs: [(&str, usize); 8] = [
+        let pairs: [(&str, usize); 9] = [
             ("bind_attempts", stats.bind_attempts),
             ("throughput_checks", stats.throughput_checks),
             ("global_slice_iterations", stats.global_slice_iterations),
@@ -358,6 +362,7 @@ fn reconcile_events(
             ("cache_hits", stats.cache_hits),
             ("cache_misses", stats.cache_misses),
             ("bound_answers", stats.bound_answers),
+            ("monotone_answers", stats.monotone_answers),
             ("schedule_states", stats.schedule_states),
         ];
         for (name, expected) in pairs {
@@ -378,15 +383,32 @@ fn reconcile_events(
     }
 }
 
-/// How many slice probes among `events` the cache answered, and how many
-/// the processing bound answered.
-fn probe_flags<'a>(events: impl Iterator<Item = &'a FlowEvent>) -> (usize, usize) {
-    events.fold((0, 0), |(hits, bounds), e| match e {
-        FlowEvent::SliceProbe {
-            cache_hit, bound, ..
-        } => (hits + usize::from(*cache_hit), bounds + usize::from(*bound)),
-        _ => (hits, bounds),
-    })
+/// How many slice probes the cache, the processing bound and
+/// monotonicity answered.
+#[derive(Debug, Default)]
+struct ProbeFlags {
+    hits: usize,
+    bounds: usize,
+    monotone: usize,
+}
+
+/// The [`ProbeFlags`] of the slice probes among `events`.
+fn probe_flags<'a>(events: impl Iterator<Item = &'a FlowEvent>) -> ProbeFlags {
+    let mut flags = ProbeFlags::default();
+    for e in events {
+        if let FlowEvent::SliceProbe {
+            cache_hit,
+            bound,
+            monotone,
+            ..
+        } = e
+        {
+            flags.hits += usize::from(*cache_hit);
+            flags.bounds += usize::from(*bound);
+            flags.monotone += usize::from(*monotone);
+        }
+    }
+    flags
 }
 
 /// Oracle 6: exact reclamation of the admission service.
@@ -1174,6 +1196,21 @@ fn executor_oracle(
             return;
         }
     };
+    // On the fresh platform, and on the residual the base allocation
+    // leaves, where the searches start from less wheel.
+    let mut states = vec![PlatformState::new(arch)];
+    if let Ok((alloc, _)) = base {
+        let mut residual = PlatformState::new(arch);
+        for (t, usage) in arch.tile_ids().zip(&alloc.usage) {
+            residual.claim(t, *usage);
+        }
+        states.push(residual);
+    }
+    for state in &states {
+        slice_search_against_reference(
+            scenario, config, state, &binding, &schedules, &ba, failures,
+        );
+    }
     let reference = ba.ba_actor(app.output_actor());
     let bound = match ProcessingBound::new(&ba, reference) {
         Ok(bound) => bound,
@@ -1197,15 +1234,19 @@ fn executor_oracle(
             )
         })
     };
+    let mut measured = Vec::new();
     for (label, setting) in [
+        ("1-unit", vec![1; wheels.len()]),
         ("allocated", slices),
         ("full-wheel", wheels.clone()),
-        ("1-unit", vec![1; wheels.len()]),
     ] {
         ba.set_slices(&setting);
         let core = ConstrainedExecutor::new(&ba, &schedules)
             .with_state_budget(budget)
             .throughput(reference);
+        if let Ok(r) = &core {
+            measured.push((label, r.iteration_throughput));
+        }
         let scan = ScanExecutor::new(&ba, &schedules, budget).throughput(reference);
         if core != scan.iteration_ends || (core.is_ok() && cycle(&core) != cycle(&scan.every_state))
         {
@@ -1234,6 +1275,160 @@ fn executor_oracle(
             _ => {}
         }
     }
+    // The settings are in slice order, each dominating the one before.
+    for pair in measured.windows(2) {
+        let ((below, low), (above, high)) = (pair[0], pair[1]);
+        if low > high {
+            failures.push(OracleFailure {
+                oracle,
+                detail: format!(
+                    "iteration throughput {low} at {below} slices exceeds {high} at \
+                     {above} slices"
+                ),
+            });
+        }
+    }
+    monotone_on_dominated_pairs(scenario, config, &mut ba, &schedules, reference, failures);
+}
+
+/// Oracle 11, slice search: on `binding` and `schedules` over `state`,
+/// the core's [`allocate_slices_observed`], which answers probes by
+/// monotonicity and speculates, must report exactly the exact reference
+/// search's checks (scope, slices, feasibility) and return its slices,
+/// throughput and counts, or its error.
+fn slice_search_against_reference(
+    scenario: &Scenario,
+    config: &HarnessConfig,
+    state: &PlatformState,
+    binding: &Binding,
+    schedules: &sdfrs_core::TileSchedules,
+    ba: &BindingAwareGraph,
+    failures: &mut Vec<OracleFailure>,
+) {
+    use sdfrs_core::slice::{allocate_slices_observed, SliceAllocation};
+    use sdfrs_core::ThroughputCache;
+
+    let (app, arch) = (&scenario.app, &scenario.arch);
+    let slice = &config.flow.slice;
+    let remaining: Vec<u64> = ba
+        .used_tiles()
+        .into_iter()
+        .map(|t| state.available_wheel(arch, t))
+        .collect();
+    let mut sink = RecordingSink::new();
+    let core = allocate_slices_observed(
+        &mut ba.clone(),
+        schedules,
+        app,
+        arch,
+        state,
+        binding,
+        slice,
+        &mut ThroughputCache::new(),
+        &mut FlowObserver::new(&mut sink),
+    );
+    let core_probes: Vec<ReferenceProbe> = sink
+        .events()
+        .into_iter()
+        .filter_map(|(_, e)| match e {
+            FlowEvent::SliceProbe {
+                scope,
+                slices,
+                feasible,
+                ..
+            } => Some((scope, slices.to_vec(), feasible)),
+            _ => None,
+        })
+        .collect();
+    let (exact, exact_probes) =
+        reference_slice_search(&mut ba.clone(), schedules, app, arch, state, binding, slice);
+    let summary = |a: &SliceAllocation| {
+        (
+            a.slices.clone(),
+            a.achieved.clone(),
+            a.throughput_checks,
+            a.global_iterations,
+            a.refine_iterations,
+        )
+    };
+    let same = match (&core, &exact) {
+        (Ok(a), Ok(b)) => summary(a) == summary(b),
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    };
+    if !same {
+        failures.push(OracleFailure {
+            oracle: OracleId::ExecutorEquivalence,
+            detail: format!(
+                "remaining wheels {remaining:?}: slice search {core:?}, exact reference \
+                 search {exact:?}"
+            ),
+        });
+    }
+    if let Some(i) = (0..core_probes.len().max(exact_probes.len()))
+        .find(|&i| core_probes.get(i) != exact_probes.get(i))
+    {
+        failures.push(OracleFailure {
+            oracle: OracleId::ExecutorEquivalence,
+            detail: format!(
+                "remaining wheels {remaining:?}: slice search check {i} is {:?}, the exact \
+                 reference search's {:?}",
+                core_probes.get(i),
+                exact_probes.get(i)
+            ),
+        });
+    }
+}
+
+/// Oracle 11, monotonicity: under the scenario's static orders the
+/// iteration throughput never falls when slices grow. Random pairs
+/// ω ≤ ω′ over the used tiles, from a seed fixed by the scenario name;
+/// pairs where either exploration errs are skipped.
+fn monotone_on_dominated_pairs(
+    scenario: &Scenario,
+    config: &HarnessConfig,
+    ba: &mut BindingAwareGraph,
+    schedules: &sdfrs_core::TileSchedules,
+    reference: ActorId,
+    failures: &mut Vec<OracleFailure>,
+) {
+    const PAIRS: usize = 4;
+    let seed = scenario
+        .name
+        .bytes()
+        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(u64::from(b)));
+    let mut rng = sdfrs_fastutil::rng::SmallRng::seed_from_u64(seed);
+    let wheels: Vec<u64> = scenario.arch.tiles().map(|(_, t)| t.wheel_size()).collect();
+    let used = ba.used_tiles();
+    let throughput = |ba: &mut BindingAwareGraph, slices: &[u64]| {
+        ba.set_slices(slices);
+        ConstrainedExecutor::new(ba, schedules)
+            .with_state_budget(config.flow.slice.state_budget)
+            .throughput(reference)
+            .ok()
+            .map(|r| r.iteration_throughput)
+    };
+    for _ in 0..PAIRS {
+        let mut low = wheels.clone();
+        let mut high = wheels.clone();
+        for t in &used {
+            let w = wheels[t.index()];
+            low[t.index()] = 1 + rng.below(w);
+            high[t.index()] = low[t.index()] + rng.below(w - low[t.index()] + 1);
+        }
+        let (Some(thr_low), Some(thr_high)) = (throughput(ba, &low), throughput(ba, &high)) else {
+            continue;
+        };
+        if thr_low > thr_high {
+            failures.push(OracleFailure {
+                oracle: OracleId::ExecutorEquivalence,
+                detail: format!(
+                    "iteration throughput {thr_low} at slices {low:?} exceeds {thr_high} at \
+                     the dominating slices {high:?}"
+                ),
+            });
+        }
+    }
 }
 
 /// Oracle 9 — trace reconciliation.
@@ -1242,9 +1437,11 @@ fn executor_oracle(
 ///
 /// * the per-request event capture (the span tree's `execute` events)
 ///   holds one `slice_probe` per throughput check the cache counted
-///   into the service's registry, one `cache_hit` per cache hit and one
-///   `bound` per processing-bound answer, so that `throughput_checks =
-///   cache_hits + cache_misses + bound_answers` holds on both sides —
+///   into the service's registry, one `cache_hit` per cache hit, one
+///   `bound` per processing-bound answer and one `monotone` per answer by
+///   monotonicity, so that `throughput_checks = cache_hits +
+///   cache_misses + bound_answers + monotone_answers` holds on both
+///   sides —
 ///   the cache is the only writer of those counters, so this compares
 ///   two independent tallies (the registry's other flow counters are a
 ///   fold of the same events and are not compared with themselves);
@@ -1347,13 +1544,21 @@ fn trace_reconciliation_oracle(
         .iter()
         .filter(|(_, e)| e.kind() == "slice_probe")
         .count() as u64;
-    let (hits, bounds) = probe_flags(completed.events.iter().map(|(_, e)| e));
-    let (hits, bounds) = (hits as u64, bounds as u64);
+    let flags = probe_flags(completed.events.iter().map(|(_, e)| e));
+    let (hits, bounds, monotone) = (
+        flags.hits as u64,
+        flags.bounds as u64,
+        flags.monotone as u64,
+    );
     for (name, got) in [
         ("throughput_checks", probes),
         ("cache_hits", hits),
         ("bound_answers", bounds),
-        ("cache_misses", probes.saturating_sub(hits + bounds)),
+        ("monotone_answers", monotone),
+        (
+            "cache_misses",
+            probes.saturating_sub(hits + bounds + monotone),
+        ),
     ] {
         let want = direct.counter(name);
         if want != got {

@@ -1,5 +1,5 @@
-//! The references of oracle 11: a scan executor and a scan list
-//! scheduler.
+//! The references of oracle 11: a scan executor, a scan list scheduler
+//! and the exact slice search.
 //!
 //! [`ScanExecutor`] is a direct transcription of Sec 8.2 as a scan: every
 //! round completes every firing with no work left, then scans all actors
@@ -19,12 +19,24 @@
 //! sequence or period is empty ends the construction with a `Deadlock`
 //! naming the tile's lowest-index actor, where it used to be skipped.
 //!
-//! Both read the binding-aware graph through the public API only.
+//! [`reference_slice_search`] is the slice allocation of Sec 9.3 as it
+//! stood before the search answered probes by monotonicity: the
+//! full-wheel probe first, and every probe the processing bound does not
+//! refute explored, sequentially.
+//!
+//! All three read the binding-aware graph through the public API only.
 
 use std::collections::{HashMap, VecDeque};
 
+use sdfrs_appmodel::ApplicationGraph;
+use sdfrs_core::cost::tile_loads;
+use sdfrs_core::events::SliceScope;
+use sdfrs_core::slice::{ProcessingBound, SliceAllocation, SliceConfig};
 use sdfrs_core::tdma::TdmaSlice;
-use sdfrs_core::{BindingAwareGraph, StaticOrderSchedule, TileSchedules};
+use sdfrs_core::{
+    Binding, BindingAwareGraph, MapError, StaticOrderSchedule, ThroughputCache, TileSchedules,
+};
+use sdfrs_platform::{ArchitectureGraph, PlatformState};
 use sdfrs_sdf::analysis::interner::StateInterner;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::rational::lcm;
@@ -629,4 +641,187 @@ impl<'a> ScanListScheduler<'a> {
             return Ok((schedules, states));
         }
     }
+}
+
+/// One throughput check of [`reference_slice_search`]: which search
+/// probed, the tested slice per global tile index, and whether it met λ.
+pub(crate) type ReferenceProbe = (SliceScope, Vec<u64>, bool);
+
+/// The exact slice search (see the [module docs](self)): both binary
+/// searches of Sec 9.3 with every probe the processing bound does not
+/// refute explored, through a fresh memo. Returns the allocation or the
+/// error, and every check in order.
+pub(crate) fn reference_slice_search(
+    ba: &mut BindingAwareGraph,
+    schedules: &TileSchedules,
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    binding: &Binding,
+    config: &SliceConfig,
+) -> (Result<SliceAllocation, MapError>, Vec<ReferenceProbe>) {
+    let mut probes = Vec::new();
+    let result = exact_slice_search(
+        ba,
+        schedules,
+        app,
+        arch,
+        state,
+        binding,
+        config,
+        &mut probes,
+    );
+    (result, probes)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn exact_slice_search(
+    ba: &mut BindingAwareGraph,
+    schedules: &TileSchedules,
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    binding: &Binding,
+    config: &SliceConfig,
+    probes: &mut Vec<ReferenceProbe>,
+) -> Result<SliceAllocation, MapError> {
+    let lambda = app.throughput_constraint();
+    let ceiling = lambda * (Rational::ONE + config.tolerance);
+    let tiles = ba.used_tiles();
+    let tile_count = arch.tile_count();
+    let global = |local: &[u64]| {
+        let mut out = vec![0; tile_count];
+        for (t, &w) in tiles.iter().zip(local) {
+            out[t.index()] = w;
+        }
+        out
+    };
+    let remaining: Vec<u64> = tiles
+        .iter()
+        .map(|&t| state.available_wheel(arch, t))
+        .collect();
+    let big_k = remaining.iter().copied().max().unwrap_or(0);
+    if big_k == 0 {
+        return Err(MapError::ConstraintUnsatisfiable);
+    }
+    let slice_for =
+        |k: u64| -> Vec<u64> { remaining.iter().map(|&r| (r * k / big_k).max(1)).collect() };
+    let reference = ba.ba_actor(app.output_actor());
+    let bound = ProcessingBound::new(ba, reference)?;
+    let mut cache = ThroughputCache::new();
+    // One check: the bound when it lies below λ, else the exploration.
+    let mut check = |ba: &mut BindingAwareGraph,
+                     scope: SliceScope,
+                     local: &[u64],
+                     use_bound: bool|
+     -> Result<Option<ThroughputResult>, MapError> {
+        let slices = global(local);
+        ba.set_slices(&slices);
+        let refuted = use_bound && bound.at(ba).is_some_and(|b| b < lambda);
+        let result = if refuted {
+            None
+        } else {
+            Some(cache.throughput(ba, schedules, reference, config.state_budget)?)
+        };
+        let feasible = result.as_ref().filter(|r| r.iteration_throughput >= lambda);
+        probes.push((scope, slices, feasible.is_some()));
+        Ok(feasible.cloned())
+    };
+
+    let full = slice_for(big_k);
+    let global_scope = |k| SliceScope::Global { k, of: big_k };
+    let mut global_iterations = 1;
+    let Some(mut best_thr) = check(ba, global_scope(big_k), &full, true)? else {
+        return Err(MapError::ConstraintUnsatisfiable);
+    };
+    let (mut lo, mut hi) = (1u64, big_k);
+    let mut best = full;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let candidate = slice_for(mid);
+        if candidate == best && hi == mid {
+            break;
+        }
+        global_iterations += 1;
+        match check(ba, global_scope(mid), &candidate, true)? {
+            Some(thr) => {
+                hi = mid;
+                best = candidate;
+                let within_tolerance = thr.iteration_throughput <= ceiling;
+                best_thr = thr;
+                if within_tolerance {
+                    break;
+                }
+            }
+            None => lo = mid + 1,
+        }
+    }
+    let mut slices = best;
+    let mut refine_iterations = 0;
+    if config.refine && tiles.len() > 1 {
+        let loads: Vec<f64> = tiles
+            .iter()
+            .map(|&t| tile_loads(app, arch, state, binding, t).map(|l| l.processing))
+            .collect::<Result<_, _>>()?;
+        let max_load = loads
+            .iter()
+            .copied()
+            .fold(0.0f64, f64::max)
+            .max(f64::MIN_POSITIVE);
+        for pass in 0..config.max_refine_passes {
+            let pass_start = slices.clone();
+            let mut changed = false;
+            for l in 0..tiles.len() {
+                let tile = tiles[l].index();
+                let upper = pass_start[l];
+                let lower = (((loads[l] / max_load) * upper as f64).floor() as u64).max(1);
+                let (mut lo, mut hi) = (lower, upper);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let mut candidate = pass_start.clone();
+                    candidate[l] = mid;
+                    refine_iterations += 1;
+                    let scope = SliceScope::Refine {
+                        pass,
+                        tile,
+                        slice: mid,
+                    };
+                    if check(ba, scope, &candidate, true)?.is_some() {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                if hi >= slices[l] {
+                    continue;
+                }
+                let mut candidate = slices.clone();
+                candidate[l] = hi;
+                refine_iterations += 1;
+                let scope = SliceScope::Commit {
+                    pass,
+                    tile,
+                    slice: hi,
+                };
+                if check(ba, scope, &candidate, true)?.is_some() {
+                    slices = candidate;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        refine_iterations += 1;
+        best_thr = check(ba, SliceScope::Final, &slices, false)?
+            .ok_or(MapError::ConstraintUnsatisfiable)?;
+    }
+    ba.set_slices(&global(&slices));
+    Ok(SliceAllocation {
+        slices: global(&slices),
+        achieved: best_thr,
+        throughput_checks: global_iterations + refine_iterations,
+        global_iterations,
+        refine_iterations,
+    })
 }

@@ -212,15 +212,17 @@ pub enum FlowEvent {
         period_len: usize,
     },
     /// One slice-search throughput check: the tested slice vector, the
-    /// measured throughput, and whether the evaluation cache or the
-    /// processing bound answered.
+    /// measured throughput, and whether the evaluation cache, the
+    /// processing bound or monotonicity answered.
     SliceProbe {
         /// Which search probed.
         scope: SliceScope,
         /// The tested slice of each tile the application uses.
         slices: ProbeSlices,
-        /// Measured guaranteed throughput under those slices, or the
-        /// processing bound when `bound` is set.
+        /// Measured guaranteed throughput under those slices; the
+        /// processing bound when `bound` is set; with `monotone`, the
+        /// measured throughput of the explored slice vector that decided
+        /// the probe.
         throughput: Rational,
         /// `throughput ≥ λ`.
         feasible: bool,
@@ -231,6 +233,12 @@ pub enum FlowEvent {
         /// ([`ProcessingBound`](crate::slice::ProcessingBound)) answered
         /// "infeasible" before the cache or the exploration was consulted.
         bound: bool,
+        /// Whether monotonicity answered without exploring: an explored
+        /// slice vector that these slices dominate was feasible (so they
+        /// are, and `throughput` is a lower bound), or one that dominates
+        /// them was infeasible (so they are, and `throughput` is an upper
+        /// bound).
+        monotone: bool,
     },
     /// An allocation run finished.
     FlowFinished {
@@ -458,6 +466,7 @@ impl FlowEvent {
                 feasible,
                 cache_hit,
                 bound,
+                monotone,
             } => {
                 match scope {
                     SliceScope::Global { k, of } => {
@@ -490,6 +499,9 @@ impl FlowEvent {
                 );
                 if *bound {
                     s.push_str(",\"bound\":true");
+                }
+                if *monotone {
+                    s.push_str(",\"monotone\":true");
                 }
             }
             FlowEvent::FlowFinished { ok, duration } => {
@@ -642,6 +654,7 @@ impl FlowEvent {
                 feasible,
                 cache_hit,
                 bound,
+                monotone,
             } => {
                 match scope {
                     SliceScope::Global { k, of } => {
@@ -668,6 +681,9 @@ impl FlowEvent {
                 );
                 if *bound {
                     s.push_str(" [processing bound]");
+                }
+                if *monotone {
+                    s.push_str(" [monotone]");
                 }
             }
             FlowEvent::FlowFinished { ok, duration } => {
@@ -1211,6 +1227,7 @@ mod tests {
                 feasible: true,
                 cache_hit: false,
                 bound: false,
+                monotone: false,
             },
             FlowEvent::SliceProbe {
                 scope: SliceScope::Refine {
@@ -1226,6 +1243,7 @@ mod tests {
                 feasible: false,
                 cache_hit: true,
                 bound: false,
+                monotone: false,
             },
             FlowEvent::FlowFinished {
                 ok: true,

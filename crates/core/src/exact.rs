@@ -11,7 +11,9 @@
 //!   binding-aware graph of Sec 8.1 under list-scheduled static orders,
 //!   evaluated at the full remaining TDMA wheel of every tile — the
 //!   best slices any allocation of this binding could get, since
-//!   guaranteed throughput is monotone in the slice sizes);
+//!   guaranteed throughput is monotone in the slice sizes under fixed
+//!   static orders: DESIGN.md §9, "Monotone answers and confirmed
+//!   speculation", gives the argument the slice search also relies on);
 //! * **bounded** — every subtree is bounded above by an exact rational
 //!   LP: relax the 0/1 placement variables `x_{a,t}` of the unbound
 //!   actors to `[0,1]` and minimize the worst per-tile *weighted work*

@@ -251,9 +251,12 @@ pub struct FlowStats {
     /// Throughput checks that ran the constrained state-space exploration.
     pub cache_misses: usize,
     /// Throughput checks the processing bound answered "infeasible"
-    /// without the cache or the exploration:
-    /// `throughput_checks = cache_hits + cache_misses + bound_answers`.
+    /// without the cache or the exploration.
     pub bound_answers: usize,
+    /// Throughput checks answered by monotonicity from an explored slice
+    /// vector: `throughput_checks = cache_hits + cache_misses +
+    /// bound_answers + monotone_answers`.
+    pub monotone_answers: usize,
     /// Wall-clock time of the binding step.
     pub binding_time: Duration,
     /// Wall-clock time of the schedule construction.
@@ -366,7 +369,12 @@ fn allocate_steps(
     cache: &mut ThroughputCache,
     obs: &mut FlowObserver<'_>,
 ) -> Result<(Allocation, FlowStats), MapError> {
-    let (hits0, misses0, bounds0) = (cache.hits(), cache.misses(), cache.bound_answers());
+    let (hits0, misses0, bounds0, monotone0) = (
+        cache.hits(),
+        cache.misses(),
+        cache.bound_answers(),
+        cache.monotone_answers(),
+    );
 
     // Step 1: resource binding.
     let ((binding, bind_attempts), binding_time) = run_phase(obs, FlowPhase::Binding, |obs| {
@@ -415,6 +423,7 @@ fn allocate_steps(
         cache_hits: cache.hits() - hits0,
         cache_misses: cache.misses() - misses0,
         bound_answers: cache.bound_answers() - bounds0,
+        monotone_answers: cache.monotone_answers() - monotone0,
         binding_time,
         scheduling_time,
         slice_time,

@@ -15,7 +15,8 @@
 //! (see [`FlowObserver::emit`](crate::events::FlowObserver::emit)).
 //! Facts no event carries keep exactly one direct writer each: the
 //! throughput cache (`throughput_checks`, `cache_hits`, `cache_misses`,
-//! `bound_answers`, `cache_evictions`, `states_explored`, the
+//! `bound_answers`, `monotone_answers`, `discarded_explorations`,
+//! `cache_evictions`, `states_explored`, the
 //! `cache_entries` gauge, the `probe_states` histogram and the `probe`
 //! span), the slice search
 //! (`refine_search_iters`), regional admission (`region_*`,
@@ -55,7 +56,8 @@
 //! assert_eq!(
 //!     snapshot.counter("cache_hits")
 //!         + snapshot.counter("cache_misses")
-//!         + snapshot.counter("bound_answers"),
+//!         + snapshot.counter("bound_answers")
+//!         + snapshot.counter("monotone_answers"),
 //!     stats.throughput_checks as u64,
 //! );
 //! # Ok(())
@@ -365,6 +367,14 @@ const COUNTERS: &[(&str, &str)] = &[
         "Slice probes the processing bound answered infeasible without exploring.",
     ),
     (
+        "monotone_answers",
+        "Slice probes an explored dominating or dominated slice vector answered.",
+    ),
+    (
+        "discarded_explorations",
+        "Explorations of a discarded slice-search speculation (no reported probe).",
+    ),
+    (
         "cache_evictions",
         "Memoized evaluations dropped by cache clears and the entry cap.",
     ),
@@ -517,6 +527,13 @@ pub struct MetricsRegistry {
     /// Slice probes the processing bound answered infeasible without
     /// consulting the cache or exploring.
     pub bound_answers: Counter,
+    /// Slice probes answered by monotonicity: an explored slice vector
+    /// they dominate proved them feasible, or one that dominates them
+    /// proved them infeasible.
+    pub monotone_answers: Counter,
+    /// Explorations the slice search ran on a speculation it discarded:
+    /// no reported probe carries their answer.
+    pub discarded_explorations: Counter,
     /// Memoized evaluations dropped by cache clears and the entry cap.
     pub cache_evictions: Counter,
     /// Constrained state-space states explored across all probes.
@@ -633,6 +650,8 @@ impl MetricsRegistry {
             cache_hits: Counter::default(),
             cache_misses: Counter::default(),
             bound_answers: Counter::default(),
+            monotone_answers: Counter::default(),
+            discarded_explorations: Counter::default(),
             cache_evictions: Counter::default(),
             states_explored: Counter::default(),
             admission_admitted: Counter::default(),
@@ -693,6 +712,8 @@ impl MetricsRegistry {
             "cache_hits" => self.cache_hits.get(),
             "cache_misses" => self.cache_misses.get(),
             "bound_answers" => self.bound_answers.get(),
+            "monotone_answers" => self.monotone_answers.get(),
+            "discarded_explorations" => self.discarded_explorations.get(),
             "cache_evictions" => self.cache_evictions.get(),
             "states_explored" => self.states_explored.get(),
             "admission_admitted" => self.admission_admitted.get(),
@@ -757,9 +778,9 @@ impl MetricsRegistry {
                 self.schedule_states.add(*states as u64);
             }
             FlowEvent::ScheduleConstructed { .. } => self.schedules_constructed.inc(),
-            // Checks, hits, misses and bound answers are the cache's to
-            // count: it also sees the evaluations no probe event reports
-            // (exact-solver leaves, probes that fail).
+            // Checks, hits, misses, bound and monotone answers are the
+            // cache's to count: it also sees the evaluations no probe
+            // event reports (exact-solver leaves, probes that fail).
             FlowEvent::SliceProbe { scope, .. } => match scope {
                 SliceScope::Global { .. } => self.global_slice_iterations.inc(),
                 SliceScope::Refine { .. } | SliceScope::Commit { .. } | SliceScope::Final => {
@@ -1285,6 +1306,7 @@ mod tests {
             feasible: true,
             cache_hit: false,
             bound: false,
+            monotone: false,
         });
         registry.record_event(&FlowEvent::SliceProbe {
             scope: SliceScope::Final,
@@ -1293,6 +1315,7 @@ mod tests {
             feasible: true,
             cache_hit: true,
             bound: false,
+            monotone: false,
         });
         let s = registry.snapshot();
         assert_eq!(s.counter("bind_attempts"), 1);

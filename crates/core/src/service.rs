@@ -1368,25 +1368,39 @@ impl CommitLog {
 /// Replays commit-log `lines` through a fresh sequential
 /// [`AllocationService`] over `arch` and returns the resulting service
 /// (compare [`AllocationService::residual_digest`] against the live
-/// run's). Empty lines are skipped.
+/// run's). Empty lines are skipped, and so is a last record whose
+/// framing is broken: a crash mid-write leaves the final line cut short,
+/// and that record was never acknowledged.
 ///
 /// # Errors
 ///
 /// A [`RequestParseError`] (with the 1-based line number attached) when
-/// a record does not parse.
+/// a record before the last does not parse, or the last one has a field
+/// error.
 pub fn replay_commit_log<'a>(
     arch: &ArchitectureGraph,
     config: ServiceConfig,
     lines: impl IntoIterator<Item = &'a str>,
 ) -> Result<AllocationService, RequestParseError> {
     let mut service = AllocationService::from_config(arch, config);
+    // A framing error is fatal only once a later record shows that its
+    // line was not the torn tail.
+    let mut torn: Option<RequestParseError> = None;
     for (no, line) in lines.into_iter().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let request = parse_request_line(line).map_err(|e| e.at_line(no + 1))?;
-        service.execute_request(request);
+        if let Some(e) = torn.take() {
+            return Err(e);
+        }
+        match parse_request_line(line) {
+            Ok(request) => {
+                service.execute_request(request);
+            }
+            Err(e) if e.field.is_none() => torn = Some(e.at_line(no + 1)),
+            Err(e) => return Err(e.at_line(no + 1)),
+        }
     }
     Ok(service)
 }

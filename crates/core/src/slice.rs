@@ -12,10 +12,29 @@
 //!    lower bound — imperfectly balanced load means lightly loaded tiles
 //!    need less wheel time.
 //!
-//! Every probe first asks the exact [`ProcessingBound`]; a probe the
-//! bound does not prove infeasible goes through the [`ThroughputCache`].
-//! The bound only answers probes the exploration would find infeasible,
-//! so both searches take the same steps as with every probe explored.
+//! Every probe first asks the exact [`ProcessingBound`], then the
+//! [`ThroughputCache`]'s memo. Under the fixed static orders of one
+//! search the throughput is non-decreasing in every slice (DESIGN.md §9),
+//! so a measured feasible vector answers every vector that dominates it,
+//! and an infeasible one every vector it dominates. Beyond these answers
+//! the search speculates and explores only the probes that confirm:
+//!
+//! * the full-wheel probe is answered by the first global probe found
+//!   feasible, and explored only if the search ends on it or an explored
+//!   global probe fails first;
+//! * every other global probe is explored: the stop decision needs the
+//!   measured throughput;
+//! * a refinement sub-search takes what nothing answers as feasible and
+//!   explores only its proposal, which every such probe dominates; if the
+//!   proposal fails, the sub-search reruns, exploring;
+//! * commit candidates nothing answers are taken as feasible and
+//!   confirmed by the final probe, which always explores and which every
+//!   accepted candidate dominates; if it fails, the refinement reruns
+//!   with every commit answered exactly.
+//!
+//! Every answer, speculation included once confirmed, is the
+//! exploration's feasibility, so both searches take the exact search's
+//! steps, and the search reports the exact search's checks.
 //! Refinement tasks read the pass-start cache by shared reference and
 //! memoize into a task-local delta, absorbed in tile order once the pass
 //! joins.
@@ -33,7 +52,7 @@ use crate::constrained::TileSchedules;
 use crate::cost::{tile_loads_with, AppWork};
 use crate::error::MapError;
 use crate::events::{FlowEvent, FlowObserver, ProbeSlices, SliceScope};
-use crate::thru_cache::ThroughputCache;
+use crate::thru_cache::{Answered, ThroughputCache};
 
 /// Configuration of the slice-allocation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,78 +223,236 @@ fn less(a: (u128, u128), b: (u128, u128)) -> Option<bool> {
     Some(a.0.checked_mul(b.1)? < b.0.checked_mul(a.1)?)
 }
 
-/// What one throughput check of the slice search answered.
+/// What answered one throughput check of the slice search.
 #[derive(Debug, Clone)]
 enum Answer {
-    /// The throughput the exploration measured, and whether the cache
+    /// The throughput an exploration measured, and whether the memo
     /// recalled it.
     Measured(ThroughputResult, bool),
     /// The processing bound, below λ: the slices are infeasible.
     Bounded(Rational),
+    /// Monotonicity: the measured throughput of an explored slice vector
+    /// that decides this one (see [`Explored`]).
+    Monotone(Rational),
 }
 
 impl Answer {
-    /// The measured iteration throughput, or the bound.
+    /// The measured, bounding or deciding throughput.
     fn throughput(&self) -> Rational {
         match self {
             Answer::Measured(r, _) => r.iteration_throughput,
-            Answer::Bounded(bound) => *bound,
+            Answer::Bounded(thr) | Answer::Monotone(thr) => *thr,
         }
     }
 
-    /// The measured result, if it meets `lambda`.
-    fn meeting(self, lambda: Rational) -> Option<ThroughputResult> {
+    /// `thr ≥ λ`: a bound answer is below λ, and a monotone answer has
+    /// its witness's feasibility.
+    fn feasible(&self, lambda: Rational) -> bool {
+        self.throughput() >= lambda
+    }
+
+    /// The measured result, if an exploration or the memo gave one.
+    fn measured(&self) -> Option<&ThroughputResult> {
         match self {
-            Answer::Measured(r, _) if r.iteration_throughput >= lambda => Some(r),
+            Answer::Measured(r, _) => Some(r),
             _ => None,
+        }
+    }
+
+    /// How the cache counts this answer.
+    fn answered(&self) -> Answered {
+        match self {
+            Answer::Measured(_, true) => Answered::Hit,
+            Answer::Measured(_, false) => Answered::Miss,
+            Answer::Bounded(_) => Answered::Bound,
+            Answer::Monotone(_) => Answered::Monotone,
         }
     }
 
     /// The probe event reporting this answer.
     fn event(&self, scope: SliceScope, slices: ProbeSlices, lambda: Rational) -> FlowEvent {
-        let throughput = self.throughput();
         FlowEvent::SliceProbe {
             scope,
             slices,
-            throughput,
-            feasible: throughput >= lambda,
+            throughput: self.throughput(),
+            feasible: self.feasible(lambda),
             cache_hit: matches!(self, Answer::Measured(_, true)),
             bound: matches!(self, Answer::Bounded(_)),
+            monotone: matches!(self, Answer::Monotone(_)),
         }
     }
 }
 
-/// Answers one throughput check under `slices` (one per local tile of
-/// `ba`), at the output actor: from `bound` when it proves the slices
-/// infeasible, otherwise through `cache`, consulting `shared` first when
-/// a refinement task probes through its pass-start cache.
-///
-/// Counted as a throughput check whoever answers: the paper's metric is
-/// how often the search *consults* the analysis.
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    ba: &mut BindingAwareGraph,
-    schedules: &TileSchedules,
-    app: &ApplicationGraph,
-    slices: &[u64],
-    budget: usize,
-    bound: Option<&ProcessingBound>,
-    checks: &mut usize,
-    cache: &mut ThroughputCache,
-    shared: Option<&ThroughputCache>,
-) -> Result<Answer, MapError> {
-    *checks += 1;
-    ba.set_local_slices(slices);
-    if let Some(bound) = bound.and_then(|b| b.refutes(ba, app.throughput_constraint())) {
-        cache.count_bound_answer();
-        return Ok(Answer::Bounded(bound));
+/// One throughput check, in the exact search's order. A `None` answer is
+/// a speculation: taken as feasible until an exploration confirms it.
+#[derive(Debug, Clone)]
+struct Check {
+    scope: SliceScope,
+    /// The tested slice per local tile.
+    slices: Vec<u64>,
+    answer: Option<Answer>,
+}
+
+impl Check {
+    /// Feasible, or taken as feasible.
+    fn feasible(&self, lambda: Rational) -> bool {
+        self.answer.as_ref().is_none_or(|a| a.feasible(lambda))
     }
-    let reference = ba.ba_actor(app.output_actor());
-    let hits_before = cache.hits();
-    let thr = cache
-        .throughput_via(shared, ba, schedules, reference, budget)
-        .map_err(MapError::from)?;
-    Ok(Answer::Measured(thr, cache.hits() > hits_before))
+}
+
+/// Confirms every speculation among `checks` with `witness`, the measured
+/// throughput of a feasible vector each speculated vector dominates.
+fn confirm(checks: &mut [Check], witness: Rational) {
+    for check in checks {
+        check.answer.get_or_insert(Answer::Monotone(witness));
+    }
+}
+
+/// Explorations among `checks`: they answer no reported check once the
+/// checks are discarded.
+fn explorations(checks: &[Check]) -> usize {
+    checks
+        .iter()
+        .filter(|c| matches!(c.answer, Some(Answer::Measured(_, false))))
+        .count()
+}
+
+/// The slice vectors one search measured, by feasibility, with their
+/// throughput. Under the fixed static orders of one search the
+/// throughput is non-decreasing in every slice (DESIGN.md §9), so a
+/// feasible vector proves every vector that dominates it feasible, and
+/// an infeasible one proves every vector it dominates infeasible.
+#[derive(Debug, Clone, Default)]
+struct Explored {
+    feasible: Vec<(Vec<u64>, Rational)>,
+    infeasible: Vec<(Vec<u64>, Rational)>,
+}
+
+impl Explored {
+    /// The throughput of a measured vector that decides `slices`, if any.
+    fn witness(&self, slices: &[u64]) -> Option<Rational> {
+        let dominates = |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(x, y)| x >= y);
+        self.feasible
+            .iter()
+            .find(|(u, _)| dominates(slices, u))
+            .or_else(|| self.infeasible.iter().find(|(u, _)| dominates(u, slices)))
+            .map(|&(_, thr)| thr)
+    }
+
+    /// Records a measured answer that no vector known so far implies.
+    fn learn(&mut self, slices: &[u64], answer: &Answer, lambda: Rational) {
+        let Some(r) = answer.measured() else {
+            return;
+        };
+        if self.witness(slices).is_some() {
+            return;
+        }
+        let thr = r.iteration_throughput;
+        let side = if thr >= lambda {
+            &mut self.feasible
+        } else {
+            &mut self.infeasible
+        };
+        side.push((slices.to_vec(), thr));
+    }
+
+    fn absorb(&mut self, other: Explored) {
+        self.feasible.extend(other.feasible);
+        self.infeasible.extend(other.infeasible);
+    }
+}
+
+/// What every probe of one slice search reads.
+struct Probes<'a> {
+    schedules: &'a TileSchedules,
+    /// The binding-aware output actor, where throughput is measured.
+    reference: ActorId,
+    bound: ProcessingBound,
+    lambda: Rational,
+    budget: usize,
+}
+
+impl Probes<'_> {
+    /// The answer that needs no exploration: the processing bound, the
+    /// memo (`shared` first, for a refinement task), or monotonicity over
+    /// `facts`.
+    fn known(
+        &self,
+        ba: &mut BindingAwareGraph,
+        slices: &[u64],
+        cache: &mut ThroughputCache,
+        shared: Option<&ThroughputCache>,
+        facts: &[&Explored],
+    ) -> Result<Option<Answer>, MapError> {
+        ba.set_local_slices(slices);
+        if let Some(bound) = self.bound.refutes(ba, self.lambda) {
+            return Ok(Some(Answer::Bounded(bound)));
+        }
+        if let Some(result) = cache.recall(shared, ba, self.schedules, self.reference, self.budget)
+        {
+            return Ok(Some(Answer::Measured(result?, true)));
+        }
+        Ok(facts
+            .iter()
+            .find_map(|f| f.witness(slices))
+            .map(Answer::Monotone))
+    }
+
+    /// Measures `slices` through the memo, exploring unless it recalls
+    /// them.
+    fn explore(
+        &self,
+        ba: &mut BindingAwareGraph,
+        slices: &[u64],
+        cache: &mut ThroughputCache,
+        shared: Option<&ThroughputCache>,
+    ) -> Result<Answer, MapError> {
+        ba.set_local_slices(slices);
+        let (result, hit) = cache.measure(shared, ba, self.schedules, self.reference, self.budget);
+        Ok(Answer::Measured(result?, hit))
+    }
+}
+
+/// The checks one search reports and the work they leave behind.
+#[derive(Debug, Default)]
+struct Report {
+    /// Final checks: no speculation among them can still fail.
+    checks: Vec<Check>,
+    /// Checks per refinement sub-search, for `refine_search_iters`.
+    sub_searches: Vec<usize>,
+    /// Explorations no reported check carries.
+    discarded: usize,
+}
+
+impl Report {
+    /// Emits every check as a probe event and counts how it was answered
+    /// (the cache is the one writer of the check counters). Returns the
+    /// global and the refinement iterations.
+    fn flush(
+        self,
+        cache: &mut ThroughputCache,
+        obs: &mut FlowObserver<'_>,
+        probe_slices: impl Fn(&[u64]) -> ProbeSlices,
+        lambda: Rational,
+    ) -> (usize, usize) {
+        let mut global = 0;
+        for check in &self.checks {
+            let answer = check
+                .answer
+                .as_ref()
+                .expect("a speculation is confirmed before it is reported");
+            obs.emit(|| answer.event(check.scope, probe_slices(&check.slices), lambda));
+            cache.count_check(answer.answered());
+            global += usize::from(matches!(check.scope, SliceScope::Global { .. }));
+        }
+        if let Some(m) = obs.registry() {
+            for &n in &self.sub_searches {
+                m.refine_search_iters.observe(n as u64);
+            }
+        }
+        cache.count_discarded(self.discarded);
+        (global, self.checks.len() - global)
+    }
 }
 
 /// Allocates TDMA slices meeting the application's throughput constraint
@@ -334,18 +511,16 @@ pub fn allocate_slices_cached(
     )
 }
 
-/// A probe recorded inside a (possibly parallel) refinement task, replayed
-/// through the observer in tile order after the tasks join so the event
-/// stream stays deterministic.
-type RefineProbe = (u64, Vec<u64>, Answer);
-
 /// [`allocate_slices_cached`] reporting every throughput check of both
 /// binary searches as a [`SliceProbe`](FlowEvent::SliceProbe): the
 /// tested slice vector, the measured throughput (or the processing bound
-/// that answered), feasibility, and whether the cache answered.
+/// or the explored vector that answered), feasibility, and whether the
+/// cache answered.
 ///
-/// Probes from parallel refinement tasks are buffered per task and
-/// emitted in tile order once the pass joins, so the event stream is
+/// The checks and their order are the exact search's, whatever was
+/// speculated: the probes of the (possibly parallel) refinement tasks are
+/// reported in tile order once the pass joins, and every check once no
+/// speculation among them can still fail, so the event stream is
 /// identical between the sequential and parallel paths.
 ///
 /// # Errors
@@ -363,10 +538,6 @@ pub fn allocate_slices_observed(
     cache: &mut ThroughputCache,
     obs: &mut FlowObserver<'_>,
 ) -> Result<SliceAllocation, MapError> {
-    let lambda = app.throughput_constraint();
-    let ceiling = lambda * (Rational::ONE + config.tolerance);
-    let (mut checks, mut global_iterations, mut refine_iterations) = (0usize, 0usize, 0usize);
-
     // The search works on one slice per local tile of `ba`; probe events
     // name the global tiles, and the result expands to global indices.
     let tiles = ba.tiles().to_vec();
@@ -379,16 +550,51 @@ pub fn allocate_slices_observed(
             .collect(),
         tile_count,
     };
+    let mut report = Report::default();
+    let result = search(
+        ba,
+        schedules,
+        app,
+        arch,
+        state,
+        binding,
+        config,
+        cache,
+        &mut report,
+    );
+    let (global_iterations, refine_iterations) =
+        report.flush(cache, obs, probe_slices, app.throughput_constraint());
+    let (slices, achieved) = result?;
+    Ok(SliceAllocation {
+        slices: ba.to_global(&slices, tile_count),
+        achieved,
+        throughput_checks: global_iterations + refine_iterations,
+        global_iterations,
+        refine_iterations,
+    })
+}
+
+/// Both binary searches. Pushes every check they report into `report`
+/// once no speculation among them can fail, and returns the slice per
+/// local tile with the throughput measured there.
+#[allow(clippy::too_many_arguments)]
+fn search(
+    ba: &mut BindingAwareGraph,
+    schedules: &TileSchedules,
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    binding: &Binding,
+    config: &SliceConfig,
+    cache: &mut ThroughputCache,
+    report: &mut Report,
+) -> Result<(Vec<u64>, ThroughputResult), MapError> {
+    let lambda = app.throughput_constraint();
+    let tiles = ba.tiles().to_vec();
     let remaining: Vec<u64> = tiles
         .iter()
         .map(|&t| state.available_wheel(arch, t))
         .collect();
-    let slice_for = |k: u64, big_k: u64| -> Vec<u64> {
-        // Equal fractions of each tile's remaining wheel, at least 1 unit.
-        remaining.iter().map(|&r| (r * k / big_k).max(1)).collect()
-    };
-
-    // --- Global binary search over the common fraction k / K.
     let big_k = remaining
         .iter()
         .copied()
@@ -399,87 +605,29 @@ pub fn allocate_slices_observed(
     }
     // W_l once per search: execution times of tile-bound actors do not
     // depend on the slices.
-    let bound = ProcessingBound::new(ba, ba.ba_actor(app.output_actor()))?;
-    let full = slice_for(big_k, big_k);
-    let answer = evaluate(
-        ba,
+    let reference = ba.ba_actor(app.output_actor());
+    let probes = Probes {
         schedules,
-        app,
-        &full,
-        config.state_budget,
-        Some(&bound),
-        &mut checks,
-        cache,
-        None,
-    )?;
-    global_iterations += 1;
-    obs.emit(|| {
-        answer.event(
-            SliceScope::Global {
-                k: big_k,
-                of: big_k,
-            },
-            probe_slices(&full),
-            lambda,
-        )
-    });
-    let Some(thr_full) = answer.meeting(lambda) else {
-        return Err(MapError::ConstraintUnsatisfiable);
+        reference,
+        bound: ProcessingBound::new(ba, reference)?,
+        lambda,
+        budget: config.state_budget,
     };
+    let mut explored = Explored::default();
 
-    let mut lo = 1u64;
-    let mut hi = big_k;
-    let mut best = full.clone();
-    let mut best_thr = thr_full;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let candidate = slice_for(mid, big_k);
-        if candidate == best && hi == mid {
-            break;
-        }
-        let answer = evaluate(
-            ba,
-            schedules,
-            app,
-            &candidate,
-            config.state_budget,
-            Some(&bound),
-            &mut checks,
-            cache,
-            None,
-        )?;
-        global_iterations += 1;
-        obs.emit(|| {
-            answer.event(
-                SliceScope::Global { k: mid, of: big_k },
-                probe_slices(&candidate),
-                lambda,
-            )
-        });
-        if let Some(thr) = answer.meeting(lambda) {
-            let within_tolerance = thr.iteration_throughput <= ceiling;
-            hi = mid;
-            best = candidate;
-            best_thr = thr;
-            if within_tolerance {
-                break;
-            }
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let mut slices = best;
+    // --- Global binary search over the common fraction k / K.
+    let ceiling = lambda * (Rational::ONE + config.tolerance);
+    let (mut slices, mut achieved) = global_search(
+        &probes,
+        ba,
+        cache,
+        &mut explored,
+        report,
+        &remaining,
+        ceiling,
+    )?;
 
     // --- Per-tile refinement.
-    //
-    // Each pass computes one *speculative* shrink proposal per tile: the
-    // smallest feasible slice for that tile with every other tile frozen
-    // at the pass-start allocation. The proposals are independent, so
-    // `config.parallel` fans them out across threads; they are collected
-    // in tile order either way. Proposals are then applied sequentially
-    // (tile order), each commit re-validated against the *cumulative*
-    // candidate — shrinking two tiles at once can violate λ even when
-    // each shrink alone is feasible.
     if config.refine && tiles.len() > 1 {
         let work = AppWork::of(app)?;
         let loads: Vec<f64> = tiles
@@ -491,148 +639,397 @@ pub fn allocate_slices_observed(
             .copied()
             .fold(0.0f64, f64::max)
             .max(f64::MIN_POSITIVE);
-        for pass in 0..config.max_refine_passes {
-            let pass_start = slices.clone();
-            let tile_indices: Vec<usize> = (0..tiles.len()).collect();
-            let snapshot: &BindingAwareGraph = ba;
-            let shared: &ThroughputCache = cache;
-            let record = obs.enabled();
-            let proposals = sdfrs_fastutil::par::maybe_par_map(
-                config.parallel,
-                &tile_indices,
-                |&l| -> Result<(u64, usize, ThroughputCache, Vec<RefineProbe>), MapError> {
-                    let upper = pass_start[l];
-                    let lower = (((loads[l] / max_load) * upper as f64).floor() as u64).max(1);
-                    let mut local_cache = shared.task_cache();
-                    let mut probes = Vec::new();
-                    if lower >= upper {
-                        return Ok((upper, 0, local_cache, probes));
-                    }
-                    let mut local_ba = snapshot.clone();
-                    let mut local_checks = 0usize;
-                    let mut lo = lower;
-                    let mut hi = upper;
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        let mut candidate = pass_start.clone();
-                        candidate[l] = mid;
-                        let answer = evaluate(
-                            &mut local_ba,
-                            schedules,
-                            app,
-                            &candidate,
-                            config.state_budget,
-                            Some(&bound),
-                            &mut local_checks,
-                            &mut local_cache,
-                            Some(shared),
-                        )?;
-                        let feasible = answer.throughput() >= lambda;
-                        if record {
-                            probes.push((mid, candidate, answer));
-                        }
-                        if feasible {
-                            hi = mid;
-                        } else {
-                            lo = mid + 1;
-                        }
-                    }
-                    Ok((hi, local_checks, local_cache, probes))
-                },
-            );
-            let mut changed = false;
-            for (l, proposal) in proposals.into_iter().enumerate() {
-                let (proposed, local_checks, local_cache, probes) = proposal?;
-                checks += local_checks;
-                refine_iterations += local_checks;
-                // Recorded in the (sequential) join so bucket counts never
-                // depend on thread interleaving.
-                if let Some(m) = obs.registry() {
-                    m.refine_search_iters.observe(local_checks as u64);
-                }
-                cache.absorb(local_cache);
-                let tile = tiles[l].index();
-                for (tried, tried_slices, answer) in probes {
-                    obs.emit(|| {
-                        answer.event(
-                            SliceScope::Refine {
-                                pass,
-                                tile,
-                                slice: tried,
-                            },
-                            probe_slices(&tried_slices),
-                            lambda,
-                        )
-                    });
-                }
-                if proposed >= slices[l] {
-                    continue;
-                }
-                let mut candidate = slices.clone();
-                candidate[l] = proposed;
-                let answer = evaluate(
-                    ba,
-                    schedules,
-                    app,
-                    &candidate,
-                    config.state_budget,
-                    Some(&bound),
-                    &mut checks,
-                    cache,
-                    None,
-                )?;
-                refine_iterations += 1;
-                obs.emit(|| {
-                    answer.event(
-                        SliceScope::Commit {
-                            pass,
-                            tile,
-                            slice: proposed,
-                        },
-                        probe_slices(&candidate),
-                        lambda,
-                    )
-                });
-                if answer.throughput() >= lambda {
-                    slices = candidate;
-                    changed = true;
-                }
+        let lower_of =
+            |l: usize, upper: u64| (((loads[l] / max_load) * upper as f64).floor() as u64).max(1);
+        let mut speculate = true;
+        loop {
+            let mut run = refine(
+                &probes,
+                ba,
+                cache,
+                &mut explored,
+                &slices,
+                speculate,
+                config,
+                &lower_of,
+            )?;
+            report.discarded += run.discarded;
+            // Re-evaluate at the final allocation so `achieved` matches
+            // it, always by exploring: no bound or monotone answer
+            // becomes a result.
+            let answer = probes.explore(ba, &run.slices, cache, None)?;
+            explored.learn(&run.slices, &answer, lambda);
+            let feasible = answer.feasible(lambda);
+            if !feasible && run.speculated {
+                // A commit taken as feasible was not: redo the refinement
+                // with every commit answered exactly.
+                report.discarded += explorations(&run.checks)
+                    + usize::from(matches!(answer, Answer::Measured(_, false)));
+                speculate = false;
+                continue;
             }
-            if !changed {
-                break;
+            // Every accepted commit candidate dominates the final vector.
+            confirm(&mut run.checks, answer.throughput());
+            report.sub_searches.extend(run.sub_searches);
+            report.checks.extend(run.checks);
+            let measured = answer.measured().filter(|_| feasible).cloned();
+            report.checks.push(Check {
+                scope: SliceScope::Final,
+                slices: run.slices.clone(),
+                answer: Some(answer),
+            });
+            // Defensive: the exact refinement never commits an infeasible
+            // slice vector.
+            achieved = measured.ok_or(MapError::ConstraintUnsatisfiable)?;
+            slices = run.slices;
+            break;
+        }
+    }
+    ba.set_local_slices(&slices);
+    Ok((slices, achieved))
+}
+
+/// The global binary search over equal fractions `k / K` of each tile's
+/// `remaining` wheel, stopping once λ ≤ thr ≤ `ceiling`. Returns the
+/// vector it ends on and the throughput measured there.
+///
+/// The full-wheel probe (k = K) comes first in the reported order, but
+/// only the bound or the memo answer it at once. Otherwise the first
+/// probe found feasible answers it by monotonicity, and it is explored
+/// only if the search ends on it, or as soon as an explored probe fails:
+/// an unsatisfiable constraint then costs one exploration more than
+/// exploring the full wheel first. Every other probe the bound or the
+/// memo does not answer is explored, because its stop decision needs the
+/// measured throughput.
+fn global_search(
+    probes: &Probes<'_>,
+    ba: &mut BindingAwareGraph,
+    cache: &mut ThroughputCache,
+    explored: &mut Explored,
+    report: &mut Report,
+    remaining: &[u64],
+    ceiling: Rational,
+) -> Result<(Vec<u64>, ThroughputResult), MapError> {
+    let lambda = probes.lambda;
+    let big_k = remaining.iter().copied().max().unwrap_or(0);
+    let slice_for = |k: u64| -> Vec<u64> {
+        // Equal fractions of each tile's remaining wheel, at least 1 unit.
+        remaining.iter().map(|&r| (r * k / big_k).max(1)).collect()
+    };
+    let full = slice_for(big_k);
+    let full_check = |answer: Answer| Check {
+        scope: SliceScope::Global {
+            k: big_k,
+            of: big_k,
+        },
+        slices: full.clone(),
+        answer: Some(answer),
+    };
+    // The full wheel fails: report it alone, as the exact search does,
+    // and discard the explorations of `checks`.
+    let unsatisfiable = |report: &mut Report, checks: &[Check], answer: Answer| {
+        report.discarded += explorations(checks);
+        report.checks.push(full_check(answer));
+        Err(MapError::ConstraintUnsatisfiable)
+    };
+
+    let mut full_answer = probes.known(ba, &full, cache, None, &[])?;
+    if let Some(answer) = full_answer.clone() {
+        explored.learn(&full, &answer, lambda);
+        if !answer.feasible(lambda) {
+            return unsatisfiable(report, &[], answer);
+        }
+    }
+    let mut best = full.clone();
+    let mut best_thr = full_answer.as_ref().and_then(Answer::measured).cloned();
+    let mut checks = Vec::new();
+    let (mut lo, mut hi) = (1u64, big_k);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let candidate = slice_for(mid);
+        if candidate == best && hi == mid {
+            break;
+        }
+        let answer = match probes.known(ba, &candidate, cache, None, &[])? {
+            Some(answer) => answer,
+            None => probes.explore(ba, &candidate, cache, None)?,
+        };
+        explored.learn(&candidate, &answer, lambda);
+        let feasible = match &answer {
+            Answer::Measured(r, _) if r.iteration_throughput >= lambda => Some(r.clone()),
+            _ => None,
+        };
+        let explored_infeasible =
+            matches!(answer, Answer::Measured(_, false)) && feasible.is_none();
+        let witness = answer.throughput();
+        checks.push(Check {
+            scope: SliceScope::Global { k: mid, of: big_k },
+            slices: candidate.clone(),
+            answer: Some(answer),
+        });
+        if full_answer.is_none() {
+            if feasible.is_some() {
+                full_answer = Some(Answer::Monotone(witness));
+            } else if explored_infeasible {
+                let full_measured = probes.explore(ba, &full, cache, None)?;
+                explored.learn(&full, &full_measured, lambda);
+                if !full_measured.feasible(lambda) {
+                    return unsatisfiable(report, &checks, full_measured);
+                }
+                best_thr = full_measured.measured().cloned();
+                full_answer = Some(full_measured);
             }
         }
-        // Re-evaluate at the final allocation so `achieved` matches it,
-        // always by exploring: no bound answer becomes a result.
-        let answer = evaluate(
-            ba,
-            schedules,
-            app,
-            &slices,
-            config.state_budget,
-            None,
-            &mut checks,
+        match feasible {
+            Some(thr) => {
+                let within_tolerance = thr.iteration_throughput <= ceiling;
+                hi = mid;
+                best = candidate;
+                best_thr = Some(thr);
+                if within_tolerance {
+                    break;
+                }
+            }
+            None => lo = mid + 1,
+        }
+    }
+    // The search ended on the full wheel before anything answered it.
+    let full_answer = match full_answer {
+        Some(answer) => answer,
+        None => {
+            let answer = probes.explore(ba, &full, cache, None)?;
+            explored.learn(&full, &answer, lambda);
+            best_thr = answer.measured().cloned();
+            answer
+        }
+    };
+    if !full_answer.feasible(lambda) {
+        return unsatisfiable(report, &checks, full_answer);
+    }
+    report.checks.push(full_check(full_answer));
+    report.checks.extend(checks);
+    let best_thr = best_thr.ok_or(MapError::ConstraintUnsatisfiable)?;
+    Ok((best, best_thr))
+}
+
+/// One run of the refinement passes (see [`search`]).
+#[derive(Debug, Default)]
+struct RefineRun {
+    slices: Vec<u64>,
+    checks: Vec<Check>,
+    sub_searches: Vec<usize>,
+    /// Explorations of failed sub-search proposals.
+    discarded: usize,
+    /// Whether a commit candidate was taken as feasible.
+    speculated: bool,
+}
+
+/// Runs the refinement passes from `start`.
+///
+/// Each pass computes one shrink proposal per tile: the smallest feasible
+/// slice for that tile with every other tile frozen at the pass-start
+/// allocation ([`SubSearch`]). The proposals are independent, so
+/// `config.parallel` fans them out across threads; they are collected in
+/// tile order either way. Proposals are then applied sequentially (tile
+/// order), each commit checked against the *cumulative* candidate:
+/// shrinking two tiles at once can violate λ even when each shrink alone
+/// is feasible. With `speculate`, a commit candidate nothing answers is
+/// taken as feasible; the caller's final probe confirms it.
+#[allow(clippy::too_many_arguments)]
+fn refine(
+    probes: &Probes<'_>,
+    ba: &mut BindingAwareGraph,
+    cache: &mut ThroughputCache,
+    explored: &mut Explored,
+    start: &[u64],
+    speculate: bool,
+    config: &SliceConfig,
+    lower_of: &(dyn Fn(usize, u64) -> u64 + Sync),
+) -> Result<RefineRun, MapError> {
+    let lambda = probes.lambda;
+    let tiles = ba.tiles().to_vec();
+    let tile_indices: Vec<usize> = (0..tiles.len()).collect();
+    let mut run = RefineRun {
+        slices: start.to_vec(),
+        ..RefineRun::default()
+    };
+    for pass in 0..config.max_refine_passes {
+        let pass_start = run.slices.clone();
+        let snapshot: &BindingAwareGraph = ba;
+        let shared: &ThroughputCache = cache;
+        let seen: &Explored = explored;
+        let proposals = sdfrs_fastutil::par::maybe_par_map(
+            config.parallel,
+            &tile_indices,
+            |&l| -> Result<SubSearch, MapError> {
+                let upper = pass_start[l];
+                let lower = lower_of(l, upper);
+                let mut sub = SubSearch::new(shared.task_cache(), upper);
+                if lower < upper {
+                    let tile = tiles[l].index();
+                    let scope = |slice| SliceScope::Refine { pass, tile, slice };
+                    let mut local_ba = snapshot.clone();
+                    sub.run(
+                        probes,
+                        &mut local_ba,
+                        shared,
+                        seen,
+                        &pass_start,
+                        l,
+                        lower,
+                        scope,
+                    )?;
+                }
+                Ok(sub)
+            },
+        );
+        let mut changed = false;
+        for (l, proposal) in proposals.into_iter().enumerate() {
+            let sub = proposal?;
+            cache.absorb(sub.cache);
+            explored.absorb(sub.explored);
+            run.sub_searches.push(sub.checks.len());
+            run.discarded += sub.discarded;
+            run.checks.extend(sub.checks);
+            let proposed = sub.proposal;
+            if proposed >= run.slices[l] {
+                continue;
+            }
+            let mut candidate = run.slices.clone();
+            candidate[l] = proposed;
+            let answer = match probes.known(ba, &candidate, cache, None, &[explored])? {
+                Some(answer) => Some(answer),
+                None if speculate => {
+                    run.speculated = true;
+                    None
+                }
+                None => Some(probes.explore(ba, &candidate, cache, None)?),
+            };
+            if let Some(answer) = &answer {
+                explored.learn(&candidate, answer, lambda);
+            }
+            let check = Check {
+                scope: SliceScope::Commit {
+                    pass,
+                    tile: tiles[l].index(),
+                    slice: proposed,
+                },
+                slices: candidate,
+                answer,
+            };
+            if check.feasible(lambda) {
+                run.slices.clone_from(&check.slices);
+                changed = true;
+            }
+            run.checks.push(check);
+        }
+        if !changed {
+            break;
+        }
+    }
+    Ok(run)
+}
+
+/// One refinement sub-search: the smallest feasible slice of one tile
+/// with every other tile frozen at the pass start, probed through a task
+/// cache over the pass-start memo.
+#[derive(Debug)]
+struct SubSearch {
+    cache: ThroughputCache,
+    explored: Explored,
+    checks: Vec<Check>,
+    proposal: u64,
+    /// Explorations of a failed proposal.
+    discarded: usize,
+}
+
+impl SubSearch {
+    fn new(cache: ThroughputCache, upper: u64) -> Self {
+        SubSearch {
             cache,
-            None,
-        )?;
-        refine_iterations += 1;
-        obs.emit(|| answer.event(SliceScope::Final, probe_slices(&slices), lambda));
-        // Defensive: refinement never commits an infeasible slice, but
-        // re-check because `best_thr` may come from a larger slice.
-        best_thr = answer
-            .meeting(lambda)
-            .ok_or(MapError::ConstraintUnsatisfiable)?;
-    } else {
-        ba.set_local_slices(&slices);
+            explored: Explored::default(),
+            checks: Vec::new(),
+            proposal: upper,
+            discarded: 0,
+        }
     }
 
-    Ok(SliceAllocation {
-        slices: ba.to_global(&slices, tile_count),
-        achieved: best_thr,
-        throughput_checks: checks,
-        global_iterations,
-        refine_iterations,
-    })
+    /// Binary-searches local tile `l`'s slice in `[lower, pass_start[l]]`.
+    ///
+    /// It first takes every probe nothing answers as feasible and
+    /// explores only its proposal, the last probe taken as feasible,
+    /// which every other speculated probe dominates. A feasible proposal
+    /// confirms them all. An infeasible one answers every probe at or
+    /// below it, and the search reruns, exploring what nothing answers.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        probes: &Probes<'_>,
+        ba: &mut BindingAwareGraph,
+        shared: &ThroughputCache,
+        seen: &Explored,
+        pass_start: &[u64],
+        l: usize,
+        lower: u64,
+        scope: impl Fn(u64) -> SliceScope,
+    ) -> Result<(), MapError> {
+        let lambda = probes.lambda;
+        for speculate in [true, false] {
+            self.checks.clear();
+            let (mut lo, mut hi) = (lower, pass_start[l]);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                let mut candidate = pass_start.to_vec();
+                candidate[l] = mid;
+                let facts = [seen, &self.explored];
+                let answer =
+                    match probes.known(ba, &candidate, &mut self.cache, Some(shared), &facts)? {
+                        Some(answer) => Some(answer),
+                        None if speculate => None,
+                        None => {
+                            Some(probes.explore(ba, &candidate, &mut self.cache, Some(shared))?)
+                        }
+                    };
+                if let Some(answer) = &answer {
+                    self.explored.learn(&candidate, answer, lambda);
+                }
+                let check = Check {
+                    scope: scope(mid),
+                    slices: candidate,
+                    answer,
+                };
+                if check.feasible(lambda) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+                self.checks.push(check);
+            }
+            self.proposal = hi;
+            if self.checks.iter().all(|c| c.answer.is_some()) {
+                return Ok(());
+            }
+            let Some(last) = self.checks.iter().rposition(|c| c.feasible(lambda)) else {
+                return Ok(());
+            };
+            if self.checks[last].answer.is_none() {
+                let slices = &self.checks[last].slices;
+                let answer = probes.explore(ba, slices, &mut self.cache, Some(shared))?;
+                self.explored.learn(slices, &answer, lambda);
+                if !answer.feasible(lambda) {
+                    self.discarded += usize::from(matches!(answer, Answer::Measured(_, false)));
+                    continue;
+                }
+                self.checks[last].answer = Some(answer);
+            }
+            let witness = self.checks[last].answer.as_ref().map(Answer::throughput);
+            if let Some(witness) = witness {
+                confirm(&mut self.checks, witness);
+            }
+            return Ok(());
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -837,6 +1234,141 @@ mod tests {
             "the repeated search must be answered entirely from the cache"
         );
         assert!(cache.hits() >= second.throughput_checks);
+    }
+
+    /// λ = 1/20 lies below the processing bound at the full wheels (1/4)
+    /// and above their throughput (1/24). The exact search explores the
+    /// full wheels alone; this one explores the k = 5 probe first, finds
+    /// it infeasible, explores the full wheels at once, and reports only
+    /// them.
+    #[test]
+    fn an_unsatisfiable_constraint_costs_one_exploration_more() {
+        use crate::events::{FlowObserver, RecordingSink};
+        let (app, arch, binding, mut ba, schedules, state) = setup(Rational::new(1, 20));
+        let mut cache = ThroughputCache::new();
+        let mut sink = RecordingSink::new();
+        let err = allocate_slices_observed(
+            &mut ba,
+            &schedules,
+            &app,
+            &arch,
+            &state,
+            &binding,
+            &SliceConfig::default(),
+            &mut cache,
+            &mut FlowObserver::new(&mut sink),
+        )
+        .unwrap_err();
+        assert_eq!(err, MapError::ConstraintUnsatisfiable);
+        assert_eq!(sink.kinds(), ["slice_probe"]);
+        assert_eq!((cache.misses(), cache.discarded_explorations()), (1, 1));
+    }
+
+    /// Every exploration answers a reported check or is counted as
+    /// discarded, and every reported check is counted once.
+    #[test]
+    fn explorations_are_reported_checks_or_discarded() {
+        use crate::metrics::{Metrics, SpanKind};
+        for num_den in [(1i128, 30i128), (1, 35), (1, 50), (1, 80), (1, 120)] {
+            let lambda = Rational::new(num_den.0, num_den.1);
+            let (app, arch, binding, mut ba, schedules, state) = setup(lambda);
+            let metrics = Metrics::collecting();
+            let mut cache = ThroughputCache::new();
+            cache.set_metrics(metrics.clone());
+            let alloc = allocate_slices_cached(
+                &mut ba,
+                &schedules,
+                &app,
+                &arch,
+                &state,
+                &binding,
+                &SliceConfig::default(),
+                &mut cache,
+            )
+            .unwrap();
+            let registry = metrics.registry().unwrap();
+            let probes = registry.profiler.calls(SpanKind::Probe);
+            assert_eq!(
+                probes,
+                (cache.misses() + cache.discarded_explorations()) as u64,
+                "λ = {lambda}"
+            );
+            assert_eq!(
+                alloc.throughput_checks,
+                cache.hits() + cache.misses() + cache.bound_answers() + cache.monotone_answers(),
+                "λ = {lambda}"
+            );
+        }
+    }
+
+    /// A repeated search is answered from the memo and monotonicity
+    /// alone, with the same checks, and explores nothing.
+    #[test]
+    fn a_repeated_search_explores_nothing() {
+        let (app, arch, binding, mut ba, schedules, state) = setup(Rational::new(1, 50));
+        let mut cache = ThroughputCache::new();
+        let run = |ba: &mut BindingAwareGraph, cache: &mut ThroughputCache| {
+            allocate_slices_cached(
+                ba,
+                &schedules,
+                &app,
+                &arch,
+                &state,
+                &binding,
+                &SliceConfig::default(),
+                cache,
+            )
+            .unwrap()
+        };
+        let first = run(&mut ba, &mut cache);
+        let explored = cache.misses() + cache.discarded_explorations();
+        let second = run(&mut ba, &mut cache);
+        assert_eq!(first.slices, second.slices);
+        assert_eq!(first.achieved, second.achieved);
+        assert_eq!(first.throughput_checks, second.throughput_checks);
+        assert_eq!(cache.misses() + cache.discarded_explorations(), explored);
+    }
+
+    /// One actor with a self-edge, τ = 5 on `t1`, λ = 1/5: only the full
+    /// wheel meets λ, the bound refutes every smaller global probe, so the
+    /// search ends on the full-wheel probe without answering it and must
+    /// explore it there.
+    #[test]
+    fn a_search_that_ends_on_the_full_wheel_explores_it() {
+        use sdfrs_appmodel::{ActorRequirements, ChannelRequirements};
+        use sdfrs_platform::ProcessorType;
+        use sdfrs_sdf::SdfGraph;
+        let mut g = SdfGraph::new("lone");
+        let x = g.add_actor("x", 0);
+        let xx = g.add_channel("xx", x, 1, x, 1, 1);
+        let app = ApplicationGraph::builder(g, Rational::new(1, 5))
+            .actor(
+                x,
+                ActorRequirements::new().on(ProcessorType::new("p1"), 5, 1),
+            )
+            .channel(xx, ChannelRequirements::new(1, 1, 0, 0, 0))
+            .output_actor(x)
+            .build()
+            .unwrap();
+        let arch = example_platform();
+        let state = PlatformState::new(&arch);
+        let mut binding = Binding::new(1);
+        binding.bind(x, TileId::from_index(0));
+        let mut ba = BindingAwareGraph::build(&app, &arch, &binding, &[10, 10]).unwrap();
+        let schedules = construct_schedules(&ba).unwrap();
+        let alloc = allocate_slices(
+            &mut ba,
+            &schedules,
+            &app,
+            &arch,
+            &state,
+            &binding,
+            &SliceConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(alloc.slices, vec![10, 0]);
+        assert_eq!(alloc.achieved.iteration_throughput, Rational::new(1, 5));
+        assert!(alloc.global_iterations > 1, "smaller probes were refuted");
     }
 
     #[test]

@@ -33,9 +33,15 @@
 //! longer pays for regrowing it; reusing it still beats a fresh arena per
 //! probe (DESIGN.md §9).
 //!
-//! The cache also counts the slice search's processing-bound answers
-//! ([`bound_answers`](ThroughputCache::bound_answers)), so one writer
-//! keeps `throughput_checks = cache_hits + cache_misses + bound_answers`.
+//! The cache is the one writer of the check counters. The slice search
+//! answers some checks without a lookup, from the processing bound
+//! ([`bound_answers`](ThroughputCache::bound_answers)) or by monotonicity
+//! ([`monotone_answers`](ThroughputCache::monotone_answers)), and it
+//! counts each check it reports once, in report order, so that
+//! `throughput_checks = cache_hits + cache_misses + bound_answers +
+//! monotone_answers`. Its explorations whose answer no reported check
+//! carries, because a speculation they refuted was discarded, are counted
+//! apart as [`discarded_explorations`](ThroughputCache::discarded_explorations).
 
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -52,7 +58,22 @@ use crate::metrics::{Metrics, SpanKind};
 /// clears the cache first, so a long-lived service stays bounded.
 pub const MAX_ENTRIES: usize = 16_384;
 
-type Evaluation = Result<ThroughputResult, SdfError>;
+/// One memoized result: a throughput or the analysis error.
+pub(crate) type Evaluation = Result<ThroughputResult, SdfError>;
+
+/// How the slice search answered one throughput check it reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Answered {
+    /// The memo recalled the throughput.
+    Hit,
+    /// An exploration measured it.
+    Miss,
+    /// The processing bound proved the slices infeasible.
+    Bound,
+    /// An explored vector it dominates, or that dominates it, decided it.
+    Monotone,
+}
+
 type Memo = FxHashMap<Vec<u64>, Evaluation>;
 
 /// A cache's probe arena, locked so that tasks probing through the cache
@@ -156,6 +177,8 @@ pub struct ThroughputCache {
     hits: usize,
     misses: usize,
     bound_answers: usize,
+    monotone_answers: usize,
+    discarded: usize,
     scratch: Vec<u64>,
     bypass: bool,
     metrics: Metrics,
@@ -201,17 +224,47 @@ impl ThroughputCache {
         self.bound_answers
     }
 
-    /// Counts a throughput check that the slice search answered from the
-    /// processing bound ([`ProcessingBound`](crate::slice::ProcessingBound))
-    /// without a lookup: the cache is the one writer of the check
-    /// counters, so `throughput_checks = cache_hits + cache_misses +
-    /// bound_answers`.
-    pub(crate) fn count_bound_answer(&mut self) {
-        self.bound_answers += 1;
+    /// Slice-search checks answered by monotonicity: an explored slice
+    /// vector that this one dominates proved it feasible, or one that
+    /// dominates it proved it infeasible.
+    pub fn monotone_answers(&self) -> usize {
+        self.monotone_answers
+    }
+
+    /// Explorations whose answer no reported check carries: the slice
+    /// search ran them on a speculation it then discarded.
+    pub fn discarded_explorations(&self) -> usize {
+        self.discarded
+    }
+
+    /// Counts one throughput check the slice search reports: the cache is
+    /// the one writer of the check counters, so `throughput_checks =
+    /// cache_hits + cache_misses + bound_answers + monotone_answers`.
+    pub(crate) fn count_check(&mut self, how: Answered) {
+        match how {
+            Answered::Hit => self.hits += 1,
+            Answered::Miss => self.misses += 1,
+            Answered::Bound => self.bound_answers += 1,
+            Answered::Monotone => self.monotone_answers += 1,
+        }
         self.metrics.record(|m| {
             m.throughput_checks.inc();
-            m.bound_answers.inc();
+            match how {
+                Answered::Hit => m.cache_hits.inc(),
+                Answered::Miss => m.cache_misses.inc(),
+                Answered::Bound => m.bound_answers.inc(),
+                Answered::Monotone => m.monotone_answers.inc(),
+            }
         });
+    }
+
+    /// Counts `n` explorations that answer no reported check.
+    pub(crate) fn count_discarded(&mut self, n: usize) {
+        if n > 0 {
+            self.discarded += n;
+            self.metrics
+                .record(|m| m.discarded_explorations.add(n as u64));
+        }
     }
 
     /// Distinct configurations memoized.
@@ -272,6 +325,8 @@ impl ThroughputCache {
         self.hits += other.hits;
         self.misses += other.misses;
         self.bound_answers += other.bound_answers;
+        self.monotone_answers += other.monotone_answers;
+        self.discarded += other.discarded;
         let mut adopted = 0;
         for (key, value) in other.memo {
             adopted += usize::from(self.adopt(key, value));
@@ -305,13 +360,23 @@ impl ThroughputCache {
         reference: ActorId,
         state_budget: usize,
     ) -> Result<ThroughputResult, SdfError> {
+        let (result, hit) = self.measure(shared, ba, schedules, reference, state_budget);
+        self.count_check(if hit { Answered::Hit } else { Answered::Miss });
+        result
+    }
+
+    /// The memoized evaluation of this configuration in `shared` or in
+    /// this cache, if any. Counts nothing and never explores.
+    pub(crate) fn recall(
+        &mut self,
+        shared: Option<&ThroughputCache>,
+        ba: &BindingAwareGraph,
+        schedules: &TileSchedules,
+        reference: ActorId,
+        state_budget: usize,
+    ) -> Option<Evaluation> {
         if self.bypass {
-            self.misses += 1;
-            self.metrics.record(|m| {
-                m.throughput_checks.inc();
-                m.cache_misses.inc();
-            });
-            return self.explore(shared, ba, schedules, reference, state_budget);
+            return None;
         }
         let mut key = std::mem::take(&mut self.scratch);
         encode_fingerprint(ba, schedules, reference, state_budget, &mut key);
@@ -319,25 +384,31 @@ impl ThroughputCache {
             .and_then(|s| s.lookup(&key))
             .or_else(|| self.lookup(&key))
             .cloned();
-        if let Some(result) = cached {
-            self.hits += 1;
-            self.metrics.record(|m| {
-                m.throughput_checks.inc();
-                m.cache_hits.inc();
-            });
-            self.scratch = key;
-            return result;
-        }
-        self.misses += 1;
-        self.metrics.record(|m| {
-            m.throughput_checks.inc();
-            m.cache_misses.inc();
-        });
-        let result = self.explore(shared, ba, schedules, reference, state_budget);
-        self.insert(key.clone(), result.clone());
         self.scratch = key;
-        self.publish_entries();
-        result
+        cached
+    }
+
+    /// The evaluation from the memo, or from a new exploration that is
+    /// then memoized, and whether the memo answered. Counts no check: the
+    /// caller reports how each check it keeps was answered.
+    pub(crate) fn measure(
+        &mut self,
+        shared: Option<&ThroughputCache>,
+        ba: &BindingAwareGraph,
+        schedules: &TileSchedules,
+        reference: ActorId,
+        state_budget: usize,
+    ) -> (Evaluation, bool) {
+        if let Some(result) = self.recall(shared, ba, schedules, reference, state_budget) {
+            return (result, true);
+        }
+        let result = self.explore(shared, ba, schedules, reference, state_budget);
+        if !self.bypass {
+            let key = self.scratch.clone();
+            self.insert(key, result.clone());
+            self.publish_entries();
+        }
+        (result, false)
     }
 
     fn lookup(&self, key: &[u64]) -> Option<&Evaluation> {

@@ -205,8 +205,32 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
-        // den is always positive, so cross-multiplication preserves order.
-        (self.num * other.den).cmp(&(other.num * self.den))
+        cmp_fractions(self.num, self.den, other.num, other.den)
+    }
+}
+
+/// Orders `an/ad` against `bn/bd` for positive denominators, exactly.
+///
+/// Cross-multiplication preserves the order, and decides whenever both
+/// products fit in `i128`. Otherwise the floors decide when they differ;
+/// when they are equal, the remainders `ra/ad` and `rb/bd` in `[0, 1)`
+/// decide, and two positive remainders compare as their reciprocals in
+/// reverse: `ra/ad < rb/bd` exactly when `bd/rb < ad/ra`. Each step
+/// shrinks the denominators as in Euclid's algorithm, so this ends.
+fn cmp_fractions(mut an: i128, mut ad: i128, mut bn: i128, mut bd: i128) -> Ordering {
+    loop {
+        if let (Some(a), Some(b)) = (an.checked_mul(bd), bn.checked_mul(ad)) {
+            return a.cmp(&b);
+        }
+        let (fa, fb) = (an.div_euclid(ad), bn.div_euclid(bd));
+        if fa != fb {
+            return fa.cmp(&fb);
+        }
+        let (ra, rb) = (an.rem_euclid(ad), bn.rem_euclid(bd));
+        if ra == 0 || rb == 0 {
+            return ra.cmp(&rb);
+        }
+        (an, ad, bn, bd) = (bd, rb, ad, ra);
     }
 }
 
@@ -321,6 +345,52 @@ mod tests {
             Rational::new(1, 3).min(Rational::new(2, 5)),
             Rational::new(1, 3)
         );
+    }
+
+    #[test]
+    fn ordering_at_extreme_magnitudes() {
+        let max = i128::MAX;
+        // 1 + 1/(max − 1) < 1 + 1/(max − 2): every cross product overflows.
+        let a = Rational::new(max, max - 1);
+        let b = Rational::new(max - 1, max - 2);
+        assert!(a < b);
+        assert!(b > a);
+        assert!(-a > -b);
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+        // Equal floors and remainders whose reciprocals overflow too.
+        let c = Rational::new(max - 2, max - 4);
+        assert!(b < c);
+        assert_eq!(a.max(c), c);
+        assert_eq!(b.min(a), a);
+        // Different floors decide at once.
+        let huge = Rational::new(max, 3);
+        let big = Rational::new(max - 3, 3);
+        assert!(big < huge);
+        assert!(Rational::new(max, 7) > Rational::new(3, max));
+        assert!(Rational::new(-max, 7) < Rational::new(-3, max));
+        // Comparing with small values.
+        assert!(a > Rational::ONE);
+        assert!(Rational::new(1, max) > Rational::ZERO);
+        assert!(Rational::new(1, max) < Rational::new(1, max - 1));
+        assert!(Rational::new(-1, max) > Rational::new(-1, max - 1));
+    }
+
+    #[test]
+    fn extreme_ordering_agrees_with_small_ordering() {
+        // Scaling both sides by the same huge factor keeps their order.
+        let scale = i128::MAX / 1_000;
+        for (p, q) in [(1i128, 3i128), (2, 7), (5, 9), (4, 11)] {
+            for (r, t) in [(1i128, 3i128), (3, 10), (5, 9), (6, 11)] {
+                let small = Rational::new(p, q).cmp(&Rational::new(r, t));
+                // p·s/(q·s + 1) vs r·s/(t·s + 1): within 1/s² of p/q and
+                // r/t, so distinct small ratios keep their order.
+                let big_a = Rational::new(p * scale, q * scale + 1);
+                let big_b = Rational::new(r * scale, t * scale + 1);
+                if small != Ordering::Equal {
+                    assert_eq!(big_a.cmp(&big_b), small, "{p}/{q} vs {r}/{t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,40 @@ fn throughput_monotone_in_slices() {
     }
 }
 
+/// The premise of the slice search: under *fixed* static orders, as one
+/// search keeps them (the list schedule at 50% slices), the throughput is
+/// non-decreasing in every slice. `throughput_monotone_in_slices` above
+/// rebuilds the orders at every slice vector, a different property.
+/// Checked on every dominated pair of `1..=10 × 1..=10`, under both
+/// connection models.
+#[test]
+fn throughput_monotone_in_slices_under_fixed_orders() {
+    for model in [ConnectionModel::Simple, ConnectionModel::PipelinedHops] {
+        let mut ba = example_ba([5, 5], model);
+        let schedules = construct_schedules(&ba).unwrap();
+        let a3 = ba.graph().actor_by_name("a3").unwrap();
+        let measured: Vec<((u64, u64), Rational)> = all_slices()
+            .map(|(s1, s2)| {
+                ba.set_slices(&[s1, s2]);
+                let r = ConstrainedExecutor::new(&ba, &schedules)
+                    .throughput(a3)
+                    .unwrap();
+                ((s1, s2), r.iteration_throughput)
+            })
+            .collect();
+        for &((a1, a2), low) in &measured {
+            for &((b1, b2), high) in &measured {
+                if a1 <= b1 && a2 <= b2 {
+                    assert!(
+                        low <= high,
+                        "{model:?}: [{a1},{a2}] reaches {low} but the dominating [{b1},{b2}] {high}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The pipelined NoC model never reports lower throughput than the simple
 /// conservative connection actor.
 #[test]

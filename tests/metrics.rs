@@ -117,9 +117,16 @@ fn snapshot_reconciles_with_stats_and_the_event_stream() {
         stats.schedule_states as u64
     );
     assert_eq!(
-        snapshot.counter("cache_hits") + snapshot.counter("cache_misses"),
+        snapshot.counter("cache_hits")
+            + snapshot.counter("cache_misses")
+            + snapshot.counter("bound_answers")
+            + snapshot.counter("monotone_answers"),
         snapshot.counter("throughput_checks"),
-        "every probe is a hit or a miss"
+        "every probe is a hit, a miss, a bound or a monotone answer"
+    );
+    assert_eq!(
+        snapshot.counter("monotone_answers"),
+        stats.monotone_answers as u64
     );
 
     // Per-tile attempts sum to the total and match the event stream.
@@ -154,19 +161,23 @@ fn snapshot_reconciles_with_stats_and_the_event_stream() {
         child_nanos <= phase("flow").nanos,
         "phases nest inside the flow span"
     );
-    // Probe spans nest inside the slice search and fire once per miss.
+    // Probe spans nest inside the slice search and fire once per
+    // exploration: one per miss, and one per exploration of a discarded
+    // speculation.
     let probe = phase("probe");
     assert_eq!(probe.parent, Some("slice"));
-    assert_eq!(probe.calls, snapshot.counter("cache_misses"));
+    let explorations =
+        snapshot.counter("cache_misses") + snapshot.counter("discarded_explorations");
+    assert_eq!(probe.calls, explorations);
 
-    // The probe-length histogram saw exactly the cache misses, and its
+    // The probe-length histogram saw exactly those explorations, and its
     // total states agree with the states_explored counter.
     let hist = snapshot
         .histograms
         .iter()
         .find(|h| h.name == "probe_states")
         .expect("probe_states histogram present");
-    assert_eq!(hist.count, snapshot.counter("cache_misses"));
+    assert_eq!(hist.count, explorations);
     assert_eq!(hist.sum, snapshot.counter("states_explored"));
 }
 

@@ -8,8 +8,10 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use sdfrs_appmodel::apps::example_platform;
-use sdfrs_core::service::{replay_commit_log, AllocationService, CommitLog, ServiceConfig};
+use sdfrs_appmodel::apps::{example_platform, paper_example};
+use sdfrs_core::service::{
+    replay_commit_log, AllocationService, CommitLog, ServiceConfig, ServiceRequest,
+};
 use sdfrs_net::server::{NetServer, ServerOptions};
 use sdfrs_net::wire::{response_kind, response_ok, response_u64, FrameBuffer};
 
@@ -328,4 +330,59 @@ fn commit_log_write_failures_are_counted_and_reported() {
     )
     .expect("the in-memory log replays");
     assert_eq!(replay.residual_digest(), report.residual_digest());
+}
+
+/// Three admissions logged, the last line cut in half as by a crash
+/// mid-write, and the service that executed only the first two.
+fn log_with_a_torn_line(torn: usize) -> (Vec<String>, AllocationService) {
+    let arch = example_platform();
+    let admit = || ServiceRequest::Admit {
+        app: Box::new(paper_example()),
+    };
+    let mut log = CommitLog::new();
+    let mut prefix = AllocationService::new(&arch);
+    for _ in 0..3 {
+        log.append(&admit());
+    }
+    for _ in 0..2 {
+        prefix.execute_request(admit());
+    }
+    let mut lines = log.lines().to_vec();
+    let line = &mut lines[torn];
+    line.truncate(line.len() / 2);
+    (lines, prefix)
+}
+
+#[test]
+fn a_torn_last_commit_record_replays_to_the_prefix() {
+    let (lines, prefix) = log_with_a_torn_line(2);
+    let replay = replay_commit_log(
+        &example_platform(),
+        ServiceConfig::default(),
+        lines.iter().map(String::as_str).chain(["", "  "]),
+    )
+    .expect("a torn last record is skipped");
+    assert_eq!(replay.residual_digest(), prefix.residual_digest());
+}
+
+#[test]
+fn a_torn_middle_commit_record_still_fails_at_its_line() {
+    let (lines, _) = log_with_a_torn_line(1);
+    let err = replay_commit_log(
+        &example_platform(),
+        ServiceConfig::default(),
+        lines.iter().map(String::as_str),
+    )
+    .expect_err("only the last record may be torn");
+    assert_eq!(err.line, Some(2));
+    assert_eq!(err.field, None);
+    // A field error is no torn tail, even on the last line.
+    let bad_field = r#"{"op":"admit","example":"no_such_app"}"#;
+    let err = replay_commit_log(
+        &example_platform(),
+        ServiceConfig::default(),
+        [lines[0].as_str(), bad_field],
+    )
+    .expect_err("a field error on the last line fails the replay");
+    assert_eq!((err.line, err.field), (Some(2), Some("example")));
 }

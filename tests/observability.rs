@@ -134,12 +134,13 @@ fn emitted_events_reconcile_with_flow_stats() {
         probes.len(),
         stats.global_slice_iterations + stats.refine_slice_iterations
     );
-    let (mut global, mut cache_hits, mut bound_answers) = (0, 0, 0);
+    let (mut global, mut cache_hits, mut bound_answers, mut monotone_answers) = (0, 0, 0, 0);
     for p in &probes {
         if let FlowEvent::SliceProbe {
             scope,
             cache_hit,
             bound,
+            monotone,
             ..
         } = p
         {
@@ -152,14 +153,18 @@ fn emitted_events_reconcile_with_flow_stats() {
             if *bound {
                 bound_answers += 1;
             }
+            if *monotone {
+                monotone_answers += 1;
+            }
         }
     }
     assert_eq!(global, stats.global_slice_iterations);
     assert_eq!(cache_hits, stats.cache_hits);
     assert_eq!(bound_answers, stats.bound_answers);
+    assert_eq!(monotone_answers, stats.monotone_answers);
     assert_eq!(
         stats.throughput_checks,
-        stats.cache_hits + stats.cache_misses + stats.bound_answers
+        stats.cache_hits + stats.cache_misses + stats.bound_answers + stats.monotone_answers
     );
 }
 
@@ -253,7 +258,9 @@ fn golden_jsonl_trace_of_the_paper_example() {
         r#"{"t_us":0,"event":"schedule_constructed","tile":0,"prefix_len":0,"period_len":2}"#,
         r#"{"t_us":0,"event":"schedule_constructed","tile":1,"prefix_len":0,"period_len":1}"#,
         r#"{"t_us":0,"event":"phase_started","phase":"slice_allocation"}"#,
-        r#"{"t_us":0,"event":"slice_probe","scope":"global","k":10,"of":10,"slices":[10,10],"throughput":"1/24","feasible":true,"cache_hit":false}"#,
+        // Answered by the feasible k = 5 probe below, which [10, 10]
+        // dominates: the exploration measured 1/24.
+        r#"{"t_us":0,"event":"slice_probe","scope":"global","k":10,"of":10,"slices":[10,10],"throughput":"1/30","feasible":true,"cache_hit":false,"monotone":true}"#,
         r#"{"t_us":0,"event":"slice_probe","scope":"global","k":5,"of":10,"slices":[5,5],"throughput":"1/30","feasible":true,"cache_hit":false}"#,
         r#"{"t_us":0,"event":"slice_probe","scope":"refine","pass":0,"tile":1,"slice":3,"slices":[5,3],"throughput":"3/100","feasible":false,"cache_hit":false}"#,
         r#"{"t_us":0,"event":"slice_probe","scope":"refine","pass":0,"tile":1,"slice":4,"slices":[5,4],"throughput":"1/30","feasible":true,"cache_hit":false}"#,
@@ -419,7 +426,9 @@ fn golden_jsonl_trace_of_a_second_admission() {
         r#"{"t_us":0,"event":"schedule_recurrence","states":12}"#,
         r#"{"t_us":0,"event":"schedule_constructed","tile":0,"prefix_len":1,"period_len":5}"#,
         r#"{"t_us":0,"event":"phase_started","phase":"slice_allocation"}"#,
-        r#"{"t_us":0,"event":"slice_probe","scope":"global","k":5,"of":5,"slices":[5,0],"throughput":"1/14","feasible":true,"cache_hit":false}"#,
+        // Answered by the feasible k = 3 probe below; explored, the full
+        // remaining wheel reaches 1/14.
+        r#"{"t_us":0,"event":"slice_probe","scope":"global","k":5,"of":5,"slices":[5,0],"throughput":"3/70","feasible":true,"cache_hit":false,"monotone":true}"#,
         r#"{"t_us":0,"event":"slice_probe","scope":"global","k":3,"of":5,"slices":[3,0],"throughput":"3/70","feasible":true,"cache_hit":false}"#,
         // Answered by the processing bound, which here equals the
         // measured throughput: t1 runs a1, a2 and a3 on 2 of its 10 units.
