@@ -48,17 +48,17 @@ fn main() {
         "table3" => print_table3(),
         "table4" => {
             let exp = run_experiment(&config);
-            print_table4(&exp);
+            print!("{}", table4::render(&exp));
         }
         "table5" => {
             let exp = run_experiment(&config);
-            print_table5(&exp);
+            print!("{}", table5::render(&exp));
         }
         "multimedia" => print_multimedia(),
         "hsdf" => print_hsdf(),
         "runtime" => {
             let exp = run_experiment(&config);
-            print_runtime(&exp);
+            print!("{}", table4::render_runtime(&exp));
         }
         "baseline" => print_baseline(),
         "sweep" => {
@@ -76,9 +76,9 @@ fn main() {
             print_hsdf();
             print_multimedia();
             let exp = run_experiment(&config);
-            print_table4(&exp);
-            print_table5(&exp);
-            print_runtime(&exp);
+            print!("{}", table4::render(&exp));
+            print!("{}", table5::render(&exp));
+            print!("{}", table4::render_runtime(&exp));
         }
         other => {
             eprintln!("unknown command {other:?}; see the module docs for usage");
@@ -154,46 +154,6 @@ fn print_table3() {
             p[2] + 1
         );
     }
-    println!();
-}
-
-fn print_table4(exp: &table4::Experiment) {
-    println!("== Table 4: average number of application graphs bound ==");
-    println!("c1,c2,c3     set1(proc)  set2(mem)  set3(comm)  set4(mixed)");
-    for (w, row) in exp.weights.iter().zip(exp.table4()) {
-        println!(
-            "{:<12} {:>9.2}  {:>9.2}  {:>9.2}  {:>10.2}",
-            w.to_string(),
-            row[0],
-            row[1],
-            row[2],
-            row[3]
-        );
-    }
-    println!("(paper: rows ranked per set — see EXPERIMENTS.md)");
-    println!();
-}
-
-fn print_table5(exp: &table4::Experiment) {
-    println!("== Table 5: resource efficiency, mixed set (normalized) ==");
-    println!("c1,c2,c3     timewheel  memory  connections  input bw  output bw");
-    for (w, row) in exp.weights.iter().zip(table5::compute(exp, "mixed")) {
-        println!(
-            "{:<12} {:>8.2}  {:>6.2}  {:>11.2}  {:>8.2}  {:>9.2}",
-            w.to_string(),
-            row.timewheel,
-            row.memory,
-            row.connections,
-            row.input_bw,
-            row.output_bw
-        );
-    }
-    let util = table5::utilization(exp, "mixed", exp.weights.len() - 1);
-    println!(
-        "average platform utilization with weights {}: {:.0}% (paper: 73%)",
-        exp.weights[exp.weights.len() - 1],
-        util * 100.0
-    );
     println!();
 }
 
@@ -288,14 +248,4 @@ fn print_sweep(config: &ExperimentConfig, set: &str) {
             p.avg_bound
         );
     }
-}
-
-fn print_runtime(exp: &table4::Experiment) {
-    println!("== Sec 10.2: run-time statistics ==");
-    let total_bound: usize = exp.runs.iter().map(|r| r.bound).sum();
-    println!(
-        "allocations performed: {total_bound}; avg throughput checks per allocation: {:.1} (paper: 16.1)",
-        exp.avg_throughput_checks()
-    );
-    println!();
 }

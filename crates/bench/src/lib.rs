@@ -1,7 +1,8 @@
 //! Benchmark harness regenerating every table and figure of the paper.
 //!
 //! Each module computes one artifact as plain data; the `repro` binary
-//! formats them like the paper's tables:
+//! formats them like the paper's tables ([`table4`] and [`table5`] render
+//! their own text, which `tests/repro_quick_golden.rs` pins):
 //!
 //! | module | paper artifact |
 //! |--------|----------------|

@@ -115,6 +115,38 @@ impl Experiment {
     }
 }
 
+/// Table 4 as `repro table4` prints it: one row per weight setting, one
+/// column per set, then a blank line.
+pub fn render(exp: &Experiment) -> String {
+    let mut out = String::from(
+        "== Table 4: average number of application graphs bound ==\n\
+         c1,c2,c3     set1(proc)  set2(mem)  set3(comm)  set4(mixed)\n",
+    );
+    for (w, row) in exp.weights.iter().zip(exp.table4()) {
+        out += &format!(
+            "{:<12} {:>9.2}  {:>9.2}  {:>9.2}  {:>10.2}\n",
+            w.to_string(),
+            row[0],
+            row[1],
+            row[2],
+            row[3]
+        );
+    }
+    out += "(paper: rows ranked per set — see EXPERIMENTS.md)\n\n";
+    out
+}
+
+/// The Sec 10.2 run-time statistics as `repro runtime` prints them: the
+/// allocations performed and the throughput checks per allocation.
+pub fn render_runtime(exp: &Experiment) -> String {
+    let total_bound: usize = exp.runs.iter().map(|r| r.bound).sum();
+    format!(
+        "== Sec 10.2: run-time statistics ==\n\
+         allocations performed: {total_bound}; avg throughput checks per allocation: {:.1} (paper: 16.1)\n\n",
+        exp.avg_throughput_checks()
+    )
+}
+
 /// Total capacity of a platform, summed over tiles.
 fn platform_capacity(arch: &ArchitectureGraph) -> TileUsage {
     let mut cap = TileUsage::default();

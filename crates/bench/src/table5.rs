@@ -96,6 +96,34 @@ pub fn utilization(experiment: &Experiment, set: &str, weight_row: usize) -> f64
     }
 }
 
+/// Table 5 as `repro table5` prints it: the normalized usage per weight
+/// setting on the mixed set, the utilization under the last setting,
+/// then a blank line.
+pub fn render(exp: &Experiment) -> String {
+    let mut out = String::from(
+        "== Table 5: resource efficiency, mixed set (normalized) ==\n\
+         c1,c2,c3     timewheel  memory  connections  input bw  output bw\n",
+    );
+    for (w, row) in exp.weights.iter().zip(compute(exp, "mixed")) {
+        out += &format!(
+            "{:<12} {:>8.2}  {:>6.2}  {:>11.2}  {:>8.2}  {:>9.2}\n",
+            w.to_string(),
+            row.timewheel,
+            row.memory,
+            row.connections,
+            row.input_bw,
+            row.output_bw
+        );
+    }
+    let last = exp.weights.len() - 1;
+    out += &format!(
+        "average platform utilization with weights {}: {:.0}% (paper: 73%)\n\n",
+        exp.weights[last],
+        utilization(exp, "mixed", last) * 100.0
+    );
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
