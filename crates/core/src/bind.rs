@@ -389,6 +389,50 @@ mod tests {
         ));
     }
 
+    /// A candidate whose demanded memory is exhausted while memory
+    /// weighs 0 costs its processing share alone: it must not come out
+    /// NaN and leave the other candidates unsorted, which made the
+    /// first-fit pass place the actor on t0 (share 0.5) ahead of t2
+    /// (share 0.2).
+    #[test]
+    fn exhausted_zero_weighted_resource_keeps_the_ranking_sorted() {
+        use sdfrs_appmodel::ActorRequirements;
+        use sdfrs_platform::{ProcessorType, TileUsage};
+        use sdfrs_sdf::{Rational, SdfGraph};
+        let pt = ProcessorType::new;
+        let mut g = SdfGraph::new("one");
+        let a = g.add_actor("a", 0);
+        let app = ApplicationGraph::builder(g, Rational::new(1, 100))
+            .actor(
+                a,
+                ActorRequirements::new()
+                    .on(pt("p1"), 5, 1)
+                    .on(pt("p2"), 3, 1)
+                    .on(pt("p3"), 2, 1)
+                    .on(pt("p4"), 10, 1),
+            )
+            .build()
+            .unwrap();
+        let mut arch = ArchitectureGraph::new("three");
+        for (name, p) in [("t0", "p1"), ("t1", "p2"), ("t2", "p3")] {
+            arch.add_tile(Tile::new(name, pt(p), 10, 100, 4, 100, 100));
+        }
+        let mut state = PlatformState::new(&arch);
+        state.claim(
+            TileId::from_index(1),
+            TileUsage {
+                memory: 100,
+                ..TileUsage::default()
+            },
+        );
+        let first_fit = BindConfig {
+            optimize: false,
+            ..BindConfig::with_weights(CostWeights::PROCESSING)
+        };
+        let b = bind_actors(&app, &arch, &state, &first_fit).unwrap();
+        assert_eq!(b.tile_of(a), Some(TileId::from_index(2)));
+    }
+
     #[test]
     fn occupancy_steers_binding_away() {
         use sdfrs_platform::TileUsage;

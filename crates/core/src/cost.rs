@@ -262,10 +262,16 @@ pub(crate) fn tile_loads_with(
 }
 
 /// Eqn 2: `cost(t) = c1·l_p(t) + c2·l_m(t) + c3·l_c(t)`.
+///
+/// A term whose weight is 0 contributes 0 even when its load is infinite
+/// (a demanded resource with no remaining capacity): with `c_i = 0` Eqn 2
+/// ignores that load, where `0·∞` would make the cost NaN and the NaN
+/// would compare equal to every other candidate's cost in the ranking.
 pub fn tile_cost(weights: CostWeights, loads: TileLoads) -> f64 {
-    weights.processing * loads.processing
-        + weights.memory * loads.memory
-        + weights.communication * loads.communication
+    let term = |weight: f64, load: f64| if weight == 0.0 { 0.0 } else { weight * load };
+    term(weights.processing, loads.processing)
+        + term(weights.memory, loads.memory)
+        + term(weights.communication, loads.communication)
 }
 
 #[cfg(test)]
@@ -356,6 +362,18 @@ mod tests {
         assert!((tile_cost(CostWeights::BALANCED, loads) - 0.85).abs() < 1e-12);
         assert!((tile_cost(CostWeights::TUNED, loads) - 0.45).abs() < 1e-12);
         assert!((tile_cost(CostWeights::new(2.0, 0.0, 1.0), loads) - 1.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn zero_weight_ignores_an_infinite_load() {
+        let loads = TileLoads {
+            processing: 0.5,
+            memory: f64::INFINITY,
+            communication: 0.1,
+        };
+        assert_eq!(tile_cost(CostWeights::PROCESSING, loads), 0.5);
+        assert_eq!(tile_cost(CostWeights::COMMUNICATION, loads), 0.1);
+        assert_eq!(tile_cost(CostWeights::MEMORY, loads), f64::INFINITY);
     }
 
     #[test]
