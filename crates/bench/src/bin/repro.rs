@@ -178,10 +178,11 @@ fn print_multimedia() {
         "share of run-time in slice allocation: {:.0}% (paper: ~90%)",
         m.slice_fraction * 100.0
     );
+    let tiles = sdfrs_platform::mesh::multimedia_platform().tile_count();
     for (i, alloc) in m.result.allocations.iter().enumerate() {
         println!(
             "  app {i}: slices {:?}, guaranteed throughput {}",
-            alloc.slices,
+            alloc.slices.to_dense(tiles),
             alloc.guaranteed_throughput()
         );
     }

@@ -528,7 +528,8 @@ fn trace(
     let result = allocator.allocate(&app, &arch, &state);
     allocator.flush();
     let (alloc, _) = result.map_err(|e| e.to_string())?;
-    let ba = BindingAwareGraph::build(&app, &arch, &alloc.binding, &alloc.slices)
+    let slices = alloc.slices.to_dense(arch.tile_count());
+    let ba = BindingAwareGraph::build(&app, &arch, &alloc.binding, &slices)
         .map_err(|e| e.to_string())?;
     let trace = ConstrainedExecutor::new(&ba, &alloc.schedules)
         .trace(horizon)

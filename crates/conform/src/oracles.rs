@@ -5,6 +5,8 @@
 //! agree. Infeasible scenarios are first-class — the comparison oracles
 //! then require both routes to reject with the same error.
 
+use sdfrs_appmodel::ApplicationGraph;
+use sdfrs_core::bind::{bind_actors_observed, BindConfig};
 use sdfrs_core::dse::{self, DseResult};
 use sdfrs_core::events::FlowObserver;
 use sdfrs_core::exact::enumerate_exhaustive;
@@ -13,11 +15,11 @@ use sdfrs_core::list_sched::{construct_schedules, ListScheduler};
 use sdfrs_core::slice::ProcessingBound;
 use sdfrs_core::verify::verify_allocation;
 use sdfrs_core::{
-    AdmissionPolicy, Allocator, Binding, BindingAwareGraph, ConstrainedExecutor, FlowEvent,
-    MapError, Metrics, MetricsSnapshot, RecordingSink, SolveOutcome, SolveReport,
+    AdmissionPolicy, Allocator, Binding, BindingAwareGraph, ConstrainedExecutor, CostWeights,
+    FlowEvent, MapError, Metrics, MetricsSnapshot, RecordingSink, SolveOutcome, SolveReport,
 };
 use sdfrs_gen::Scenario;
-use sdfrs_platform::PlatformState;
+use sdfrs_platform::{ArchitectureGraph, PlatformState, RegionId, RegionMap, TileId};
 use sdfrs_sdf::analysis::selftimed::{SelfTimedExecutor, ThroughputResult};
 use sdfrs_sdf::error::SdfError;
 use sdfrs_sdf::hsdf::{hsdf_reference_throughput, hsdf_size};
@@ -25,7 +27,10 @@ use sdfrs_sdf::rational::Rational;
 use sdfrs_sdf::transform::weak_component;
 use sdfrs_sdf::{ActorId, SdfGraph};
 
-use crate::reference::{reference_slice_search, ReferenceProbe, ScanExecutor, ScanListScheduler};
+use crate::reference::{
+    masked_state, reference_bind, reference_slice_search, ReferenceAttempt, ReferenceProbe,
+    ScanExecutor, ScanListScheduler,
+};
 use crate::{FaultInjection, HarnessConfig, OracleFailure, OracleId, ScenarioReport};
 
 type FlowOutcome = Result<(Allocation, FlowStats), MapError>;
@@ -494,6 +499,15 @@ fn reclamation_oracle(
 /// admission must pass [`verify_allocation`] with zero violations
 /// against the residual it was admitted on, and the final residual must
 /// equal a fresh platform state with every live session's claim applied.
+///
+/// Two differential checks cover the region view. Before each admit, at
+/// every escalation step up to the first that allocates, a flow on the
+/// view of the step's regions must equal the whole-platform flow on the
+/// [`masked_state`] clone: the same allocation and work counts, or the
+/// same error. And under all five Table 4 weights, on the fresh platform
+/// and on the residual the coarse trace leaves, the binding step must
+/// try the same candidates at the same cost bits, with the same outcome,
+/// as [`reference_bind`].
 fn regional_admission_oracle(
     scenario: &Scenario,
     config: &HarnessConfig,
@@ -513,6 +527,7 @@ fn regional_admission_oracle(
 
     let mut region_counts = vec![2usize, arch.tile_count()];
     region_counts.dedup();
+    let mut residuals = vec![PlatformState::new(arch)];
 
     for regions in region_counts {
         let mut svc_config = ServiceConfig::default();
@@ -522,13 +537,21 @@ fn regional_admission_oracle(
         let admit = || ServiceRequest::Admit {
             app: Box::new(app.clone()),
         };
+        // Commits so far: the home region of the next admit.
+        let mut committed = 0usize;
         let mut run = |service: &mut AllocationService, requests: Vec<ServiceRequest>| {
             for request in requests {
                 let before = service.residual().clone();
+                if matches!(request, ServiceRequest::Admit { .. }) {
+                    let map = service.region_map();
+                    let home = RegionId::from_index(committed % map.region_count());
+                    view_against_masked_clone(scenario, config, map, home, &before, failures);
+                }
                 let ServiceResponse::Admitted { session, .. } = service.execute_request(request)
                 else {
                     continue;
                 };
+                committed += 1;
                 let alloc = service
                     .allocation(session)
                     .expect("admitted session is live");
@@ -580,7 +603,157 @@ fn regional_admission_oracle(
                 ),
             });
         }
+        if residuals.len() == 1 {
+            residuals.push(expected);
+        }
     }
+
+    for state in &residuals {
+        for weights in CostWeights::table4() {
+            let bind = BindConfig {
+                weights,
+                ..config.flow.bind
+            };
+            if let Some(detail) = binding_against_reference(app, arch, state, &bind) {
+                failures.push(OracleFailure {
+                    oracle,
+                    detail: format!("weights {weights}: {detail}"),
+                });
+            }
+        }
+    }
+}
+
+/// Oracle 7, region view: the escalation chain of an admit homed at
+/// `home` on `state`, each step on the view of its regions and on the
+/// masked clone, until a step allocates.
+fn view_against_masked_clone(
+    scenario: &Scenario,
+    config: &HarnessConfig,
+    map: &RegionMap,
+    home: RegionId,
+    state: &PlatformState,
+    failures: &mut Vec<OracleFailure>,
+) {
+    use sdfrs_core::service::MAX_ESCALATION_NEIGHBORS;
+
+    let (app, arch) = (&scenario.app, &scenario.arch);
+    let neighbors = map.neighbors(home);
+    for depth in 0..=neighbors.len().min(MAX_ESCALATION_NEIGHBORS) {
+        let mut allowed = vec![home];
+        allowed.extend_from_slice(&neighbors[..depth]);
+        let tiles = map.tiles_in(&allowed);
+        let view = Allocator::from_config(config.flow).allocate_within(app, arch, state, &tiles);
+        let masked = Allocator::from_config(config.flow).allocate(
+            app,
+            arch,
+            &masked_state(arch, state, &tiles),
+        );
+        let differs = match (&view, &masked) {
+            (Ok((a, sa)), Ok((b, sb))) => diff_allocations(a, b)
+                .or_else(|| (a.achieved != b.achieved).then(|| "achieved differs".into()))
+                .or_else(|| {
+                    (work_counts(sa) != work_counts(sb)).then(|| {
+                        format!(
+                            "work counts differ ({:?} vs {:?})",
+                            work_counts(sa),
+                            work_counts(sb)
+                        )
+                    })
+                }),
+            (Err(a), Err(b)) => (a.to_string() != b.to_string())
+                .then(|| format!("the view rejects with `{a}`, the clone with `{b}`")),
+            (Ok(_), Err(e)) => Some(format!("only the masked clone rejects, with `{e}`")),
+            (Err(e), Ok(_)) => Some(format!("only the view rejects, with `{e}`")),
+        };
+        if let Some(detail) = differs {
+            failures.push(OracleFailure {
+                oracle: OracleId::RegionalAdmissionValidity,
+                detail: format!(
+                    "home {home}, escalation depth {depth}: region view vs masked clone: \
+                     {detail}"
+                ),
+            });
+        }
+        if view.is_ok() {
+            return;
+        }
+    }
+}
+
+/// The work counts of a flow: every [`FlowStats`] field but the times.
+fn work_counts(s: &FlowStats) -> [usize; 9] {
+    [
+        s.throughput_checks,
+        s.cache_hits,
+        s.cache_misses,
+        s.bound_answers,
+        s.monotone_answers,
+        s.bind_attempts,
+        s.schedule_states,
+        s.global_slice_iterations,
+        s.refine_slice_iterations,
+    ]
+}
+
+/// Oracle 7, binding: the core binder on every tile of `arch` against
+/// [`reference_bind`] — the binding or the error, and every candidate
+/// tried (pass, actor, tile, cost bits, accepted).
+fn binding_against_reference(
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    bind: &BindConfig,
+) -> Option<String> {
+    let sink = RecordingSink::new();
+    let mut recorder = sink.clone();
+    let tiles: Vec<TileId> = arch.tile_ids().collect();
+    let core = bind_actors_observed(
+        app,
+        arch,
+        state,
+        &tiles,
+        bind,
+        &mut FlowObserver::new(&mut recorder),
+    )
+    .map(|(binding, _)| binding);
+    let attempts: Vec<ReferenceAttempt> = sink
+        .events()
+        .into_iter()
+        .filter_map(|(_, event)| match event {
+            FlowEvent::BindAttempt {
+                pass,
+                actor,
+                tile,
+                cost,
+                accepted,
+            } => Some((pass, actor, tile, cost.to_bits(), accepted)),
+            _ => None,
+        })
+        .collect();
+    let (reference, reference_attempts) = reference_bind(app, arch, state, bind);
+    let outcome = |r: &Result<Binding, MapError>| r.as_ref().map_err(ToString::to_string).cloned();
+    if outcome(&core) != outcome(&reference) {
+        return Some(format!(
+            "binder gives {:?}, the reference {:?}",
+            outcome(&core),
+            outcome(&reference)
+        ));
+    }
+    let first = attempts
+        .iter()
+        .zip(&reference_attempts)
+        .position(|(a, b)| a != b)
+        .unwrap_or(attempts.len().min(reference_attempts.len()));
+    (attempts != reference_attempts).then(|| {
+        format!(
+            "bind attempts differ from #{first}: binder {:?}, reference {:?} ({} vs {} attempts)",
+            attempts.get(first),
+            reference_attempts.get(first),
+            attempts.len(),
+            reference_attempts.len()
+        )
+    })
 }
 
 /// Oracle 8: network run vs. commit-log replay.
@@ -793,7 +966,10 @@ fn hsdf_oracle(
     let mut skip = |reason: String| skipped.push((oracle, reason));
 
     let (binding, slices) = match base {
-        Ok((alloc, _)) => (alloc.binding.clone(), alloc.slices.clone()),
+        Ok((alloc, _)) => (
+            alloc.binding.clone(),
+            alloc.slices.to_dense(arch.tile_count()),
+        ),
         // The equivalence holds for *any* complete binding, so an
         // infeasible scenario still exercises this oracle: bind first-fit
         // onto type-feasible tiles with full-wheel slices.
@@ -1169,7 +1345,10 @@ fn executor_oracle(
         }
     }
     let (schedules, slices) = match base {
-        Ok((alloc, _)) => (alloc.schedules.clone(), alloc.slices.clone()),
+        Ok((alloc, _)) => (
+            alloc.schedules.clone(),
+            alloc.slices.to_dense(arch.tile_count()),
+        ),
         // List-schedule the fallback binding at half wheels, the
         // assumption of Sec 9.2.
         Err(_) => {
@@ -1201,9 +1380,7 @@ fn executor_oracle(
     let mut states = vec![PlatformState::new(arch)];
     if let Ok((alloc, _)) = base {
         let mut residual = PlatformState::new(arch);
-        for (t, usage) in arch.tile_ids().zip(&alloc.usage) {
-            residual.claim(t, *usage);
-        }
+        alloc.claim_set().apply(&mut residual);
         states.push(residual);
     }
     for state in &states {

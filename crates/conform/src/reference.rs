@@ -25,18 +25,29 @@
 //! refute explored, sequentially.
 //!
 //! All three read the binding-aware graph through the public API only.
+//!
+//! Oracle 7 checks the region view of regional admission against two
+//! more references. [`masked_state`] is the masked clone that view
+//! replaced: the residual with every tile outside the allowed ones fully
+//! claimed, so that a whole-platform flow on it can bind nowhere else.
+//! [`reference_bind`] is the binding step of Sec 9.1 as it stood before
+//! the ranking reused one picture of the binding across candidates: every
+//! platform tile scanned for candidates, and every candidate costed by
+//! `tile_loads` on the whole binding with the actor placed there.
 
 use std::collections::{HashMap, VecDeque};
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_core::cost::tile_loads;
-use sdfrs_core::events::SliceScope;
+use sdfrs_core::bind::BindConfig;
+use sdfrs_core::cost::{binding_order, tile_cost, tile_loads};
+use sdfrs_core::events::{BindPass, SliceScope};
+use sdfrs_core::resources::binding_constraints_hold;
 use sdfrs_core::slice::{ProcessingBound, SliceAllocation, SliceConfig};
 use sdfrs_core::tdma::TdmaSlice;
 use sdfrs_core::{
     Binding, BindingAwareGraph, MapError, StaticOrderSchedule, ThroughputCache, TileSchedules,
 };
-use sdfrs_platform::{ArchitectureGraph, PlatformState};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId, TileUsage};
 use sdfrs_sdf::analysis::interner::StateInterner;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::rational::lcm;
@@ -818,10 +829,138 @@ fn exact_slice_search(
     }
     ba.set_slices(&global(&slices));
     Ok(SliceAllocation {
-        slices: global(&slices),
+        slices: tiles.iter().copied().zip(slices).collect(),
         achieved: best_thr,
         throughput_checks: global_iterations + refine_iterations,
         global_iterations,
         refine_iterations,
     })
+}
+
+/// `state` with every tile outside `allowed` (ascending) claimed in full
+/// on all five resources: the masked clone a regional admission ran its
+/// flow on before the region view.
+pub(crate) fn masked_state(
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    allowed: &[TileId],
+) -> PlatformState {
+    let mut masked = state.clone();
+    for (t, tile) in arch.tiles() {
+        if allowed.binary_search(&t).is_err() {
+            masked.claim(
+                t,
+                TileUsage {
+                    wheel: tile.wheel_size(),
+                    memory: tile.memory(),
+                    connections: tile.max_connections(),
+                    bandwidth_in: tile.bandwidth_in(),
+                    bandwidth_out: tile.bandwidth_out(),
+                },
+            );
+        }
+    }
+    masked
+}
+
+/// One candidate tile tried by [`reference_bind`]: the pass, the actor's
+/// name, the tile index, the bits of its Eqn 2 cost, and whether the
+/// Sec 7 constraints accepted it.
+pub(crate) type ReferenceAttempt = (BindPass, String, usize, u64, bool);
+
+/// The binding step of Sec 9.1 (see the [module docs](self)): first fit
+/// in Eqn 1 order, then the reverse-order re-binding, each candidate
+/// costed on the whole binding. Returns the binding or the error, and
+/// every candidate tried in order.
+pub(crate) fn reference_bind(
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    config: &BindConfig,
+) -> (Result<Binding, MapError>, Vec<ReferenceAttempt>) {
+    let mut attempts = Vec::new();
+    let result = scan_bind(app, arch, state, config, &mut attempts);
+    (result, attempts)
+}
+
+fn scan_bind(
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    config: &BindConfig,
+    attempts: &mut Vec<ReferenceAttempt>,
+) -> Result<Binding, MapError> {
+    let order = binding_order(app, config.max_cycles)?;
+    let mut binding = Binding::new(app.graph().actor_count());
+    let candidates = |actor: ActorId| -> Vec<TileId> {
+        arch.tiles()
+            .filter(|&(t, tile)| {
+                state.usage(t).wheel < tile.wheel_size()
+                    && app
+                        .actor_requirements(actor)
+                        .supports(tile.processor_type())
+            })
+            .map(|(t, _)| t)
+            .collect()
+    };
+    // Ranks the candidates of `actor`, ascending cost, ties in tile
+    // order; `all_tiles` takes the maximum over every used tile.
+    let rank = |binding: &mut Binding,
+                actor: ActorId,
+                all_tiles: bool|
+     -> Result<Vec<(TileId, f64)>, MapError> {
+        let mut ranked = Vec::new();
+        for t in candidates(actor) {
+            binding.bind(actor, t);
+            let cost_of =
+                |u| tile_loads(app, arch, state, binding, u).map(|l| tile_cost(config.weights, l));
+            let cost = if all_tiles {
+                let mut worst = 0.0f64;
+                for u in binding.used_tiles() {
+                    worst = worst.max(cost_of(u)?);
+                }
+                worst
+            } else {
+                cost_of(t)?
+            };
+            binding.unbind(actor);
+            ranked.push((t, cost));
+        }
+        ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+        Ok(ranked)
+    };
+    let mut try_ranked = |binding: &mut Binding,
+                          actor: ActorId,
+                          pass: BindPass,
+                          ranked: Vec<(TileId, f64)>|
+     -> bool {
+        for (t, cost) in ranked {
+            binding.bind(actor, t);
+            let accepted = binding_constraints_hold(app, arch, state, binding);
+            let name = app.graph().actor(actor).name().to_string();
+            attempts.push((pass, name, t.index(), cost.to_bits(), accepted));
+            if accepted {
+                return true;
+            }
+            binding.unbind(actor);
+        }
+        false
+    };
+    for &actor in &order {
+        let ranked = rank(&mut binding, actor, false)?;
+        if !try_ranked(&mut binding, actor, BindPass::FirstFit, ranked) {
+            return Err(MapError::NoFeasibleTile { actor });
+        }
+    }
+    if config.optimize {
+        for &actor in order.iter().rev() {
+            let original = binding.tile_of(actor).expect("first fit bound every actor");
+            binding.unbind(actor);
+            let ranked = rank(&mut binding, actor, true)?;
+            if !try_ranked(&mut binding, actor, BindPass::Rebind, ranked) {
+                binding.bind(actor, original);
+            }
+        }
+    }
+    Ok(binding)
 }

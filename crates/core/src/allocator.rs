@@ -37,7 +37,7 @@
 use std::time::{Duration, Instant};
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, PlatformState};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
 
 use crate::admission::{AdmissionPolicy, AdmissionResult};
 use crate::cost::CostWeights;
@@ -232,7 +232,8 @@ impl Allocator {
 
     /// Runs the three-step strategy (Sec 9) for one application on a
     /// (partially occupied) platform, emitting events for every phase and
-    /// updating the shared cache.
+    /// updating the shared cache: [`allocate_within`](Self::allocate_within)
+    /// every tile of the platform.
     ///
     /// # Errors
     ///
@@ -247,6 +248,27 @@ impl Allocator {
         arch: &ArchitectureGraph,
         state: &PlatformState,
     ) -> Result<(Allocation, FlowStats), MapError> {
+        let tiles: Vec<TileId> = arch.tile_ids().collect();
+        self.allocate_within(app, arch, state, &tiles)
+    }
+
+    /// Runs the strategy with the binding confined to `tiles` (ascending
+    /// tile ids): the region view of a regional admission. The flow reads
+    /// `state` only on those candidates and on the tiles its binding
+    /// uses, so its cost follows `tiles`, not the platform, and the
+    /// result is the one a flow on a copy of `state` with every other
+    /// tile fully claimed would return.
+    ///
+    /// # Errors
+    ///
+    /// As [`allocate`](Self::allocate).
+    pub fn allocate_within(
+        &mut self,
+        app: &ApplicationGraph,
+        arch: &ArchitectureGraph,
+        state: &PlatformState,
+        tiles: &[TileId],
+    ) -> Result<(Allocation, FlowStats), MapError> {
         let Allocator {
             config,
             cache,
@@ -258,7 +280,7 @@ impl Allocator {
         let mut obs = FlowObserver::with_epoch(sink.as_mut(), *epoch)
             .with_metrics(metrics)
             .with_tap(tap.as_mut());
-        crate::flow::allocate_inner(app, arch, state, config, cache, &mut obs)
+        crate::flow::allocate_inner(app, arch, state, tiles, config, cache, &mut obs)
     }
 
     /// Allocates `apps` in order onto one platform until the first
@@ -457,7 +479,7 @@ mod tests {
         let (alloc, stats) = Allocator::new()
             .allocate(&app, &arch, &PlatformState::new(&arch))
             .unwrap();
-        assert_eq!(alloc.slices, vec![1, 1]);
+        assert_eq!(alloc.slices.to_dense(arch.tile_count()), vec![1, 1]);
         assert_eq!(alloc.guaranteed_throughput(), Rational::new(1, 10));
         assert_eq!(
             stats.throughput_checks,

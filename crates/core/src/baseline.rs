@@ -177,7 +177,7 @@ pub fn allocate_baseline(
     let _ = best_thr;
     Ok((
         SliceAllocation {
-            slices: best,
+            slices: used.iter().map(|&t| (t, best[t.index()])).collect(),
             achieved,
             throughput_checks: stats.throughput_checks,
             // The baseline runs only the global search.

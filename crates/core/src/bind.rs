@@ -7,7 +7,7 @@
 //! improves the load balance.
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId, TileUsage};
 use sdfrs_sdf::ActorId;
 
 use crate::binding::Binding;
@@ -16,7 +16,7 @@ use crate::cost::{
 };
 use crate::error::MapError;
 use crate::events::{BindPass, FlowEvent, FlowObserver};
-use crate::resources::binding_constraints_hold;
+use crate::resources::{binding_constraints_hold, tile_capacity};
 
 /// Configuration of the binding step.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,27 +50,29 @@ impl BindConfig {
     }
 }
 
-/// Candidate tiles for one actor: every tile whose processor type the
-/// actor supports and which still has at least one free wheel unit, in
-/// tile order. The wheel filter is exact: `tile_constraints_hold`
-/// demands one remaining wheel unit for any tile that hosts an actor, so
-/// a fully claimed tile can never be accepted in either pass (and in the
-/// optimization pass the actor's original tile always retains its own
-/// claimed-free unit, so the restore fallback is unaffected).
+/// Candidate tiles for one actor: the tiles of `tiles` whose processor
+/// type the actor supports and which still have at least one free wheel
+/// unit, in the order of `tiles`. The wheel filter is exact:
+/// `tile_constraints_hold` demands one remaining wheel unit for any tile
+/// that hosts an actor, so a fully claimed tile can never be accepted in
+/// either pass (and in the optimization pass the actor's original tile
+/// always retains its own claimed-free unit, so the restore fallback is
+/// unaffected).
 fn candidate_tiles(
     app: &ApplicationGraph,
     arch: &ArchitectureGraph,
     state: &PlatformState,
+    tiles: &[TileId],
     actor: ActorId,
 ) -> Vec<TileId> {
-    arch.tiles()
-        .filter(|&(id, tile)| {
-            state.usage(id).wheel < tile.wheel_size()
-                && app
-                    .actor_requirements(actor)
-                    .supports(tile.processor_type())
+    let requirements = app.actor_requirements(actor);
+    tiles
+        .iter()
+        .copied()
+        .filter(|&t| {
+            let tile = arch.tile(t);
+            state.usage(t).wheel < tile.wheel_size() && requirements.supports(tile.processor_type())
         })
-        .map(|(id, _)| id)
         .collect()
 }
 
@@ -87,8 +89,71 @@ enum RankScope {
     AllTiles,
 }
 
+/// The Section 7 demand `actor` brings to a tile that hosts no other
+/// actor of the application, apart from its own memory: its self-loops
+/// are local there, each of its channels to a bound actor leaves or
+/// enters the tile, and a channel to an unbound actor counts nowhere.
+fn lone_demand(app: &ApplicationGraph, binding: &Binding, actor: ActorId) -> TileUsage {
+    let g = app.graph();
+    let mut demand = TileUsage::default();
+    for &d in g.outgoing(actor) {
+        let th = app.channel_requirements(d);
+        let dst = g.channel(d).dst();
+        if dst == actor {
+            demand.memory += th.memory_tile();
+        } else if binding.tile_of(dst).is_some() {
+            demand.memory += th.memory_src();
+            demand.bandwidth_out += th.bandwidth;
+            demand.connections += 1;
+        }
+    }
+    for &d in g.incoming(actor) {
+        let src = g.channel(d).src();
+        if src != actor && binding.tile_of(src).is_some() {
+            let th = app.channel_requirements(d);
+            demand.memory += th.memory_dst();
+            demand.bandwidth_in += th.bandwidth;
+            demand.connections += 1;
+        }
+    }
+    demand
+}
+
+/// The largest Eqn 2 cost over `tiles` under `binding`, and 0 when they
+/// are none.
+fn max_cost(
+    work: &AppWork,
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    state: &PlatformState,
+    binding: &Binding,
+    weights: CostWeights,
+    tiles: &[TileId],
+) -> Result<f64, MapError> {
+    let mut worst = 0.0f64;
+    for &u in tiles {
+        worst = worst.max(tile_cost(
+            weights,
+            tile_loads_with(work, app, arch, state, binding, u)?,
+        ));
+    }
+    Ok(worst)
+}
+
 /// Ranks `tiles` by the Eqn 2 cost of binding `actor` there (given the
-/// current partial `binding`), ascending; ties in tile order.
+/// current partial `binding`, which leaves `actor` unbound), ascending;
+/// ties in tile order.
+///
+/// A candidate that hosts another actor is costed on the binding with
+/// `actor` placed there. Every other candidate sees the same binding up
+/// to its own tile: `actor` alone there, with the [`lone_demand`]
+/// computed once. Its own cost needs only the actor's requirements on its
+/// processor type and its remaining capacity. In the optimization pass
+/// the other used tiles keep the same loads for every such candidate, so
+/// their maximum is computed once, with `actor` on the first of them.
+/// Both feed `tile_cost` the integers the full evaluation would, and a
+/// maximum does not depend on its order, so every cost is bit-identical
+/// to costing each candidate on the whole binding.
 #[allow(clippy::too_many_arguments)]
 fn rank_tiles(
     work: &AppWork,
@@ -101,31 +166,56 @@ fn rank_tiles(
     weights: CostWeights,
     scope: RankScope,
 ) -> Result<Vec<(TileId, f64)>, MapError> {
+    let used = binding.used_tiles();
+    let hosts_other = |t: TileId| used.binary_search(&t).is_ok();
+    let lone = lone_demand(app, binding, actor);
+    // The optimization pass's maximum over the other used tiles while
+    // `actor` sits on a tile of its own. A tile with no bound actor has
+    // zero demand and zero processing share, and `fraction` maps zero use
+    // to zero load even on zero-capacity resources, so its Eqn 2 cost is
+    // exactly 0 — the value the maximum starts from.
+    let others = match (scope, tiles.iter().find(|&&t| !hosts_other(t))) {
+        (RankScope::AllTiles, Some(&apart)) => {
+            binding.bind(actor, apart);
+            let worst = max_cost(work, app, arch, state, binding, weights, &used);
+            binding.unbind(actor);
+            worst?
+        }
+        _ => 0.0,
+    };
     let mut ranked = Vec::with_capacity(tiles.len());
     for &t in tiles {
-        binding.bind(actor, t);
-        let cost = match scope {
-            RankScope::CandidateTile => tile_cost(
+        let cost = if hosts_other(t) {
+            binding.bind(actor, t);
+            let cost = match scope {
+                RankScope::CandidateTile => tile_loads_with(work, app, arch, state, binding, t)
+                    .map(|loads| tile_cost(weights, loads)),
+                RankScope::AllTiles => max_cost(work, app, arch, state, binding, weights, &used),
+            };
+            binding.unbind(actor);
+            cost?
+        } else {
+            let pt = arch.tile(t).processor_type();
+            let unsupported = || MapError::UnsupportedBinding { actor, tile: t };
+            let tau = app.execution_time(actor, pt).ok_or_else(unsupported)?;
+            let memory = app.actor_memory(actor, pt).ok_or_else(unsupported)?;
+            let demand = TileUsage {
+                memory: lone.memory + memory,
+                ..lone
+            };
+            let own = tile_cost(
                 weights,
-                tile_loads_with(work, app, arch, state, binding, t)?,
-            ),
-            RankScope::AllTiles => {
-                // Exact restriction of "max over every tile": a tile with
-                // no bound actor has zero demand and zero processing share,
-                // and `fraction` maps zero use to zero load even on
-                // zero-capacity resources, so its Eqn 2 cost is exactly 0 —
-                // the value `worst` starts from.
-                let mut worst = 0.0f64;
-                for u in binding.used_tiles() {
-                    worst = worst.max(tile_cost(
-                        weights,
-                        tile_loads_with(work, app, arch, state, binding, u)?,
-                    ));
-                }
-                worst
+                work.loads(
+                    work.of_actor(actor, tau),
+                    &demand,
+                    &tile_capacity(arch, state, t),
+                ),
+            );
+            match scope {
+                RankScope::CandidateTile => own,
+                RankScope::AllTiles => others.max(own),
             }
         };
-        binding.unbind(actor);
         ranked.push((t, cost));
     }
     ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -171,15 +261,20 @@ pub fn bind_actors(
     state: &PlatformState,
     config: &BindConfig,
 ) -> Result<Binding, MapError> {
-    bind_actors_observed(app, arch, state, config, &mut FlowObserver::null()).map(|(b, _)| b)
+    let tiles: Vec<TileId> = arch.tile_ids().collect();
+    bind_actors_observed(app, arch, state, &tiles, config, &mut FlowObserver::null())
+        .map(|(b, _)| b)
 }
 
-/// [`bind_actors`] reporting every decision through an observer: the
-/// Eqn 1 criticality order, one
+/// [`bind_actors`] onto the candidate `tiles` (ascending), reporting
+/// every decision through an observer: the Eqn 1 criticality order, one
 /// [`BindAttempt`](FlowEvent::BindAttempt) per candidate tile tried in
 /// either pass, and an [`ActorRebound`](FlowEvent::ActorRebound) whenever
 /// the optimization pass moves an actor. Returns the binding and the
 /// number of candidate tiles tried in both passes.
+///
+/// Only the candidates and the tiles the binding uses are read from
+/// `state`, so the cost follows `tiles`, not the platform.
 ///
 /// # Errors
 ///
@@ -188,6 +283,7 @@ pub fn bind_actors_observed(
     app: &ApplicationGraph,
     arch: &ArchitectureGraph,
     state: &PlatformState,
+    tiles: &[TileId],
     config: &BindConfig,
     obs: &mut FlowObserver<'_>,
 ) -> Result<(Binding, usize), MapError> {
@@ -204,7 +300,7 @@ pub fn bind_actors_observed(
 
     // First-fit in criticality order.
     for &actor in &order {
-        let tiles = candidate_tiles(app, arch, state, actor);
+        let candidates = candidate_tiles(app, arch, state, tiles, actor);
         let ranked = rank_tiles(
             &work,
             app,
@@ -212,7 +308,7 @@ pub fn bind_actors_observed(
             state,
             &mut binding,
             actor,
-            &tiles,
+            &candidates,
             config.weights,
             RankScope::CandidateTile,
         )?;
@@ -245,7 +341,7 @@ pub fn bind_actors_observed(
         for &actor in order.iter().rev() {
             let original = binding.tile_of(actor).expect("first pass bound everything");
             binding.unbind(actor);
-            let tiles = candidate_tiles(app, arch, state, actor);
+            let candidates = candidate_tiles(app, arch, state, tiles, actor);
             let ranked = rank_tiles(
                 &work,
                 app,
@@ -253,7 +349,7 @@ pub fn bind_actors_observed(
                 state,
                 &mut binding,
                 actor,
-                &tiles,
+                &candidates,
                 config.weights,
                 RankScope::AllTiles,
             )?;

@@ -435,17 +435,6 @@ impl BindingAwareGraph {
                 .set_execution_time(s, self.wheels[l] - self.slices[l]);
         }
     }
-
-    /// Expands a per-local-tile vector to one indexed by global tile index
-    /// over `tile_count` platform tiles, 0 for tiles the application does
-    /// not use.
-    pub(crate) fn to_global(&self, local: &[u64], tile_count: usize) -> Vec<u64> {
-        let mut global = vec![0; tile_count];
-        for (&t, &v) in self.tiles.iter().zip(local) {
-            global[t.index()] = v;
-        }
-        global
-    }
 }
 
 #[cfg(test)]

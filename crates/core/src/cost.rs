@@ -9,13 +9,13 @@
 //!   candidate tiles.
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId, TileUsage};
 use sdfrs_sdf::analysis::cycles::simple_cycles;
 use sdfrs_sdf::{ActorId, Rational, RepetitionVector};
 
 use crate::binding::Binding;
 use crate::error::MapError;
-use crate::resources::{tile_capacity, tile_demand};
+use crate::resources::{tile_capacity, tile_demand, TileCapacity};
 
 /// Weights *(c1, c2, c3)* of the tile cost function (Eqn 2).
 ///
@@ -201,6 +201,37 @@ impl AppWork {
             .sum();
         Ok(AppWork { gamma, total })
     }
+
+    /// The γ-weighted work of `actor` at execution time `tau`.
+    pub(crate) fn of_actor(&self, actor: ActorId, tau: u64) -> u128 {
+        self.gamma[actor] as u128 * tau as u128
+    }
+
+    /// The Eqn 2 loads of a tile that holds `work_here` of the
+    /// application's γ-weighted work and carries the Section 7 `demand`,
+    /// against its remaining capacity `cap`.
+    pub(crate) fn loads(
+        &self,
+        work_here: u128,
+        demand: &TileUsage,
+        cap: &TileCapacity,
+    ) -> TileLoads {
+        // l_p: γ-weighted execution time on this tile over the total
+        // γ-weighted worst-case execution time of the whole application.
+        let processing = fraction(work_here as f64, self.total as f64);
+        // l_m and l_c from the Section 7 demand, against remaining
+        // capacity.
+        let memory = fraction(demand.memory as f64, cap.memory as f64);
+        let communication = (fraction(demand.bandwidth_out as f64, cap.bandwidth_out as f64)
+            + fraction(demand.bandwidth_in as f64, cap.bandwidth_in as f64)
+            + fraction(demand.connections as f64, cap.connections as f64))
+            / 3.0;
+        TileLoads {
+            processing,
+            memory,
+            communication,
+        }
+    }
 }
 
 /// Computes the loads `l_p`, `l_m`, `l_c` of one tile under a (partial)
@@ -233,32 +264,15 @@ pub(crate) fn tile_loads_with(
     tile: TileId,
 ) -> Result<TileLoads, MapError> {
     let pt = arch.tile(tile).processor_type();
-
-    // l_p: γ-weighted execution time on this tile over the total
-    // γ-weighted worst-case execution time of the whole application.
     let mut work_here = 0u128;
     for a in binding.actors_on(tile) {
         let tau = app
             .execution_time(a, pt)
             .ok_or(MapError::UnsupportedBinding { actor: a, tile })?;
-        work_here += work.gamma[a] as u128 * tau as u128;
+        work_here += work.of_actor(a, tau);
     }
-    let processing = fraction(work_here as f64, work.total as f64);
-
-    // l_m and l_c from the Section 7 demand, against remaining capacity.
-    let cap = tile_capacity(arch, state, tile);
     let demand = tile_demand(app, arch, binding, tile);
-    let memory = fraction(demand.memory as f64, cap.memory as f64);
-    let communication = (fraction(demand.bandwidth_out as f64, cap.bandwidth_out as f64)
-        + fraction(demand.bandwidth_in as f64, cap.bandwidth_in as f64)
-        + fraction(demand.connections as f64, cap.connections as f64))
-        / 3.0;
-
-    Ok(TileLoads {
-        processing,
-        memory,
-        communication,
-    })
+    Ok(work.loads(work_here, &demand, &tile_capacity(arch, state, tile)))
 }
 
 /// Eqn 2: `cost(t) = c1·l_p(t) + c2·l_m(t) + c3·l_c(t)`.

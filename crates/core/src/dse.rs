@@ -8,7 +8,7 @@
 //! loads of the tile are weighted", Sec 9.1).
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, PlatformState};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
 use sdfrs_sdf::Rational;
 
 use crate::allocator::Allocator;
@@ -150,6 +150,7 @@ fn sweep_outcomes(
                 .map(move |m| (w, m))
         })
         .collect();
+    let tiles: Vec<TileId> = arch.tile_ids().collect();
     let outcomes = sdfrs_fastutil::par::maybe_par_map(parallel, &sweep, |&(w, model)| {
         let mut config = *base;
         config.bind.weights = w;
@@ -159,6 +160,7 @@ fn sweep_outcomes(
             app,
             arch,
             state,
+            &tiles,
             &config,
             &mut cache,
             &mut FlowObserver::null(),

@@ -53,7 +53,7 @@
 //! workspace.
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileId, TileMap};
 use sdfrs_sdf::analysis::bounds::throughput_bounds;
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::transform::weak_component;
@@ -66,9 +66,9 @@ use crate::constrained::TileSchedules;
 use crate::cost::binding_order;
 use crate::error::MapError;
 use crate::events::FlowEvent;
-use crate::flow::{Allocation, FlowConfig, FlowStats};
+use crate::flow::{claimed_usage, Allocation, FlowConfig, FlowStats};
 use crate::list_sched::ListScheduler;
-use crate::resources::{allocation_usage, cross_channels_routable, tile_constraints_hold};
+use crate::resources::{cross_channels_routable, tile_constraints_hold};
 use crate::simplex::{self, LpConstraint, LpError, LpProblem, LpRelation};
 use crate::solver::{SolveOutcome, SolveReport, SolverKind};
 
@@ -299,18 +299,13 @@ impl<'a> Ctx<'a> {
             && cross_channels_routable(self.app, self.arch, binding)
     }
 
-    /// The witness slice vector of a complete binding: the full
-    /// remaining wheel on used tiles, nothing elsewhere.
-    fn witness_slices(&self, binding: &Binding) -> Vec<u64> {
-        let used = binding.used_tiles();
-        (0..self.full.len())
-            .map(|ti| {
-                if used.contains(&TileId::from_index(ti)) {
-                    self.full[ti]
-                } else {
-                    0
-                }
-            })
+    /// The witness slices of a complete binding: the full remaining
+    /// wheel on each used tile.
+    fn witness_slices(&self, binding: &Binding) -> TileMap<u64> {
+        binding
+            .used_tiles()
+            .into_iter()
+            .map(|t| (t, self.full[t.index()]))
             .collect()
     }
 }
@@ -621,7 +616,7 @@ fn witness_outcome(ctx: &Ctx<'_>, out: Search, kind: SolverKind) -> Result<Solve
     let report = report_of(kind, &out);
     let incumbent = out.incumbent.ok_or(MapError::ConstraintUnsatisfiable)?;
     let slices = ctx.witness_slices(&incumbent.binding);
-    let usage = allocation_usage(ctx.app, ctx.arch, &incumbent.binding, &slices);
+    let usage = claimed_usage(ctx.app, ctx.arch, &incumbent.binding, &slices);
     let allocation = Allocation {
         binding: incumbent.binding,
         schedules: incumbent.schedules,

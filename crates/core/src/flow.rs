@@ -13,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use sdfrs_appmodel::ApplicationGraph;
-use sdfrs_platform::{ArchitectureGraph, ClaimSet, PlatformState, TileUsage};
+use sdfrs_platform::{ArchitectureGraph, ClaimSet, PlatformState, TileId, TileMap, TileUsage};
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::Rational;
 
@@ -25,7 +25,7 @@ use crate::cost::CostWeights;
 use crate::error::MapError;
 use crate::events::{FlowEvent, FlowObserver, FlowPhase};
 use crate::list_sched::ListScheduler;
-use crate::resources::allocation_usage;
+use crate::resources::tile_demand;
 use crate::slice::{allocate_slices_observed, SliceConfig};
 use crate::thru_cache::ThroughputCache;
 
@@ -290,10 +290,11 @@ pub struct Allocation {
     pub binding: Binding,
     /// The static-order schedules (part of the scheduling function 𝒮).
     pub schedules: TileSchedules,
-    /// The TDMA slices ω per tile index (0 for unused tiles).
-    pub slices: Vec<u64>,
-    /// Resources the allocation claims per tile index.
-    pub usage: Vec<TileUsage>,
+    /// The TDMA slice ω of each used tile (0 for the others).
+    pub slices: TileMap<u64>,
+    /// Resources the allocation claims on each used tile: its slice plus
+    /// the Section 7 demand (nothing on the others).
+    pub usage: TileMap<TileUsage>,
     /// Guaranteed throughput under the allocation.
     pub achieved: ThroughputResult,
     /// The connection model the throughput was analysed under — what a
@@ -312,18 +313,34 @@ impl Allocation {
     /// [`apply`](ClaimSet::apply) to or [`revert`](ClaimSet::revert) from
     /// a [`PlatformState`] as one unit. This is the claim/release surface
     /// the admission layers use for admissions, departures and rebind
-    /// rollbacks.
+    /// rollbacks. It walks the used tiles only.
     pub fn claim_set(&self) -> ClaimSet {
-        ClaimSet::from_usage(&self.usage)
+        self.usage.entries().iter().copied().collect()
     }
 }
 
+/// What an allocation with `slices` claims on each used tile: the slice
+/// plus the Section 7 demand of `binding`.
+pub(crate) fn claimed_usage(
+    app: &ApplicationGraph,
+    arch: &ArchitectureGraph,
+    binding: &Binding,
+    slices: &TileMap<u64>,
+) -> TileMap<TileUsage> {
+    slices.map(|t, &wheel| TileUsage {
+        wheel,
+        ..tile_demand(app, arch, binding, t)
+    })
+}
+
 /// The instrumented flow body behind
-/// [`Allocator::allocate`](crate::Allocator::allocate).
+/// [`Allocator::allocate_within`](crate::Allocator::allocate_within):
+/// the binding step takes its candidates from `tiles`.
 pub(crate) fn allocate_inner(
     app: &ApplicationGraph,
     arch: &ArchitectureGraph,
     state: &PlatformState,
+    tiles: &[TileId],
     config: &FlowConfig,
     cache: &mut ThroughputCache,
     obs: &mut FlowObserver<'_>,
@@ -337,7 +354,7 @@ pub(crate) fn allocate_inner(
         constraint: app.throughput_constraint(),
     });
     let start = Instant::now();
-    let result = allocate_steps(app, arch, state, config, cache, obs);
+    let result = allocate_steps(app, arch, state, tiles, config, cache, obs);
     let duration = start.elapsed();
     let ok = result.is_ok();
     obs.emit(|| FlowEvent::FlowFinished { ok, duration });
@@ -365,6 +382,7 @@ fn allocate_steps(
     app: &ApplicationGraph,
     arch: &ArchitectureGraph,
     state: &PlatformState,
+    tiles: &[TileId],
     config: &FlowConfig,
     cache: &mut ThroughputCache,
     obs: &mut FlowObserver<'_>,
@@ -378,7 +396,7 @@ fn allocate_steps(
 
     // Step 1: resource binding.
     let ((binding, bind_attempts), binding_time) = run_phase(obs, FlowPhase::Binding, |obs| {
-        bind_actors_observed(app, arch, state, &config.bind, obs)
+        bind_actors_observed(app, arch, state, tiles, &config.bind, obs)
     })?;
 
     // Step 2: static-order schedules, assuming 50% of each remaining
@@ -433,7 +451,7 @@ fn allocate_steps(
         refine_slice_iterations: slice_alloc.refine_iterations,
     };
 
-    let usage = allocation_usage(app, arch, &binding, &slice_alloc.slices);
+    let usage = claimed_usage(app, arch, &binding, &slice_alloc.slices);
     Ok((
         Allocation {
             binding,
@@ -480,9 +498,10 @@ mod tests {
         assert!(stats.schedule_states > 0);
         // Usage covers the slices.
         for t in alloc.binding.used_tiles() {
-            assert_eq!(alloc.usage[t.index()].wheel, alloc.slices[t.index()]);
-            assert!(alloc.slices[t.index()] >= 1);
+            assert_eq!(alloc.usage.at(t).wheel, alloc.slices.at(t));
+            assert!(alloc.slices.at(t) >= 1);
         }
+        assert_eq!(alloc.slices.len(), alloc.binding.used_tiles().len());
     }
 
     #[test]
@@ -503,7 +522,7 @@ mod tests {
         let (alloc, _) = Allocator::new().allocate(&app, &arch, &state).unwrap();
         alloc.claim_set().apply(&mut state);
         for t in alloc.binding.used_tiles() {
-            assert_eq!(state.usage(t).wheel, alloc.slices[t.index()]);
+            assert_eq!(state.usage(t).wheel, alloc.slices.at(t));
             assert!(state.usage(t).memory > 0);
         }
     }
@@ -524,8 +543,7 @@ mod tests {
             assert!(alloc.guaranteed_throughput() >= app.throughput_constraint());
             for t in arch.tile_ids() {
                 assert!(
-                    state.usage(t).wheel + alloc.usage[t.index()].wheel
-                        <= arch.tile(t).wheel_size()
+                    state.usage(t).wheel + alloc.usage.at(t).wheel <= arch.tile(t).wheel_size()
                 );
             }
         }
@@ -554,8 +572,27 @@ mod tests {
         let (alloc, _) = run(&app, FlowConfig::with_weights(CostWeights::COMMUNICATION)).unwrap();
         // (0,0,1) binds everything to t1 (Table 3 row 3): t2 claims nothing.
         let t2 = TileId::from_index(1);
-        assert_eq!(alloc.usage[t2.index()], TileUsage::default());
-        assert_eq!(alloc.slices[t2.index()], 0);
+        assert_eq!(alloc.usage.at(t2), TileUsage::default());
+        assert_eq!(alloc.slices.at(t2), 0);
+        assert_eq!(alloc.usage.len(), 1, "only the used tile has an entry");
+    }
+
+    #[test]
+    fn claimed_usage_includes_slices() {
+        let app = paper_example();
+        let arch = example_platform();
+        let (t1, t2) = (TileId::from_index(0), TileId::from_index(1));
+        let mut binding = Binding::new(3);
+        binding.bind(sdfrs_sdf::ActorId::from_index(0), t1);
+        binding.bind(sdfrs_sdf::ActorId::from_index(1), t1);
+        binding.bind(sdfrs_sdf::ActorId::from_index(2), t2);
+        let slices: TileMap<u64> = [(t1, 4), (t2, 6)].into_iter().collect();
+        let usage = claimed_usage(&app, &arch, &binding, &slices);
+        assert_eq!(usage.at(t1).wheel, 4);
+        assert_eq!(usage.at(t2).wheel, 6);
+        assert_eq!(usage.at(t1).memory, 225);
+        assert_eq!(usage.at(t2).memory, 210);
+        assert_eq!(usage.len(), 2);
     }
 
     #[test]

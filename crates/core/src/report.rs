@@ -71,7 +71,7 @@ pub fn render_allocation(
             "    {:<6} {}  ω = {}/{}",
             arch.tile(tile).name(),
             schedule,
-            allocation.slices.get(tile.index()).copied().unwrap_or(0),
+            allocation.slices.at(tile),
             arch.tile(tile).wheel_size()
         );
     }
@@ -85,7 +85,7 @@ pub fn render_allocation(
     );
     let _ = writeln!(out, "  resource usage per tile:");
     for tile in allocation.binding.used_tiles() {
-        let u = allocation.usage[tile.index()];
+        let u = allocation.usage.at(tile);
         let t = arch.tile(tile);
         let _ = writeln!(
             out,

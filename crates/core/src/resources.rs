@@ -128,27 +128,6 @@ pub fn binding_constraints_hold(
             .all(|t| tile_constraints_hold(app, arch, state, binding, t, None))
 }
 
-/// The resources a *completed* allocation claims per tile: slice sizes plus
-/// the demand of constraints 2–4. Indexed by tile index.
-///
-/// Only the used tiles are computed: a tile that hosts no actor has an
-/// empty channel partition and demands nothing.
-pub fn allocation_usage(
-    app: &ApplicationGraph,
-    arch: &ArchitectureGraph,
-    binding: &Binding,
-    slices: &[u64],
-) -> Vec<TileUsage> {
-    let mut usage = vec![TileUsage::default(); arch.tile_count()];
-    for t in binding.used_tiles() {
-        usage[t.index()] = TileUsage {
-            wheel: slices[t.index()],
-            ..tile_demand(app, arch, binding, t)
-        };
-    }
-    usage
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,16 +238,6 @@ mod tests {
             100,
         ));
         assert!(!cross_channels_routable(&app, &arch, &b));
-    }
-
-    #[test]
-    fn usage_includes_slices() {
-        let (app, arch, b) = example_binding();
-        let usage = allocation_usage(&app, &arch, &b, &[4, 6]);
-        assert_eq!(usage[0].wheel, 4);
-        assert_eq!(usage[1].wheel, 6);
-        assert_eq!(usage[0].memory, 225);
-        assert_eq!(usage[1].memory, 210);
     }
 
     #[test]

@@ -31,17 +31,20 @@
 //! into a [`RegionMap`] of contiguous tile regions, and every admission
 //! is assigned a *home region* round-robin (the counter advances only
 //! when an admission commits, so replaying the commit log reproduces
-//! the homes). The flow then runs against a
-//! [masked view](RegionMap::masked_state) of the residual state in which
-//! tiles outside the home region appear fully occupied, so the
-//! allocation — if one exists — stays inside the home region and only
-//! ranks the home region's tiles. When the home region cannot fit the
-//! application, admission *escalates*: the mask widens to the home
-//! region plus its nearest neighbor regions (up to
-//! [`MAX_ESCALATION_NEIGHBORS`]), and finally falls back to the
-//! unmasked global flow. Conform oracle 7 verifies regional admissions
+//! the homes). The flow then runs on a *region view*: the true residual
+//! state with the home region's tiles ([`RegionMap::tiles_in`]) as the
+//! only binding candidates ([`Allocator::allocate_within`]), so the
+//! allocation — if one exists — stays inside the home region, and the
+//! admission reads only the home region's tiles and the ones it binds:
+//! its cost follows the region's size, not the platform's. When the home
+//! region cannot fit the application, admission *escalates*: the view
+//! widens to the home region plus its nearest neighbor regions (up to
+//! [`MAX_ESCALATION_NEIGHBORS`]), and finally falls back to the global
+//! flow on every tile. Conform oracle 7 verifies regional admissions
 //! against the residual they were admitted on, including
-//! forced-escalation scenarios.
+//! forced-escalation scenarios, and every escalation step against a flow
+//! on a copy of the residual with every tile outside the view claimed in
+//! full.
 //!
 //! # Example
 //!
@@ -619,10 +622,9 @@ impl AllocationService {
         for (depth, mask) in masks.iter().enumerate() {
             let attempt = match mask {
                 Some(allowed) => {
-                    let masked = self
-                        .region_map
-                        .masked_state(&self.arch, &self.residual, allowed);
-                    self.allocator.allocate(app, &self.arch, &masked)
+                    let tiles = self.region_map.tiles_in(allowed);
+                    self.allocator
+                        .allocate_within(app, &self.arch, &self.residual, &tiles)
                 }
                 None => self.allocator.allocate(app, &self.arch, &self.residual),
             };

@@ -42,7 +42,7 @@
 use sdfrs_appmodel::ApplicationGraph;
 #[cfg(test)]
 use sdfrs_platform::TileId;
-use sdfrs_platform::{ArchitectureGraph, PlatformState};
+use sdfrs_platform::{ArchitectureGraph, PlatformState, TileMap};
 use sdfrs_sdf::analysis::selftimed::ThroughputResult;
 use sdfrs_sdf::{ActorId, Rational, SdfError};
 
@@ -88,8 +88,8 @@ impl Default for SliceConfig {
 /// Result of the slice allocation.
 #[derive(Debug, Clone)]
 pub struct SliceAllocation {
-    /// Allocated slice per tile index (0 for tiles without actors).
-    pub slices: Vec<u64>,
+    /// Allocated slice of each used tile (0 for the others).
+    pub slices: TileMap<u64>,
     /// Guaranteed throughput under the final allocation.
     pub achieved: ThroughputResult,
     /// Throughput evaluations performed (the count reported in Sec 10).
@@ -539,7 +539,7 @@ pub fn allocate_slices_observed(
     obs: &mut FlowObserver<'_>,
 ) -> Result<SliceAllocation, MapError> {
     // The search works on one slice per local tile of `ba`; probe events
-    // name the global tiles, and the result expands to global indices.
+    // and the result name the global tiles.
     let tiles = ba.tiles().to_vec();
     let tile_count = arch.tile_count();
     let probe_slices = |local: &[u64]| ProbeSlices {
@@ -566,7 +566,7 @@ pub fn allocate_slices_observed(
         report.flush(cache, obs, probe_slices, app.throughput_constraint());
     let (slices, achieved) = result?;
     Ok(SliceAllocation {
-        slices: ba.to_global(&slices, tile_count),
+        slices: tiles.iter().copied().zip(slices).collect(),
         achieved,
         throughput_checks: global_iterations + refine_iterations,
         global_iterations,
@@ -1079,8 +1079,8 @@ mod tests {
         assert!(alloc.achieved.iteration_throughput >= Rational::new(1, 30));
         assert!(alloc.throughput_checks >= 1);
         for &t in &binding.used_tiles() {
-            assert!(alloc.slices[t.index()] >= 1);
-            assert!(alloc.slices[t.index()] <= 10);
+            assert!(alloc.slices.at(t) >= 1);
+            assert!(alloc.slices.at(t) <= 10);
         }
     }
 
@@ -1158,7 +1158,10 @@ mod tests {
         let alloc =
             allocate_slices(&mut ba, &schedules, &app, &arch, &state, &binding, &cfg).unwrap();
         // Equal wheels ⇒ equal slices without refinement.
-        assert_eq!(alloc.slices[0], alloc.slices[1]);
+        assert_eq!(
+            alloc.slices.at(TileId::from_index(0)),
+            alloc.slices.at(TileId::from_index(1))
+        );
     }
 
     #[test]
@@ -1366,7 +1369,7 @@ mod tests {
             &SliceConfig::default(),
         )
         .unwrap();
-        assert_eq!(alloc.slices, vec![10, 0]);
+        assert_eq!(alloc.slices.to_dense(arch.tile_count()), vec![10, 0]);
         assert_eq!(alloc.achieved.iteration_throughput, Rational::new(1, 5));
         assert!(alloc.global_iterations > 1, "smaller probes were refuted");
     }

@@ -83,7 +83,7 @@ pub fn verify_allocation(
         let cap = tile_capacity(arch, state, t);
         let demand = tile_demand(app, arch, &allocation.binding, t);
         let used = !allocation.binding.actors_on(t).is_empty();
-        let slice = allocation.slices.get(t.index()).copied().unwrap_or(0);
+        let slice = allocation.slices.at(t);
         if used && (slice == 0 || slice > cap.wheel) {
             violations.push(Violation::SliceExceedsWheel { tile: t.index() });
         }
@@ -139,7 +139,7 @@ pub fn verify_allocation(
         app,
         arch,
         &allocation.binding,
-        &allocation.slices,
+        &allocation.slices.to_dense(arch.tile_count()),
         allocation.connection_model,
     )?;
     let reference = ba.ba_actor(app.output_actor());
@@ -188,7 +188,7 @@ mod tests {
     fn detects_oversized_slice() {
         let (app, arch, state, mut alloc) = valid_allocation();
         let t = alloc.binding.used_tiles()[0];
-        alloc.slices[t.index()] = 99;
+        alloc.slices = alloc.slices.map(|u, &s| if u == t { 99 } else { s });
         let v = verify_allocation(&app, &arch, &state, &alloc).unwrap();
         assert!(v.contains(&Violation::SliceExceedsWheel { tile: t.index() }));
     }
@@ -197,9 +197,7 @@ mod tests {
     fn detects_throughput_miss() {
         // Shrink the slices below what λ needs.
         let (app, arch, state, mut alloc) = valid_allocation();
-        for t in alloc.binding.used_tiles() {
-            alloc.slices[t.index()] = 1;
-        }
+        alloc.slices = alloc.slices.map(|_, _| 1);
         let v = verify_allocation(&app, &arch, &state, &alloc).unwrap();
         assert!(
             v.contains(&Violation::ThroughputMiss) || v.contains(&Violation::ThroughputMismatch),

@@ -32,8 +32,10 @@ pub mod proc_type;
 pub mod region;
 pub mod routing;
 pub mod state;
+pub mod tile_map;
 
 pub use graph::{ArchitectureGraph, Connection, ConnectionId, Tile, TileId};
 pub use proc_type::ProcessorType;
 pub use region::{ClaimSet, RegionId, RegionMap};
 pub use state::{PlatformState, TileCapacity, TileUsage};
+pub use tile_map::TileMap;

@@ -4,10 +4,11 @@
 //! bottleneck: every admission serializes on the whole residual state
 //! even when its binding only ever touches a handful of tiles. A
 //! [`RegionMap`] partitions the tiles into disjoint [`RegionId`]-typed
-//! regions so admissions can run against a *masked* view of the platform
-//! ([`RegionMap::masked_state`]) in which every tile outside the allowed
-//! regions appears fully occupied — any allocation computed on the mask
-//! then stays inside the allowed regions and ranks only their tiles.
+//! regions so an admission can run on a *region view*: the tiles of the
+//! allowed regions ([`RegionMap::tiles_in`]) are its only binding
+//! candidates, and it reads the true residual state on them alone. An
+//! allocation computed on the view stays inside the allowed regions, and
+//! its cost follows the regions' size, not the platform's.
 //!
 //! [`ClaimSet`] is the transactional claim/release surface that replaced
 //! the ad-hoc per-tile loops: the sparse, sorted set of per-tile
@@ -29,11 +30,12 @@
 //! assert_eq!(map.region_count(), 2);
 //!
 //! let mut state = PlatformState::new(&arch);
-//! let mut usage = vec![TileUsage::default(); 4];
-//! usage[1].wheel = 4;
-//! let claim = ClaimSet::from_usage(&usage);
+//! let t1 = arch.tile_ids().nth(1).unwrap();
+//! let claim: ClaimSet = [(t1, TileUsage { wheel: 4, ..TileUsage::default() })]
+//!     .into_iter()
+//!     .collect();
 //! claim.apply(&mut state);
-//! assert_eq!(state.wheel_used(arch.tile_ids().nth(1).unwrap()), 4);
+//! assert_eq!(state.wheel_used(t1), 4);
 //! claim.revert(&mut state);
 //! assert_eq!(state, PlatformState::new(&arch));
 //! ```
@@ -175,36 +177,16 @@ impl RegionMap {
         &self.neighbors[region.index()]
     }
 
-    /// A copy of `state` in which every tile *outside* the `allowed`
-    /// regions appears fully occupied (zero remaining capacity on all
-    /// five resources). An allocation computed against the mask can only
-    /// bind into the allowed regions, so its result — and its
-    /// [`ClaimSet`] footprint — depends solely on those regions' share
-    /// of `state`.
-    pub fn masked_state(
-        &self,
-        arch: &ArchitectureGraph,
-        state: &PlatformState,
-        allowed: &[RegionId],
-    ) -> PlatformState {
-        let mut masked = state.clone();
-        for t in arch.tile_ids() {
-            if allowed.contains(&self.tile_region[t.index()]) {
-                continue;
-            }
-            let tile = arch.tile(t);
-            masked.claim(
-                t,
-                TileUsage {
-                    wheel: tile.wheel_size(),
-                    memory: tile.memory(),
-                    connections: tile.max_connections(),
-                    bandwidth_in: tile.bandwidth_in(),
-                    bandwidth_out: tile.bandwidth_out(),
-                },
-            );
-        }
-        masked
+    /// The tiles of the `allowed` regions, ascending tile index: the
+    /// candidate tiles of an admission confined to those regions.
+    pub fn tiles_in(&self, allowed: &[RegionId]) -> Vec<TileId> {
+        let mut tiles: Vec<TileId> = allowed
+            .iter()
+            .flat_map(|r| self.regions[r.index()].iter().copied())
+            .collect();
+        tiles.sort_unstable();
+        tiles.dedup();
+        tiles
     }
 
     /// Total TDMA wheel time currently claimed on the tiles of `region`
@@ -228,19 +210,28 @@ pub struct ClaimSet {
     entries: Vec<(TileId, TileUsage)>,
 }
 
-impl ClaimSet {
-    /// Builds a claim set from a dense per-tile usage vector
-    /// (tile-index order), keeping only tiles with non-zero usage.
-    pub fn from_usage(usage: &[TileUsage]) -> Self {
-        let entries = usage
-            .iter()
-            .enumerate()
-            .filter(|(_, u)| **u != TileUsage::default())
-            .map(|(i, u)| (TileId::from_index(i), *u))
+impl FromIterator<(TileId, TileUsage)> for ClaimSet {
+    /// Collects per-tile usage in any order, keeping only tiles with
+    /// non-zero usage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tile appears twice.
+    fn from_iter<I: IntoIterator<Item = (TileId, TileUsage)>>(iter: I) -> Self {
+        let mut entries: Vec<(TileId, TileUsage)> = iter
+            .into_iter()
+            .filter(|(_, u)| *u != TileUsage::default())
             .collect();
+        entries.sort_by_key(|&(t, _)| t);
+        assert!(
+            entries.windows(2).all(|w| w[0].0 != w[1].0),
+            "a tile appears twice in a ClaimSet"
+        );
         ClaimSet { entries }
     }
+}
 
+impl ClaimSet {
     /// The `(tile, usage)` entries, ascending tile index.
     pub fn entries(&self) -> &[(TileId, TileUsage)] {
         &self.entries
@@ -348,49 +339,44 @@ mod tests {
     }
 
     #[test]
-    fn masked_state_zeroes_foreign_tiles_only() {
-        let arch = line_arch(4);
-        let map = RegionMap::contiguous(&arch, 2);
-        let mut state = PlatformState::new(&arch);
-        state.claim(
-            TileId::from_index(0),
-            TileUsage {
-                wheel: 3,
-                ..TileUsage::default()
-            },
+    fn tiles_in_unites_regions_in_tile_order() {
+        let arch = line_arch(6);
+        let map = RegionMap::contiguous(&arch, 3);
+        let ids = |v: &[usize]| v.iter().map(|&i| TileId::from_index(i)).collect::<Vec<_>>();
+        assert_eq!(map.tiles_in(&[RegionId::from_index(1)]), ids(&[2, 3]));
+        assert_eq!(
+            map.tiles_in(&[RegionId::from_index(2), RegionId::from_index(0)]),
+            ids(&[0, 1, 4, 5])
         );
-        let masked = map.masked_state(&arch, &state, &[RegionId::from_index(0)]);
-        // Region 0 tiles keep their true residual.
-        assert_eq!(masked.available_wheel(&arch, TileId::from_index(0)), 7);
-        assert_eq!(masked.available_wheel(&arch, TileId::from_index(1)), 10);
-        // Region 1 tiles appear exhausted on every resource.
-        for i in [2, 3] {
-            let t = TileId::from_index(i);
-            assert_eq!(masked.available_wheel(&arch, t), 0);
-            assert_eq!(masked.available_memory(&arch, t), 0);
-            assert_eq!(masked.available_connections(&arch, t), 0);
-            assert_eq!(masked.available_bandwidth_in(&arch, t), 0);
-            assert_eq!(masked.available_bandwidth_out(&arch, t), 0);
-        }
+        assert!(map.tiles_in(&[]).is_empty());
     }
 
     #[test]
     fn claim_set_apply_revert_round_trips() {
         let arch = line_arch(3);
-        let mut usage = vec![TileUsage::default(); 3];
-        usage[0] = TileUsage {
-            wheel: 2,
-            memory: 10,
-            connections: 1,
-            bandwidth_in: 5,
-            bandwidth_out: 6,
-        };
-        usage[2] = TileUsage {
-            wheel: 4,
-            ..TileUsage::default()
-        };
-        let claim = ClaimSet::from_usage(&usage);
+        let usage = [
+            (
+                TileId::from_index(2),
+                TileUsage {
+                    wheel: 4,
+                    ..TileUsage::default()
+                },
+            ),
+            (TileId::from_index(1), TileUsage::default()),
+            (
+                TileId::from_index(0),
+                TileUsage {
+                    wheel: 2,
+                    memory: 10,
+                    connections: 1,
+                    bandwidth_in: 5,
+                    bandwidth_out: 6,
+                },
+            ),
+        ];
+        let claim: ClaimSet = usage.into_iter().collect();
         assert_eq!(claim.entries().len(), 2, "zero entries are dropped");
+        assert_eq!(claim.entries()[0].0, TileId::from_index(0), "tile order");
         let mut state = PlatformState::new(&arch);
         let before = state.clone();
         assert!(claim.fits(&arch, &state));
@@ -411,11 +397,19 @@ mod tests {
                 ..TileUsage::default()
             },
         );
-        let mut usage = vec![TileUsage::default(); 1];
-        usage[0].wheel = 2;
-        assert!(!ClaimSet::from_usage(&usage).fits(&arch, &state));
-        usage[0].wheel = 1;
-        assert!(ClaimSet::from_usage(&usage).fits(&arch, &state));
+        let claim = |wheel| -> ClaimSet {
+            [(
+                TileId::from_index(0),
+                TileUsage {
+                    wheel,
+                    ..TileUsage::default()
+                },
+            )]
+            .into_iter()
+            .collect()
+        };
+        assert!(!claim(2).fits(&arch, &state));
+        assert!(claim(1).fits(&arch, &state));
     }
 
     #[test]

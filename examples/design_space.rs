@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tile("a1"),
             tile("a2"),
             tile("a3"),
-            alloc.slices,
+            alloc.slices.to_dense(arch.tile_count()),
             alloc.guaranteed_throughput().recip()
         );
     }

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  slice on {}: {}/{}",
             arch.tile(tile).name(),
-            alloc.slices[tile.index()],
+            alloc.slices.at(tile),
             arch.tile(tile).wheel_size()
         );
     }

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 arch.tile(tile).name(),
                 arch.tile(tile).processor_type(),
                 actors.join(" "),
-                alloc.slices[tile.index()],
+                alloc.slices.at(tile),
                 arch.tile(tile).wheel_size()
             );
         }

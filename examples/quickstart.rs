@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .get(tile)
                 .expect("scheduled")
                 .display(app.graph()),
-            alloc.slices[tile.index()],
+            alloc.slices.at(tile),
             arch.tile(tile).wheel_size()
         );
     }

@@ -52,12 +52,12 @@ fn assert_valid(
     assert!(binding_constraints_hold(app, arch, state, &alloc.binding));
     for t in alloc.binding.used_tiles() {
         let cap = tile_capacity(arch, state, t);
-        assert!(alloc.slices[t.index()] >= 1);
-        assert!(alloc.slices[t.index()] <= cap.wheel);
-        assert!(alloc.usage[t.index()].memory <= cap.memory);
-        assert!(alloc.usage[t.index()].connections <= cap.connections);
-        assert!(alloc.usage[t.index()].bandwidth_in <= cap.bandwidth_in);
-        assert!(alloc.usage[t.index()].bandwidth_out <= cap.bandwidth_out);
+        assert!(alloc.slices.at(t) >= 1);
+        assert!(alloc.slices.at(t) <= cap.wheel);
+        assert!(alloc.usage.at(t).memory <= cap.memory);
+        assert!(alloc.usage.at(t).connections <= cap.connections);
+        assert!(alloc.usage.at(t).bandwidth_in <= cap.bandwidth_in);
+        assert!(alloc.usage.at(t).bandwidth_out <= cap.bandwidth_out);
     }
     // 3. Every used tile has a schedule covering exactly its actors.
     for t in alloc.binding.used_tiles() {

@@ -192,7 +192,7 @@ fn a_tile_runs_one_firing_at_a_time() {
     let (alloc, _) = Allocator::new()
         .allocate(&app, &arch, &PlatformState::new(&arch))
         .expect("one firing at a time meets 1/12 on the full wheel");
-    assert_eq!(alloc.slices, vec![10]);
+    assert_eq!(alloc.slices.to_dense(arch.tile_count()), vec![10]);
     assert_eq!(alloc.guaranteed_throughput(), Rational::new(1, 11));
 
     // At half the wheel the execution keeps to the schedule too.

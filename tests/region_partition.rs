@@ -67,8 +67,8 @@ fn claim_set_apply_revert_round_trips_per_region() {
 }
 
 /// `RegionMap::contiguous` covers every tile exactly once for any region
-/// count, neighbor links are symmetric, and masking to a region set
-/// zeroes the residual of every tile outside it.
+/// count, neighbor links are symmetric, and the region view of a region
+/// set holds exactly that set's tiles, ascending.
 #[test]
 fn contiguous_partition_and_masking_properties() {
     let arch = grid(4, 4);
@@ -94,27 +94,24 @@ fn contiguous_partition_and_masking_properties() {
             "each tile in exactly one region"
         );
 
-        let state = PlatformState::new(&arch);
-        let allowed = [RegionId::from_index(0)];
-        let masked = map.masked_state(&arch, &state, &allowed);
-        for (tile, _) in arch.tiles() {
-            let cap = masked.tile_capacity(&arch, tile);
-            if map.region_of(tile) == allowed[0] {
-                assert!(cap.wheel > 0, "allowed tiles keep their capacity");
-            } else {
-                assert_eq!(
-                    (
-                        cap.wheel,
-                        cap.memory,
-                        cap.connections,
-                        cap.bandwidth_in,
-                        cap.bandwidth_out
-                    ),
-                    (0, 0, 0, 0, 0),
-                    "masked-out tiles expose no residual capacity"
-                );
-            }
+        let last = RegionId::from_index(map.region_count() - 1);
+        for allowed in [
+            vec![RegionId::from_index(0)],
+            vec![last, RegionId::from_index(0)],
+        ] {
+            let view = map.tiles_in(&allowed);
+            let expected: Vec<TileId> = arch
+                .tile_ids()
+                .filter(|&t| allowed.contains(&map.region_of(t)))
+                .collect();
+            assert_eq!(view, expected, "the view is the allowed tiles, ascending");
         }
+        let all: Vec<RegionId> = map.region_ids().collect();
+        assert_eq!(
+            map.tiles_in(&all),
+            arch.tile_ids().collect::<Vec<_>>(),
+            "every region together is the whole platform"
+        );
     }
 }
 
@@ -211,10 +208,10 @@ fn congruent_regions_share_the_throughput_memo() {
     let first = RegionId::from_index(0);
     let last = RegionId::from_index(config.rows - 1);
     let (a, _) = allocator
-        .allocate(&app, &arch, &map.masked_state(&arch, &fresh, &[first]))
+        .allocate_within(&app, &arch, &fresh, map.tiles(first))
         .unwrap();
     let (b, stats) = allocator
-        .allocate(&app, &arch, &map.masked_state(&arch, &fresh, &[last]))
+        .allocate_within(&app, &arch, &fresh, map.tiles(last))
         .unwrap();
 
     let offset = (config.rows - 1) * config.cols;
@@ -228,7 +225,7 @@ fn congruent_regions_share_the_throughput_memo() {
     assert_eq!(a.achieved, b.achieved, "period, transient and states too");
     for t in arch.tile_ids() {
         if map.region_of(t) == first {
-            assert_eq!(a.slices[t.index()], b.slices[moved(t).index()]);
+            assert_eq!(a.slices.at(t), b.slices.at(moved(t)));
             assert_eq!(a.schedules.get(t), b.schedules.get(moved(t)));
         }
     }
