@@ -13,7 +13,7 @@
 //! checks and cache hit/miss counts for the flow phases. Two summary
 //! ratios close the report: `cache_speedup` (repeated admission,
 //! throughput cache off vs on) and `region_speedup` (the 64×64 drain,
-//! unmasked vs masked to 16 regions). Both compare phases measured in
+//! global vs confined to 16 regions). Both compare phases measured in
 //! the same run, so they stay meaningful across machines.
 
 use std::env;
@@ -203,8 +203,8 @@ fn grid_app() -> sdfrs_appmodel::ApplicationGraph {
 
 /// Drains one batch of `count` grid-pipeline admissions through a
 /// service partitioned into `regions` regions. With `regions == 1` every
-/// admit runs the unmasked global flow; with more, admissions run
-/// region-locally against masked views. Every admit must succeed.
+/// admit runs the global flow on every tile; with more, each admission
+/// binds onto the tiles of its home region. Every admit must succeed.
 fn region_admission(
     name: &'static str,
     arch: &ArchitectureGraph,
@@ -338,11 +338,11 @@ fn main() {
     phases.push(on);
 
     // --- Phases 8/9/10: one batch of admissions onto the 64×64 grid
-    // mesh, unmasked vs masked to 4 and 16 regions. Region-local flows
+    // mesh, global vs confined to 4 and 16 regions. Region-local flows
     // only rank the home region's tiles, so the speedup is algorithmic
     // and holds on a single core; the ratio the CI regression gate
     // checks compares the 16-region drain (≥ 8 regions per the
-    // acceptance bar) against the unmasked one.
+    // acceptance bar) against the global one.
     const GRID_ADMITS: usize = 24;
     let grid = grid64();
     let grid_seq = region_admission("admission_64x64_seq", &grid, 1, GRID_ADMITS, &metrics);

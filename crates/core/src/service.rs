@@ -79,8 +79,8 @@ use crate::metrics::Metrics;
 use crate::resources::TileCapacity;
 use crate::solver::SolveReport;
 
-/// Neighbor regions an escalating admission may widen its mask by before
-/// falling back to the global unmasked flow: the chain is
+/// Neighbor regions an escalating admission may widen its view by before
+/// falling back to the global flow on every tile: the chain is
 /// `{home}`, `{home, n₁}`, `{home, n₁, n₂}`, global.
 pub const MAX_ESCALATION_NEIGHBORS: usize = 2;
 
@@ -560,8 +560,8 @@ impl AllocationService {
     /// on success, claims the allocation and registers a new session.
     ///
     /// With regional admission enabled ([`ServiceConfig::regions`]
-    /// ` > 1`) the flow first runs masked to the request's round-robin
-    /// home region and escalates through neighbor regions to the global
+    /// ` > 1`) the flow first runs on the view of the request's
+    /// round-robin home region and escalates through neighbor regions to the global
     /// fallback (see the [module docs](self#regional-admission)).
     ///
     /// # Errors
@@ -592,10 +592,10 @@ impl AllocationService {
         RegionId::from_index((self.region_rr % count) as usize)
     }
 
-    /// The escalation chain for `home`: depth 0 masks to the home region
+    /// The escalation chain for `home`: depth 0 allows the home region
     /// alone, each further depth adds the next of (at most
     /// [`MAX_ESCALATION_NEIGHBORS`]) sorted neighbor regions, and the
-    /// final `None` entry is the unmasked global fallback.
+    /// final `None` entry is the global fallback on every tile.
     fn escalation_masks(&self, home: RegionId) -> Vec<Option<Vec<RegionId>>> {
         let neighbors = self.region_map.neighbors(home);
         let steps = neighbors.len().min(MAX_ESCALATION_NEIGHBORS);

@@ -46,11 +46,6 @@ impl<T> TileMap<T> {
         self.entries.iter().map(|(_, v)| v)
     }
 
-    /// The tiles that have a value, ascending.
-    pub fn tiles(&self) -> impl Iterator<Item = TileId> + '_ {
-        self.entries.iter().map(|&(t, _)| t)
-    }
-
     /// Number of tiles with a value.
     pub fn len(&self) -> usize {
         self.entries.len()
