@@ -359,18 +359,7 @@ fn reconcile_events(
     // A fresh single-run allocator's registry — the fold of its events
     // and the cache's counters — must agree exactly with the step counts.
     if let Some(m) = snapshot {
-        let pairs: [(&str, usize); 9] = [
-            ("bind_attempts", stats.bind_attempts),
-            ("throughput_checks", stats.throughput_checks),
-            ("global_slice_iterations", stats.global_slice_iterations),
-            ("refine_slice_iterations", stats.refine_slice_iterations),
-            ("cache_hits", stats.cache_hits),
-            ("cache_misses", stats.cache_misses),
-            ("bound_answers", stats.bound_answers),
-            ("monotone_answers", stats.monotone_answers),
-            ("schedule_states", stats.schedule_states),
-        ];
-        for (name, expected) in pairs {
+        for (name, expected) in work_counts(stats) {
             let got = m.counter(name);
             if got != expected as u64 {
                 failures.push(fail(format!(
@@ -681,18 +670,19 @@ fn view_against_masked_clone(
     }
 }
 
-/// The work counts of a flow: every [`FlowStats`] field but the times.
-fn work_counts(s: &FlowStats) -> [usize; 9] {
+/// The work counts of a flow, each under its metrics counter name:
+/// every [`FlowStats`] field but the times.
+fn work_counts(s: &FlowStats) -> [(&'static str, usize); 9] {
     [
-        s.throughput_checks,
-        s.cache_hits,
-        s.cache_misses,
-        s.bound_answers,
-        s.monotone_answers,
-        s.bind_attempts,
-        s.schedule_states,
-        s.global_slice_iterations,
-        s.refine_slice_iterations,
+        ("bind_attempts", s.bind_attempts),
+        ("throughput_checks", s.throughput_checks),
+        ("global_slice_iterations", s.global_slice_iterations),
+        ("refine_slice_iterations", s.refine_slice_iterations),
+        ("cache_hits", s.cache_hits),
+        ("cache_misses", s.cache_misses),
+        ("bound_answers", s.bound_answers),
+        ("monotone_answers", s.monotone_answers),
+        ("schedule_states", s.schedule_states),
     ]
 }
 

@@ -44,6 +44,7 @@ use std::fmt;
 
 use crate::graph::{ArchitectureGraph, TileId};
 use crate::state::{PlatformState, TileUsage};
+use crate::tile_map::TileMap;
 
 /// Identifier of a region within one [`RegionMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -207,7 +208,7 @@ impl RegionMap {
 /// the admission service relies on for departures and rebind rollbacks.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ClaimSet {
-    entries: Vec<(TileId, TileUsage)>,
+    entries: TileMap<TileUsage>,
 }
 
 impl FromIterator<(TileId, TileUsage)> for ClaimSet {
@@ -218,23 +219,19 @@ impl FromIterator<(TileId, TileUsage)> for ClaimSet {
     ///
     /// Panics if a tile appears twice.
     fn from_iter<I: IntoIterator<Item = (TileId, TileUsage)>>(iter: I) -> Self {
-        let mut entries: Vec<(TileId, TileUsage)> = iter
-            .into_iter()
-            .filter(|(_, u)| *u != TileUsage::default())
-            .collect();
-        entries.sort_by_key(|&(t, _)| t);
-        assert!(
-            entries.windows(2).all(|w| w[0].0 != w[1].0),
-            "a tile appears twice in a ClaimSet"
-        );
-        ClaimSet { entries }
+        ClaimSet {
+            entries: iter
+                .into_iter()
+                .filter(|(_, u)| *u != TileUsage::default())
+                .collect(),
+        }
     }
 }
 
 impl ClaimSet {
     /// The `(tile, usage)` entries, ascending tile index.
     pub fn entries(&self) -> &[(TileId, TileUsage)] {
-        &self.entries
+        self.entries.entries()
     }
 
     /// `true` when the set claims nothing.
@@ -245,7 +242,7 @@ impl ClaimSet {
     /// Claims every entry on `state`, making the resources unavailable
     /// to later allocations.
     pub fn apply(&self, state: &mut PlatformState) {
-        for &(t, u) in &self.entries {
+        for &(t, u) in self.entries() {
             state.claim(t, u);
         }
     }
@@ -253,7 +250,7 @@ impl ClaimSet {
     /// Releases every entry from `state` — the exact inverse of
     /// [`apply`](Self::apply) as long as nothing saturated.
     pub fn revert(&self, state: &mut PlatformState) {
-        for &(t, u) in &self.entries {
+        for &(t, u) in self.entries() {
             state.release(t, u);
         }
     }
@@ -261,7 +258,7 @@ impl ClaimSet {
     /// `true` when every entry fits the remaining capacity of its tile,
     /// i.e. [`apply`](Self::apply) would not saturate.
     pub fn fits(&self, arch: &ArchitectureGraph, state: &PlatformState) -> bool {
-        self.entries.iter().all(|&(t, u)| {
+        self.entries().iter().all(|&(t, u)| {
             u.wheel <= state.available_wheel(arch, t)
                 && u.memory <= state.available_memory(arch, t)
                 && u.connections <= state.available_connections(arch, t)
@@ -273,7 +270,7 @@ impl ClaimSet {
     /// Totals over all entries (for reclamation reporting).
     pub fn total(&self) -> TileUsage {
         let mut total = TileUsage::default();
-        for (_, u) in &self.entries {
+        for u in self.entries.iter() {
             total.wheel += u.wheel;
             total.memory += u.memory;
             total.connections += u.connections;
